@@ -18,11 +18,11 @@ import numpy as np
 from . import nullity as nl
 from . import structure as stc
 from .catalog import CatalogEntry, catalog_get, catalog_list
+from .deform import format_constant
 from .errors import FContactError, NotApplicableError, UnknownManifoldError
-from .geom import Convention, sample_points
+from .geom import Convention, PointFrame, sample_points
 from .report import CheckRecord, CheckReport, emit_report
-
-IDENTITY_TOL = stc.IDENTITY_TOL
+from .tolerances import FIT_TOL, IDENTITY_TOL
 
 CHECK_NAMES = [
     "axioms",
@@ -52,7 +52,7 @@ class RunConfig:
     seed: int = 0
     points: int = 20
     samples: int = 200
-    tolerance: float = 1e-6
+    tolerance: float = FIT_TOL
     checks: list[str] | str = "all"
     output_path: str | None = None
     convention: str = "auto"
@@ -87,7 +87,7 @@ class RunConfig:
 def _resolve_entry(config: RunConfig) -> CatalogEntry:
     key = config.manifold_key
     if config.deform_a is not None:
-        key = f"{key}:deformed:{config.deform_a:g}"
+        key = f"{key}:deformed:{format_constant(config.deform_a)}"
     entry = catalog_get(key)
     if config.convention != "auto":
         model = dataclasses.replace(entry.model, d_convention=Convention(config.convention))
@@ -108,6 +108,8 @@ def run(config: RunConfig) -> CheckReport:
     seeds = np.random.SeedSequence(config.seed).spawn(len(CHECK_NAMES) + 1)
     rng_for = {name: np.random.default_rng(seeds[i + 1]) for i, name in enumerate(CHECK_NAMES)}
     points = sample_points(model, config.points, seed=np.random.default_rng(seeds[0]))
+    # every check reads these frames, so each point is evaluated once per run
+    frames = [PointFrame(model, p) for p in points]
 
     fit_tol = config.tolerance
     checks: list[CheckRecord] = []
@@ -135,7 +137,7 @@ def run(config: RunConfig) -> CheckReport:
         return residual
 
     # axioms / contact / h-properties ------------------------------------
-    axiom_report = stc.check_f_axioms(model, points)
+    axiom_report = stc.check_f_axioms(model, frames)
     if "axioms" in requested:
         base_res = max(
             axiom_report.r_eta_xi,
@@ -171,15 +173,12 @@ def run(config: RunConfig) -> CheckReport:
         )
 
     # killing <-> h = 0 agreement -----------------------------------------
-    h_norms = [
-        max(float(np.max(np.abs(stc.structure_at(model, p).h_mat[a]))) for p in points)
-        for a in range(model.s)
-    ]
+    h_norms = [max(float(np.max(np.abs(fr.h_all[a]))) for fr in frames) for a in range(model.s)]
     if "killing" in requested:
         defect = 0.0
         notes = []
         for a in range(model.s):
-            k_res = stc.killing_check(model, a, points)
+            k_res = stc.killing_check(model, a, frames)
             agree = (k_res < IDENTITY_TOL) == (h_norms[a] < IDENTITY_TOL)
             if not agree:
                 defect = max(defect, min(k_res, h_norms[a]))
@@ -189,7 +188,7 @@ def run(config: RunConfig) -> CheckReport:
     # nullity fit -----------------------------------------------------------
     fit = None
     try:
-        fit = nl.fit_nullity(model, points, config.samples, rng=rng_for["nullity"])
+        fit = nl.fit_nullity(model, frames, config.samples, rng=rng_for["nullity"])
         fits["nullity"] = {
             "kappa": fit.kappa,
             "mu": fit.mu,
@@ -215,7 +214,7 @@ def run(config: RunConfig) -> CheckReport:
     # spectrum ---------------------------------------------------------------
     if fit is not None:
         try:
-            spec = nl.h_spectrum(model, fit, points[0])
+            spec = nl.h_spectrum(model, fit, frames[0])
             spectrum_out = {
                 "lambda": spec.lam,
                 "eigenvalue_residual": spec.eigenvalue_residual,
@@ -236,16 +235,16 @@ def run(config: RunConfig) -> CheckReport:
 
     # curvature identities ----------------------------------------------------
     if fit is not None:
-        guarded("r-xi", fit_tol, True, lambda: nl.verify_r_xi(model, fit, points, config.samples, rng=rng_for["r-xi"]))
-        guarded("rf", fit_tol, True, lambda: nl.check_rf_identity(model, fit, points, config.samples, rng=rng_for["rf"]))
-        guarded("ricci", fit_tol, True, lambda: nl.check_ricci_model(model, fit, points))
+        guarded("r-xi", fit_tol, True, lambda: nl.verify_r_xi(model, fit, frames, config.samples, rng=rng_for["r-xi"]))
+        guarded("rf", fit_tol, True, lambda: nl.check_rf_identity(model, fit, frames, config.samples, rng=rng_for["rf"]))
+        guarded("ricci", fit_tol, True, lambda: nl.check_ricci_model(model, fit, frames))
 
     # f-sectional curvature ----------------------------------------------------
     h_report = None
     if fit is not None:
         sections = max(10, config.samples // max(1, config.points))
         h_report = nl.sample_H_constancy(
-            model, points[: min(10, len(points))], sections_per_point=sections, rng=rng_for["H"]
+            model, frames[:10], sections_per_point=sections, rng=rng_for["H"]
         )
         predicted = None
         if entry.expected is not None and entry.expected.h_sectional is not None:
@@ -270,7 +269,7 @@ def run(config: RunConfig) -> CheckReport:
                     fit_tol,
                     True,
                     lambda: nl.check_curvature_model(
-                        model, fit, h_report.h_mean, points, config.samples, rng=rng_for["curvature-model"]
+                        model, fit, h_report.h_mean, frames, config.samples, rng=rng_for["curvature-model"]
                     ),
                 )
             else:
@@ -286,17 +285,17 @@ def run(config: RunConfig) -> CheckReport:
             "splitting",
             fit_tol,
             True,
-            lambda: nl.check_splitting_lemma(model, fit, points[0], section_samples=100, rng=rng_for["splitting"]),
+            lambda: nl.check_splitting_lemma(model, fit, frames[0], section_samples=100, rng=rng_for["splitting"]),
         )
 
     # diagnostics ---------------------------------------------------------------
-    normal_res = stc.check_normality(model, points)
+    normal_res = stc.check_normality(model, frames)
     if "normality" in requested:
         record("normality", normal_res, IDENTITY_TOL, gating=False, note="classification, not a failure mode")
 
     if "gssf" in requested and model.s == 2:
         try:
-            gfit = nl.fit_gssf(model, points, config.samples, rng=rng_for["gssf"])
+            gfit = nl.fit_gssf(model, frames, config.samples, rng=rng_for["gssf"])
             fits["gssf"] = {
                 "F": [float(v) for v in gfit.f_constants],
                 "residual": gfit.residual,
@@ -310,7 +309,7 @@ def run(config: RunConfig) -> CheckReport:
 
     if "trans-s" in requested:
         try:
-            tfit = nl.fit_trans_s(model, points, config.samples, rng=rng_for["trans-s"])
+            tfit = nl.fit_trans_s(model, frames, config.samples, rng=rng_for["trans-s"])
             fits["trans_s"] = {
                 "alpha": [float(v) for v in tfit.alpha],
                 "beta": [float(v) for v in tfit.beta],
@@ -363,7 +362,7 @@ def _add_common(p: argparse.ArgumentParser, manifold_required=True):
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=FIT_TOL)
     p.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
     p.add_argument(
         "--convention",

@@ -40,35 +40,39 @@ class DeformationParams:
             raise ValueError(f"deformation constant must be positive, got {self.a}")
 
 
+def format_constant(a: float) -> str:
+    """``a`` as it appears in keys and labels: ``:g`` form ("2", "0.5") where that
+    reads back as ``a``, else ``repr``, which always does."""
+    short = f"{a:g}"
+    return short if float(short) == a else repr(a)
+
+
+def _rescale(model: ManifoldModel, g_scale, c, xi_scale, eta_scale, **changes) -> ManifoldModel:
+    """``g -> g_scale g + c sum eta (x) eta``, ``xi -> xi_scale xi``, ``eta -> eta_scale eta``."""
+    base_metric, base_etas = model.metric_field, model.eta_fields
+
+    def metric(x):
+        g = base_metric(x)
+        extra = sum(np.outer(e, e) for e in (np.asarray(eta(x)) for eta in base_etas))
+        return g_scale * np.asarray(g) + c * extra
+
+    return replace(
+        model,
+        metric_field=metric,
+        xi_fields=tuple((lambda x, xi=xi: xi_scale * np.asarray(xi(x))) for xi in model.xi_fields),
+        eta_fields=tuple((lambda x, eta=eta: eta_scale * np.asarray(eta(x))) for eta in base_etas),
+        **changes,
+    )
+
+
 def d_deform(model: ManifoldModel, params: DeformationParams | float) -> ManifoldModel:
     """Return the D-homothetically deformed model (lazy field composition)."""
     a = params.a if isinstance(params, DeformationParams) else float(params)
     if not a > 0:
         raise ValueError(f"deformation constant must be positive, got {a}")
-
-    base_metric = model.metric_field
-    base_etas = model.eta_fields
-    base_xis = model.xi_fields
-
-    def metric(x):
-        g = base_metric(x)
-        etas = [np.asarray(eta(x)) for eta in base_etas]
-        extra = sum(np.outer(e, e) for e in etas)
-        return a * np.asarray(g) + (a * (a - 1.0)) * extra
-
-    def make_xi(xi):
-        return lambda x: (1.0 / a) * np.asarray(xi(x))
-
-    def make_eta(eta):
-        return lambda x: a * np.asarray(eta(x))
-
-    return replace(
-        model,
-        metric_field=metric,
-        xi_fields=tuple(make_xi(xi) for xi in base_xis),
-        eta_fields=tuple(make_eta(eta) for eta in base_etas),
-        label=f"{model.label}:deformed:{a:g}" if model.label else f"deformed:{a:g}",
-    )
+    suffix = f"deformed:{format_constant(a)}"
+    return _rescale(model, a, a * (a - 1.0), 1.0 / a, a,
+                    label=f"{model.label}:{suffix}" if model.label else suffix)
 
 
 @dataclass(frozen=True)
@@ -109,27 +113,5 @@ def convention_normalize(model: ManifoldModel) -> ManifoldModel:
     """
     if model.d_convention is not Convention.PLAIN:
         raise NotApplicableError("model already uses the HALF convention")
-
-    base_metric = model.metric_field
-    base_etas = model.eta_fields
-
-    def metric(x):
-        g = base_metric(x)
-        etas = [np.asarray(eta(x)) for eta in base_etas]
-        extra = sum(np.outer(e, e) for e in etas)
-        return np.asarray(g) + 3.0 * extra
-
-    def make_xi(xi):
-        return lambda x: 0.5 * np.asarray(xi(x))
-
-    def make_eta(eta):
-        return lambda x: 2.0 * np.asarray(eta(x))
-
-    return replace(
-        model,
-        metric_field=metric,
-        xi_fields=tuple(make_xi(xi) for xi in model.xi_fields),
-        eta_fields=tuple(make_eta(eta) for eta in base_etas),
-        d_convention=Convention.HALF,
-        label=f"{model.label}:normalized" if model.label else "normalized",
-    )
+    return _rescale(model, 1.0, 3.0, 0.5, 2.0, d_convention=Convention.HALF,
+                    label=f"{model.label}:normalized" if model.label else "normalized")

@@ -13,6 +13,10 @@ class DegenerateMetricError(FContactError):
         super().__init__(f"{message} at point {point!r}")
 
 
+class SingularJetError(FContactError, ZeroDivisionError):
+    """A jet operation divides by a zero value (reciprocal or negative power at 0)."""
+
+
 class InsufficientSampleError(FContactError):
     """A least-squares system has no usable rows (e.g. all eta-bar terms vanish)."""
 

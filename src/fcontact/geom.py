@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .errors import DegenerateMetricError
+from .errors import DegenerateMetricError, InsufficientSampleError
 
 Point = np.ndarray
 FieldEvaluator = Callable[[np.ndarray], np.ndarray]
@@ -49,9 +49,11 @@ class ManifoldModel:
     """Chart description of a (2n+s)-dimensional metric f-manifold.
 
     Immutable and safely shareable: every operation in this package is a pure
-    function of ``(model, point)``, so evaluation may be parallelized over
-    points; reductions in the library itself are ordered and deterministic
-    for a fixed seed.
+    function of the model and its points, so evaluation may be parallelized
+    over points; reductions in the library itself are ordered and
+    deterministic for a fixed seed.  Wherever an operation takes points it
+    also accepts :class:`PointFrame` s of the same model, which lets a caller
+    evaluate each point once and share it between operations.
     """
 
     n: int
@@ -78,11 +80,13 @@ class ManifoldModel:
 
 
 class PointFrame:
-    """All field values and derivatives of a model at one point, lazily.
+    """All field values, derivatives, curvature and structure tensors of a model
+    at one point, each computed on first use and then kept.
 
     Evaluates every field once on jet-seeded coordinates and exposes float
     arrays.  Derivative indices always come last: ``dg[i, j, k] = d_k g_ij``,
-    ``d2g[i, j, k, l] = d_k d_l g_ij``, ``df[i, j, k] = d_k f^i_j``.
+    ``d2g[i, j, k, l] = d_k d_l g_ij``, ``df[i, j, k] = d_k f^i_j``.  The
+    cached arrays are shared with every caller and must not be modified.
     """
 
     def __init__(self, model: ManifoldModel, point: Point):
@@ -227,6 +231,87 @@ class PointFrame:
     def inner(self, u, v):
         return float(u @ self.g @ v)
 
+    # -- structure tensors ---------------------------------------------------
+
+    @cached_property
+    def F(self):
+        """``F[i, j] = g(e_i, f e_j)``."""
+        return self.g @ self.f
+
+    @cached_property
+    def f2(self):
+        return self.f @ self.f
+
+    @cached_property
+    def xi_bar(self):
+        return self.xi.sum(axis=0)
+
+    @cached_property
+    def eta_bar(self):
+        return self.eta.sum(axis=0)
+
+    def d_eta(self, convention: Convention | None = None):
+        """``d_eta[a, i, j] = (d eta_a)_ij`` under ``convention`` (None: the model's)."""
+        plain = np.einsum("aij->aji", self.deta) - self.deta  # d_i eta_j - d_j eta_i
+        conv = self.model.d_convention if convention is None else convention
+        return 0.5 * plain if conv is Convention.HALF else plain
+
+    @cached_property
+    def h_all(self):
+        """``h_all[a] = h_alpha = 1/2 L_{xi_alpha} f``, from Lie derivatives."""
+        # (L_xi f)^i_j = xi^m d_m f^i_j - f^m_j d_m xi^i + f^i_m d_j xi^m
+        f, df, xi, dxi = self.f, self.df, self.xi, self.dxi
+        return 0.5 * (
+            np.einsum("am,ijm->aij", xi, df)
+            - np.einsum("mj,aim->aij", f, dxi)
+            + np.einsum("im,amj->aij", f, dxi)
+        )
+
+    @property
+    def h(self):
+        return self.h_all[0]
+
+    @cached_property
+    def h_max(self) -> float:
+        return float(np.max(np.abs(self.h_all)))
+
+    @cached_property
+    def normality(self):
+        """``normality[k, i, j]``: component k of ``[f, f] + 2 sum xi_a (x) d eta_a`` on (e_i, e_j)."""
+        f, df = self.f, self.df
+        # N^k_ij = f^m_i d_m f^k_j - f^m_j d_m f^k_i + f^k_m (d_j f^m_i - d_i f^m_j)
+        nijenhuis = (
+            np.einsum("mi,kjm->kij", f, df)
+            - np.einsum("mj,kim->kij", f, df)
+            + np.einsum("km,mij->kij", f, df)
+            - np.einsum("km,mji->kij", f, df)
+        )
+        return nijenhuis + 2.0 * np.einsum("ak,aij->kij", self.xi, self.d_eta())
+
+    @property
+    def proj_L(self):
+        """Projector onto L: ``-f^2 = I - sum xi_alpha (x) eta_alpha``."""
+        return -self.f2
+
+    def random_unit_section(self, rng) -> np.ndarray:
+        """Random g-unit vector in L (projected Gaussian, normalized)."""
+        P = self.proj_L
+        for _ in range(64):
+            v = P @ rng.standard_normal(self.model.dim)
+            norm = np.sqrt(max(self.inner(v, v), 0.0))
+            if norm >= 1e-3:
+                return v / norm
+        raise InsufficientSampleError("could not draw a unit vector in L")
+
+
+def as_frame(model: ManifoldModel, p: Point | PointFrame) -> PointFrame:
+    """``p`` itself when it is a frame of ``model``, else a new frame at ``p``."""
+    if isinstance(p, PointFrame):
+        if p.model is not model:
+            raise ValueError("the PointFrame belongs to a different model")
+        return p
+    return PointFrame(model, p)
+
 
 # ---------------------------------------------------------------------------
 # Public operations
@@ -249,14 +334,14 @@ class CurvatureData:
     ricci_op: np.ndarray
 
 
-def christoffel(model: ManifoldModel, p: Point) -> ConnectionCoefficients:
+def christoffel(model: ManifoldModel, p: Point | PointFrame) -> ConnectionCoefficients:
     """Levi-Civita connection from the metric's first derivatives."""
-    return ConnectionCoefficients(gamma=PointFrame(model, p).gamma)
+    return ConnectionCoefficients(gamma=as_frame(model, p).gamma)
 
 
-def riemann(model: ManifoldModel, p: Point) -> CurvatureData:
+def riemann(model: ManifoldModel, p: Point | PointFrame) -> CurvatureData:
     """Curvature tensor and Ricci operator at ``p``."""
-    frame = PointFrame(model, p)
+    frame = as_frame(model, p)
     return CurvatureData(frame.riemann31, frame.riemann40, frame.ricci_op)
 
 
@@ -273,15 +358,10 @@ def lie_bracket(field_a: FieldEvaluator, field_b: FieldEvaluator, p: Point) -> n
 
 
 def exterior_derivative_1form(
-    model: ManifoldModel, eta_index: int, p: Point, convention: Convention
+    model: ManifoldModel, eta_index: int, p: Point | PointFrame, convention: Convention
 ) -> np.ndarray:
     """``d eta`` of the eta_index-th structure one-form, as an antisymmetric matrix."""
-    frame = PointFrame(model, p)
-    deta = frame.deta[eta_index]  # deta[i, j] = d_j eta_i
-    d = deta.T - deta  # (d eta)_ij = d_i eta_j - d_j eta_i
-    if convention is Convention.HALF:
-        d = 0.5 * d
-    return d
+    return as_frame(model, p).d_eta(convention)[eta_index]
 
 
 def sample_points(model: ManifoldModel, count: int, seed) -> list[Point]:
@@ -301,9 +381,9 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def metric_compatibility_residual(model: ManifoldModel, p: Point) -> float:
+def metric_compatibility_residual(model: ManifoldModel, p: Point | PointFrame) -> float:
     """Max component of ``nabla g`` (zero for the Levi-Civita connection)."""
-    frame = PointFrame(model, p)
+    frame = as_frame(model, p)
     nabla_g = (
         np.einsum("ijk->kij", frame.dg)
         - np.einsum("lki,lj->kij", frame.gamma, frame.g)
@@ -312,9 +392,9 @@ def metric_compatibility_residual(model: ManifoldModel, p: Point) -> float:
     return float(np.max(np.abs(nabla_g)))
 
 
-def riemann_symmetry_residuals(model: ManifoldModel, p: Point) -> dict[str, float]:
+def riemann_symmetry_residuals(model: ManifoldModel, p: Point | PointFrame) -> dict[str, float]:
     """Antisymmetries, pair symmetry and the first Bianchi identity of R."""
-    R = PointFrame(model, p).riemann40
+    R = as_frame(model, p).riemann40
     return {
         "antisym_xy": float(np.max(np.abs(R + np.einsum("jikl->ijkl", R)))),
         "antisym_zw": float(np.max(np.abs(R + np.einsum("ijlk->ijkl", R)))),

@@ -19,6 +19,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from .errors import SingularJetError
+
 __all__ = [
     "Jet",
     "variables",
@@ -111,6 +113,8 @@ class Jet:
 
     def _reciprocal(self):
         v = self.val
+        if v == 0.0:
+            raise SingularJetError("reciprocal of a jet with value 0")
         return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3)
 
     def __neg__(self):
@@ -124,6 +128,10 @@ class Jet:
             p = int(p)
             if p == 0:
                 return Jet(1.0, np.zeros_like(self.grad), np.zeros_like(self.hess))
+            if p == 1:
+                return self
+            if p < 0:
+                return self._reciprocal() ** -p
             return self._chain(self.val**p, p * self.val ** (p - 1), p * (p - 1) * self.val ** (p - 2))
         if isinstance(p, Real):
             if self.val <= 0.0:

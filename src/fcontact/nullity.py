@@ -33,66 +33,9 @@ from .errors import (
     NotApplicableError,
     SpectralInconsistencyError,
 )
-from .geom import ManifoldModel, Point, PointFrame, as_rng
-from .structure import StructureTensors, structure_at
-
-FIT_TOL = 1e-6
-IDENTITY_TOL = 1e-8
-_FLOOR = 1e-12  # scale floor for relative residuals
-
-
-# ---------------------------------------------------------------------------
-# Per-point tensor bundle
-# ---------------------------------------------------------------------------
-
-
-class PointTensors:
-    """Structure + curvature tensors of a model at one point."""
-
-    def __init__(self, model: ManifoldModel, p: Point):
-        self.model = model
-        frame = PointFrame(model, p)
-        self.frame = frame
-        self.st: StructureTensors = structure_at(model, p, frame)
-        self.g = frame.g
-        self.f = self.st.f_mat
-        self.f2 = self.f @ self.f
-        self.h_all = self.st.h_mat
-        self.h = self.st.h_mat[0]
-        self.xi = self.st.xi_mat
-        self.eta = self.st.eta_mat
-        self.xi_bar = self.st.xi_bar
-        self.eta_bar = self.st.eta_bar
-        self.R31 = frame.riemann31
-        self.Q = frame.ricci_op
-
-    def R(self, X, Y, Z):
-        return np.einsum("lkij,i,j,k->l", self.R31, X, Y, Z)
-
-    def ip(self, u, v):
-        return float(u @ self.g @ v)
-
-    @property
-    def h_max(self) -> float:
-        return float(np.max(np.abs(self.h_all)))
-
-    def proj_L(self) -> np.ndarray:
-        """Projector onto L: ``-f^2 = I - sum xi_alpha (x) eta_alpha``."""
-        return -self.f2
-
-    def random_unit_section(self, rng) -> np.ndarray:
-        """Random g-unit vector in L (projected Gaussian, normalized)."""
-        P = self.proj_L()
-        for _ in range(64):
-            v = P @ rng.standard_normal(self.model.dim)
-            norm = np.sqrt(max(self.ip(v, v), 0.0))
-            if norm >= 1e-3:
-                return v / norm
-        raise InsufficientSampleError("could not draw a unit vector in L")
-
-
-def point_tensors(model: ManifoldModel, points) -> list[PointTensors]:
-    return [PointTensors(model, p) for p in points]
+from .geom import ManifoldModel, Point, PointFrame, as_frame, as_rng
+from .structure import structure_at  # noqa: F401  (re-exported)
+from .tolerances import FIT_TOL, IDENTITY_TOL, SCALE_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -130,24 +73,24 @@ def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) 
     ``R(X, Y) xi_alpha = kappa * A + mu * B``.
     """
     rng = as_rng(rng)
-    data = point_tensors(model, points)
+    data = [as_frame(model, p) for p in points]
     rows_a, rows_b, rhs = [], [], []
     for _ in range(vector_samples):
-        pt = data[rng.integers(len(data))]
+        fr = data[rng.integers(len(data))]
         alpha = int(rng.integers(model.s))
         X = rng.standard_normal(model.dim)
         Y = rng.standard_normal(model.dim)
-        ebX = float(pt.eta_bar @ X)
-        ebY = float(pt.eta_bar @ Y)
-        h = pt.h_all[alpha]
-        rows_a.append(ebX * (pt.f2 @ Y) - ebY * (pt.f2 @ X))
+        ebX = float(fr.eta_bar @ X)
+        ebY = float(fr.eta_bar @ Y)
+        h = fr.h_all[alpha]
+        rows_a.append(ebX * (fr.f2 @ Y) - ebY * (fr.f2 @ X))
         rows_b.append(ebY * (h @ X) - ebX * (h @ Y))
-        rhs.append(pt.R(X, Y, pt.xi[alpha]))
+        rhs.append(fr.curvature_operator(X, Y, fr.xi[alpha]))
 
     a = np.concatenate(rows_a)
     b = np.concatenate(rows_b)
     y = np.concatenate(rhs)
-    scale = max(float(np.max(np.abs(y))), float(np.max(np.abs(a))), float(np.max(np.abs(b))), _FLOOR)
+    scale = max(float(np.max(np.abs(y))), float(np.max(np.abs(a))), float(np.max(np.abs(b))), SCALE_FLOOR)
 
     a_norm = float(np.max(np.abs(a)))
     if a_norm < 1e-8:
@@ -179,17 +122,17 @@ def verify_r_xi(model: ManifoldModel, fit: NullityFit, points, samples: int = 20
     """Residual of the transposed nullity identity for ``R(xi_alpha, X)Y``."""
     rng = as_rng(rng)
     kappa, mu = fit.kappa, fit.mu_effective
-    worst, scale = 0.0, _FLOOR
-    for pt in point_tensors(model, points):
+    worst, scale = 0.0, SCALE_FLOOR
+    for fr in (as_frame(model, p) for p in points):
         for _ in range(max(1, samples // len(points))):
             alpha = int(rng.integers(model.s))
             X = rng.standard_normal(model.dim)
             Y = rng.standard_normal(model.dim)
-            h = pt.h_all[alpha]
-            lhs = pt.R(pt.xi[alpha], X, Y)
-            ebY = float(pt.eta_bar @ Y)
-            rhs = kappa * (ebY * (pt.f2 @ X) - pt.ip(X, pt.f2 @ Y) * pt.xi_bar) + mu * (
-                pt.ip(X, h @ Y) * pt.xi_bar - ebY * (h @ X)
+            h = fr.h_all[alpha]
+            lhs = fr.curvature_operator(fr.xi[alpha], X, Y)
+            ebY = float(fr.eta_bar @ Y)
+            rhs = kappa * (ebY * (fr.f2 @ X) - fr.inner(X, fr.f2 @ Y) * fr.xi_bar) + mu * (
+                fr.inner(X, h @ Y) * fr.xi_bar - ebY * (h @ X)
             )
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             scale = max(scale, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1.0)
@@ -216,16 +159,16 @@ class SpectrumReport:
     h_zero: bool                       # S-manifold branch (kappa ~ 1, h ~ 0)
 
 
-def _l_basis(pt: PointTensors) -> np.ndarray:
+def _l_basis(fr: PointFrame) -> np.ndarray:
     """g-orthonormal basis of L, columns of shape (dim, 2n)."""
-    P = pt.proj_L()
-    dim, two_n = pt.model.dim, 2 * pt.model.n
+    P = fr.proj_L
+    dim, two_n = fr.model.dim, 2 * fr.model.n
     basis = []
     for i in range(dim):
         v = P[:, i].copy()
         for b in basis:
-            v -= pt.ip(b, v) * b
-        norm = np.sqrt(max(pt.ip(v, v), 0.0))
+            v -= fr.inner(b, v) * b
+        norm = np.sqrt(max(fr.inner(v, v), 0.0))
         if norm > 1e-8:
             basis.append(v / norm)
         if len(basis) == two_n:
@@ -235,28 +178,28 @@ def _l_basis(pt: PointTensors) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point) -> SpectrumReport:
+def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point | PointFrame) -> SpectrumReport:
     """Spectral data of h on L; validates the +-sqrt(1 - kappa) law.
 
     For kappa ~ 1 the split is undefined: returns the h = 0 report, raising
     if h is not actually numerically zero.
     """
-    pt = PointTensors(model, p)
-    h_equal = float(max(np.max(np.abs(pt.h_all[a] - pt.h_all[0])) for a in range(model.s)))
-    E = _l_basis(pt)
-    h_on_l = E.T @ pt.g @ pt.h @ E
+    fr = as_frame(model, p)
+    h_equal = float(max(np.max(np.abs(fr.h_all[a] - fr.h_all[0])) for a in range(model.s)))
+    E = _l_basis(fr)
+    h_on_l = E.T @ fr.g @ fr.h @ E
     eigs = np.linalg.eigvalsh(0.5 * (h_on_l + h_on_l.T))
 
     if fit.kappa >= 1.0 - FIT_TOL:
-        if pt.h_max > IDENTITY_TOL * 10:
+        if fr.h_max > IDENTITY_TOL * 10:
             raise SpectralInconsistencyError(
-                f"kappa = {fit.kappa} fitted but |h| = {pt.h_max}; "
+                f"kappa = {fit.kappa} fitted but |h| = {fr.h_max}; "
                 "kappa = 1 requires h = 0"
             )
         return SpectrumReport(
             eigenvalues=eigs,
             lam=None,
-            p_l=pt.proj_L(),
+            p_l=fr.proj_L,
             p_plus=None,
             p_minus=None,
             h_equal_residual=h_equal,
@@ -266,11 +209,11 @@ def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point) -> SpectrumRepor
         )
 
     lam = float(np.sqrt(1.0 - fit.kappa))
-    p_l = pt.proj_L()
-    p_plus = 0.5 * (p_l + pt.h / lam)
-    p_minus = 0.5 * (p_l - pt.h / lam)
+    p_l = fr.proj_L
+    p_plus = 0.5 * (p_l + fr.h / lam)
+    p_minus = 0.5 * (p_l - fr.h / lam)
     ev_res = float(np.max(np.abs(np.abs(eigs) - lam)))
-    f_swap = float(np.max(np.abs(pt.f @ p_plus - p_minus @ pt.f)))
+    f_swap = float(np.max(np.abs(fr.f @ p_plus - p_minus @ fr.f)))
     return SpectrumReport(
         eigenvalues=eigs,
         lam=lam,
@@ -289,21 +232,21 @@ def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point) -> SpectrumRepor
 # ---------------------------------------------------------------------------
 
 
-def _rf_rhs(pt: PointTensors, kappa: float, mu: float, X, Y, Z) -> np.ndarray:
+def _rf_rhs(fr: PointFrame, kappa: float, mu: float, X, Y, Z) -> np.ndarray:
     """Right-hand side of the R(X, Y)fZ expansion."""
-    s = pt.model.s
-    f, h, f2 = pt.f, pt.h, pt.f2
+    s = fr.model.s
+    f, h, f2 = fr.f, fr.h, fr.f2
     fh = f @ h
-    ebX = float(pt.eta_bar @ X)
-    ebY = float(pt.eta_bar @ Y)
-    ebZ = float(pt.eta_bar @ Z)
-    ip = pt.ip
+    ebX = float(fr.eta_bar @ X)
+    ebY = float(fr.eta_bar @ Y)
+    ebZ = float(fr.eta_bar @ Z)
+    ip = fr.inner
 
-    out = f @ pt.R(X, Y, Z)
+    out = f @ fr.curvature_operator(X, Y, Z)
     out = out + (
         kappa * (ebY * ip(f @ X, Z) - ebX * ip(f @ Y, Z))
         + mu * (ebY * ip(fh @ X, Z) - ebX * ip(fh @ Y, Z))
-    ) * pt.xi_bar
+    ) * fr.xi_bar
     hX, hY = h @ X, h @ Y
     f2X, f2Y = f2 @ X, f2 @ Y
     fX, fY = f @ X, f @ Y
@@ -327,14 +270,14 @@ def check_rf_identity(model: ManifoldModel, fit: NullityFit, points, samples: in
     dim = model.dim
     eye = np.eye(dim)
     worst, scale = 0.0, 1.0
-    data = point_tensors(model, points)
+    data = [as_frame(model, p) for p in points]
     per_point = max(1, samples // len(data))
-    for pt in data:
+    for fr in data:
         for _ in range(per_point):
             i, j, k = rng.integers(dim, size=3)
             X, Y, Z = eye[i], eye[j], eye[k]
-            lhs = pt.R(X, Y, pt.f @ Z)
-            rhs = _rf_rhs(pt, kappa, mu, X, Y, Z)
+            lhs = fr.curvature_operator(X, Y, fr.f @ Z)
+            rhs = _rf_rhs(fr, kappa, mu, X, Y, Z)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             scale = max(scale, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     return worst / scale
@@ -352,14 +295,15 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
         raise NotApplicableError("the Ricci model needs a determined mu")
     n, s = model.n, model.s
     worst = 0.0
-    for pt in point_tensors(model, points):
+    for fr in (as_frame(model, p) for p in points):
         q_model = (
-            s * (2.0 * (1 - n) + n * fit.mu) * pt.f2
-            + s * (2.0 * (n - 1) + fit.mu) * pt.h
-            + 2.0 * n * fit.kappa * np.outer(pt.xi_bar, pt.eta_bar)
+            s * (2.0 * (1 - n) + n * fit.mu) * fr.f2
+            + s * (2.0 * (n - 1) + fit.mu) * fr.h
+            + 2.0 * n * fit.kappa * np.outer(fr.xi_bar, fr.eta_bar)
         )
-        scale = max(float(np.max(np.abs(pt.Q))), float(np.max(np.abs(q_model))), _FLOOR)
-        worst = max(worst, float(np.max(np.abs(pt.Q - q_model))) / scale)
+        Q = fr.ricci_op
+        scale = max(float(np.max(np.abs(Q))), float(np.max(np.abs(q_model))), SCALE_FLOOR)
+        worst = max(worst, float(np.max(np.abs(Q - q_model))) / scale)
     return worst
 
 
@@ -368,20 +312,19 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
 # ---------------------------------------------------------------------------
 
 
-def f_sectional(model: ManifoldModel, p: Point, X, pt: PointTensors | None = None) -> float:
+def f_sectional(model: ManifoldModel, p: Point | PointFrame, X) -> float:
     """Sectional curvature of the plane {X, fX} for a unit X in L."""
-    if pt is None:
-        pt = PointTensors(model, p)
+    fr = as_frame(model, p)
     X = np.asarray(X, dtype=float)
-    eta_res = float(np.max(np.abs(pt.eta @ X)))
+    eta_res = float(np.max(np.abs(fr.eta @ X)))
     if eta_res > 1e-6:
         raise InvalidSectionError(f"X has eta components of size {eta_res}")
-    if abs(pt.ip(X, X) - 1.0) > 1e-6:
+    if abs(fr.inner(X, X) - 1.0) > 1e-6:
         raise InvalidSectionError("X is not a g-unit vector")
-    fX = pt.f @ X
-    if abs(pt.ip(fX, fX) - 1.0) > 1e-6:
+    fX = fr.f @ X
+    if abs(fr.inner(fX, fX) - 1.0) > 1e-6:
         raise InvalidSectionError("fX is not a g-unit vector")
-    return pt.ip(pt.R(X, fX, fX), X)
+    return fr.inner(fr.curvature_operator(X, fX, fX), X)
 
 
 @dataclass
@@ -391,8 +334,6 @@ class SpaceFormReport:
     h_samples: list[float]
     h_mean: float
     h_spread: float
-    predicted_h: float | None = None    # -s(2 kappa + 1) when mu = kappa + 1
-    model_residual: float | None = None
 
 
 def sample_H_constancy(
@@ -401,10 +342,9 @@ def sample_H_constancy(
     """Sample H over random f-sections; report mean and spread."""
     rng = as_rng(rng)
     values = []
-    for pt in point_tensors(model, points):
+    for fr in (as_frame(model, p) for p in points):
         for _ in range(sections_per_point):
-            X = pt.random_unit_section(rng)
-            values.append(f_sectional(model, pt.frame.point, X, pt=pt))
+            values.append(f_sectional(model, fr, fr.random_unit_section(rng)))
     arr = np.asarray(values)
     return SpaceFormReport(
         h_samples=values,
@@ -427,21 +367,21 @@ def check_curvature_model(
     dim = model.dim
     eye = np.eye(dim)
     worst, scale = 0.0, 1.0
-    data = point_tensors(model, points)
+    data = [as_frame(model, p) for p in points]
     per_point = max(1, samples // len(data))
-    for pt in data:
-        f, h, f2 = pt.f, pt.h, pt.f2
+    for fr in data:
+        f, h, f2 = fr.f, fr.h, fr.f2
         fh = f @ h
-        ip = pt.ip
+        ip = fr.inner
         for _ in range(per_point):
             i, j, k = rng.integers(dim, size=3)
             X, Y, Z = eye[i], eye[j], eye[k]
-            lhs = 4.0 * pt.R(X, Y, Z)
+            lhs = 4.0 * fr.curvature_operator(X, Y, Z)
             fX, fY, fZ = f @ X, f @ Y, f @ Z
             hX, hY, hZ = h @ X, h @ Y, h @ Z
             f2X, f2Y, f2Z = f2 @ X, f2 @ Y, f2 @ Z
             fhX, fhY = fh @ X, fh @ Y
-            ebX, ebY, ebZ = (float(pt.eta_bar @ v) for v in (X, Y, Z))
+            ebX, ebY, ebZ = (float(fr.eta_bar @ v) for v in (X, Y, Z))
             rhs = (H + 3 * s) * (ip(f2Y, Z) * f2X - ip(f2X, Z) * f2Y)
             rhs = rhs + (H - s) * (2 * ip(fY, X) * fZ + ip(X, fZ) * fY - ip(Y, fZ) * fX)
             rhs = rhs - 2 * s * (
@@ -455,12 +395,12 @@ def check_curvature_model(
                 + 2 * ip(hY, Z) * f2X
             )
             rhs = rhs + 4 * kappa * (
-                ebX * ebZ * f2Y - ebX * ip(Y, f2Z) * pt.xi_bar
-                - ebY * ebZ * f2X + ebY * ip(X, f2Z) * pt.xi_bar
+                ebX * ebZ * f2Y - ebX * ip(Y, f2Z) * fr.xi_bar
+                - ebY * ebZ * f2X + ebY * ip(X, f2Z) * fr.xi_bar
             )
             rhs = rhs + 4 * mu * (
-                ebY * ebZ * hX - ebY * ip(X, hZ) * pt.xi_bar
-                - ebX * ebZ * hY + ebX * ip(Y, hZ) * pt.xi_bar
+                ebY * ebZ * hX - ebY * ip(X, hZ) * fr.xi_bar
+                - ebX * ebZ * hY + ebX * ip(Y, hZ) * fr.xi_bar
             )
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             scale = max(scale, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
@@ -506,7 +446,7 @@ def space_form_criterion(
 
 
 def check_splitting_lemma(
-    model: ManifoldModel, fit: NullityFit, p: Point, section_samples: int = 100, rng=0
+    model: ManifoldModel, fit: NullityFit, p: Point | PointFrame, section_samples: int = 100, rng=0
 ) -> float:
     """Residual of the L_+/L_- splitting formula for H(X), kappa < 1.
 
@@ -516,19 +456,19 @@ def check_splitting_lemma(
     if fit.kappa >= 1.0 - FIT_TOL:
         raise NotApplicableError("the splitting formula requires kappa < 1")
     rng = as_rng(rng)
-    spec = h_spectrum(model, fit, p)
-    pt = PointTensors(model, p)
+    fr = as_frame(model, p)
+    spec = h_spectrum(model, fit, fr)
     s, mu = model.s, fit.mu_effective
     worst = 0.0
     for _ in range(section_samples):
-        X = pt.random_unit_section(rng)
+        X = fr.random_unit_section(rng)
         xp = spec.p_plus @ X
         xm = spec.p_minus @ X
-        cross = pt.ip(xp, pt.f @ xm)
+        cross = fr.inner(xp, fr.f @ xm)
         formula = -s * (fit.kappa + mu) + 4.0 * s * (fit.kappa - mu + 1.0) * (
-            pt.ip(xp, xp) * pt.ip(xm, xm) - cross**2
+            fr.inner(xp, xp) * fr.inner(xm, xm) - cross**2
         )
-        worst = max(worst, abs(f_sectional(model, p, X, pt=pt) - formula))
+        worst = max(worst, abs(f_sectional(model, fr, X) - formula))
     return worst
 
 
@@ -552,12 +492,12 @@ class GssfFit:
         return float(self.f_constants[0] - self.f_constants[2])
 
 
-def _gssf_terms(pt: PointTensors, X, Y, Z) -> np.ndarray:
+def _gssf_terms(fr: PointFrame, X, Y, Z) -> np.ndarray:
     """The seven basis tensors of the s = 2 curvature ansatz, stacked (7, dim)."""
-    g_ip = pt.ip
-    f = pt.f
-    eta1, eta2 = pt.eta[0], pt.eta[1]
-    xi1, xi2 = pt.xi[0], pt.xi[1]
+    g_ip = fr.inner
+    f = fr.f
+    eta1, eta2 = fr.eta[0], fr.eta[1]
+    xi1, xi2 = fr.xi[0], fr.xi[1]
     e1X, e1Y, e1Z = (float(eta1 @ v) for v in (X, Y, Z))
     e2X, e2Y, e2Z = (float(eta2 @ v) for v in (X, Y, Z))
     gXZ, gYZ = g_ip(X, Z), g_ip(Y, Z)
@@ -577,15 +517,15 @@ def _gssf_terms(pt: PointTensors, X, Y, Z) -> np.ndarray:
     return np.stack([t1, t2, t3, t4, t5, t6, t7])
 
 
-def _gssf_system(pt: PointTensors, n_samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    dim = pt.model.dim
+def _gssf_system(fr: PointFrame, n_samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    dim = fr.model.dim
     rows, rhs = [], []
     for _ in range(n_samples):
         X = rng.standard_normal(dim)
         Y = rng.standard_normal(dim)
         Z = rng.standard_normal(dim)
-        rows.append(_gssf_terms(pt, X, Y, Z).T)  # (dim, 7)
-        rhs.append(pt.R(X, Y, Z))
+        rows.append(_gssf_terms(fr, X, Y, Z).T)  # (dim, 7)
+        rhs.append(fr.curvature_operator(X, Y, Z))
     return np.concatenate(rows), np.concatenate(rhs)
 
 
@@ -594,13 +534,13 @@ def fit_gssf(model: ManifoldModel, points, samples: int = 200, rng=0) -> GssfFit
     if model.s != 2:
         raise NotApplicableError("the seven-function ansatz is defined for s = 2")
     rng = as_rng(rng)
-    data = point_tensors(model, points)
+    data = [as_frame(model, p) for p in points]
     per_point = max(8, samples // len(data))
 
     local_fits = []
     blocks_a, blocks_y = [], []
-    for pt in data:
-        a, y = _gssf_system(pt, per_point, rng)
+    for fr in data:
+        a, y = _gssf_system(fr, per_point, rng)
         sol, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
         local_fits.append(sol)
         blocks_a.append(a)
@@ -610,7 +550,7 @@ def fit_gssf(model: ManifoldModel, points, samples: int = 200, rng=0) -> GssfFit
     y = np.concatenate(blocks_y)
     sol, _, _, sv = np.linalg.lstsq(a, y, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    scale = max(float(np.max(np.abs(y))), float(np.max(np.abs(a))), _FLOOR)
+    scale = max(float(np.max(np.abs(y))), float(np.max(np.abs(a))), SCALE_FLOOR)
     residual = float(np.max(np.abs(a @ sol - y))) / scale
 
     local = np.vstack(local_fits)
@@ -652,31 +592,31 @@ def fit_trans_s(model: ManifoldModel, points, samples: int = 200, rng=0) -> Tran
     """
     rng = as_rng(rng)
     s, dim = model.s, model.dim
-    data = point_tensors(model, points)
+    data = [as_frame(model, p) for p in points]
     per_point = max(2, samples // len(data))
 
     rows, rhs = [], []
-    killing = all(pt.h_max < IDENTITY_TOL * 10 for pt in data)
+    killing = all(fr.h_max < IDENTITY_TOL * 10 for fr in data)
     t421_worst, t421_scale = 0.0, 1.0
-    for pt in data:
-        nabla_f = pt.frame.nabla_f
+    for fr in data:
+        nabla_f = fr.nabla_f
         for _ in range(per_point):
             X = rng.standard_normal(dim)
             Y = rng.standard_normal(dim)
-            fX = pt.f @ X
+            fX = fr.f @ X
             cols = []
             for i in range(s):
-                ei_y = float(pt.eta[i] @ Y)
-                cols.append(pt.ip(fX, pt.f @ Y) * pt.xi[i] + ei_y * (pt.f2 @ X))
+                ei_y = float(fr.eta[i] @ Y)
+                cols.append(fr.inner(fX, fr.f @ Y) * fr.xi[i] + ei_y * (fr.f2 @ X))
             for i in range(s):
-                ei_y = float(pt.eta[i] @ Y)
-                cols.append(pt.ip(fX, Y) * pt.xi[i] - ei_y * fX)
+                ei_y = float(fr.eta[i] @ Y)
+                cols.append(fr.inner(fX, Y) * fr.xi[i] - ei_y * fX)
             rows.append(np.column_stack(cols))
             lhs = np.einsum("kba,b,a->k", nabla_f, Y, X)
             rhs.append(lhs)
             if killing:
                 for alpha in range(s):
-                    r = pt.R(X, pt.xi[alpha], Y)
+                    r = fr.curvature_operator(X, fr.xi[alpha], Y)
                     t421_worst = max(t421_worst, float(np.max(np.abs(r + lhs))))
                     t421_scale = max(t421_scale, float(np.max(np.abs(r))), float(np.max(np.abs(lhs))))
 
@@ -684,7 +624,7 @@ def fit_trans_s(model: ManifoldModel, points, samples: int = 200, rng=0) -> Tran
     y = np.concatenate(rhs)
     sol, _, _, sv = np.linalg.lstsq(a, y, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    scale = max(float(np.max(np.abs(y))), float(np.max(np.abs(a))), _FLOOR)
+    scale = max(float(np.max(np.abs(y))), float(np.max(np.abs(a))), SCALE_FLOOR)
     residual = float(np.max(np.abs(a @ sol - y))) / scale
     return TransSFit(
         alpha=sol[:s],

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Convention, ManifoldModel, Point, PointFrame
+from .geom import Convention, ManifoldModel, Point, PointFrame, as_frame
+from .tolerances import IDENTITY_TOL
 
-IDENTITY_TOL = 1e-8
 RANK_THRESHOLD = 1e-6  # relative singular-value cutoff for rank(f)
 
 
@@ -48,51 +48,21 @@ class StructureTensors:
     eta_bar: np.ndarray        # (dim,)
 
 
-def structure_at(model: ManifoldModel, p: Point, frame: PointFrame | None = None) -> StructureTensors:
-    """Evaluate every structure tensor of ``model`` at ``p``."""
-    if frame is None:
-        frame = PointFrame(model, p)
-    dim = model.dim
-    f, df = frame.f, frame.df
-    g = frame.g
-    xi, dxi = frame.xi, frame.dxi
-    eta, deta = frame.eta, frame.deta
-
-    F = g @ f
-
-    d_eta_plain = np.einsum("aij->aji", deta) - deta  # (d eta)_ij = d_i eta_j - d_j eta_i
-    d_eta = 0.5 * d_eta_plain if model.d_convention is Convention.HALF else d_eta_plain
-
-    # h_alpha = 1/2 L_{xi_alpha} f;
-    # (L_xi f)^i_j = xi^m d_m f^i_j - f^m_j d_m xi^i + f^i_m d_j xi^m
-    h = 0.5 * (
-        np.einsum("am,ijm->aij", xi, df)
-        - np.einsum("mj,aim->aij", f, dxi)
-        + np.einsum("im,amj->aij", f, dxi)
-    )
-
-    # Nijenhuis tensor of f on coordinate fields:
-    # N^k_ij = f^m_i d_m f^k_j - f^m_j d_m f^k_i + f^k_m (d_j f^m_i - d_i f^m_j)
-    nijenhuis = (
-        np.einsum("mi,kjm->kij", f, df)
-        - np.einsum("mj,kim->kij", f, df)
-        + np.einsum("km,mij->kij", f, df)
-        - np.einsum("km,mji->kij", f, df)
-    )
-    normality = nijenhuis + 2.0 * np.einsum("ak,aij->kij", xi, d_eta)
-
+def structure_at(model: ManifoldModel, p: Point | PointFrame, frame: PointFrame | None = None) -> StructureTensors:
+    """Every structure tensor of ``model`` at ``p``, read from ``frame`` when given."""
+    fr = as_frame(model, p if frame is None else frame)
     return StructureTensors(
-        point=frame.point,
-        g_mat=g,
-        f_mat=f,
-        F_mat=F,
-        d_eta=d_eta,
-        h_mat=h,
-        normality=normality,
-        xi_mat=xi,
-        eta_mat=eta,
-        xi_bar=xi.sum(axis=0),
-        eta_bar=eta.sum(axis=0),
+        point=fr.point,
+        g_mat=fr.g,
+        f_mat=fr.f,
+        F_mat=fr.F,
+        d_eta=fr.d_eta(),
+        h_mat=fr.h_all,
+        normality=fr.normality,
+        xi_mat=fr.xi,
+        eta_mat=fr.eta,
+        xi_bar=fr.xi_bar,
+        eta_bar=fr.eta_bar,
     )
 
 
@@ -163,34 +133,34 @@ def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
     r_eta_xi = r_f_xi = r_eta_f = r_f2 = r_compat = r_normal = r_rank = 0.0
     h_sym = h_tr = h_anti = h_xi = eta_h = 0.0
     r_contact = np.zeros(s)
-    rank_detected = two_n
+    rank_detected = two_n  # of the point whose rank is furthest from 2n
 
-    for p in points:
-        st = structure_at(model, p)
-        f, g, xi, eta = st.f_mat, st.g_mat, st.xi_mat, st.eta_mat
+    for fr in (as_frame(model, p) for p in points):
+        f, g, xi, eta = fr.f, fr.g, fr.xi, fr.eta
 
         r_eta_xi = max(r_eta_xi, float(np.max(np.abs(eta @ xi.T - np.eye(s)))))
         r_f_xi = max(r_f_xi, float(np.max(np.abs(f @ xi.T))))
         r_eta_f = max(r_eta_f, float(np.max(np.abs(eta @ f))))
 
         proj = sum(np.outer(xi[a], eta[a]) for a in range(s))
-        r_f2 = max(r_f2, float(np.max(np.abs(f @ f + eye - proj))))
+        r_f2 = max(r_f2, float(np.max(np.abs(fr.f2 + eye - proj))))
 
         compat = f.T @ g @ f - g + eta.T @ eta
         r_compat = max(r_compat, float(np.max(np.abs(compat))))
 
+        d_eta = fr.d_eta()
         for a in range(s):
-            r_contact[a] = max(r_contact[a], float(np.max(np.abs(st.F_mat - st.d_eta[a]))))
-        r_normal = max(r_normal, float(np.max(np.abs(st.normality))))
+            r_contact[a] = max(r_contact[a], float(np.max(np.abs(fr.F - d_eta[a]))))
+        r_normal = max(r_normal, float(np.max(np.abs(fr.normality))))
 
         sv = np.linalg.svd(f, compute_uv=False)
-        cutoff = RANK_THRESHOLD * sv[0]
-        rank_detected = int(np.sum(sv > cutoff))
+        rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
+        if abs(rank - two_n) > abs(rank_detected - two_n):
+            rank_detected = rank
         if dim > two_n:
             r_rank = max(r_rank, float(sv[two_n] / sv[0]))
 
-        for a in range(s):
-            h = st.h_mat[a]
+        for h in fr.h_all:
             gh = g @ h
             h_sym = max(h_sym, float(np.max(np.abs(gh - gh.T))))
             h_tr = max(h_tr, abs(float(np.trace(h))))
@@ -223,22 +193,17 @@ def check_contact(model: ManifoldModel, points, convention: Convention | None = 
 
     ``None`` uses the model's declared convention.
     """
-    conv = model.d_convention if convention is None else convention
     res = np.zeros(model.s)
-    for p in points:
-        frame = PointFrame(model, p)
-        F = frame.g @ frame.f
-        deta = frame.deta
-        d_plain = np.einsum("aij->aji", deta) - deta
-        d = 0.5 * d_plain if conv is Convention.HALF else d_plain
+    for fr in (as_frame(model, p) for p in points):
+        d_eta = fr.d_eta(convention)
         for a in range(model.s):
-            res[a] = max(res[a], float(np.max(np.abs(F - d[a]))))
+            res[a] = max(res[a], float(np.max(np.abs(fr.F - d_eta[a]))))
     return res
 
 
 def check_normality(model: ManifoldModel, points) -> float:
     """Max component of the normality tensor over ``points``."""
-    return max(float(np.max(np.abs(structure_at(model, p).normality))) for p in points)
+    return max(float(np.max(np.abs(as_frame(model, p).normality))) for p in points)
 
 
 def killing_check(model: ManifoldModel, alpha: int, points) -> float:
@@ -249,8 +214,7 @@ def killing_check(model: ManifoldModel, alpha: int, points) -> float:
     ``h_alpha = 0``.
     """
     worst = 0.0
-    for p in points:
-        frame = PointFrame(model, p)
+    for frame in (as_frame(model, p) for p in points):
         xi, dxi = frame.xi[alpha], frame.dxi[alpha]
         lie_g = (
             np.einsum("m,ijm->ij", xi, frame.dg)

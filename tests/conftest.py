@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fcontact import (
+    PointFrame,
     build_flat_contact_r3,
     build_flat_contact_r3_plain,
     build_s_space_form,
@@ -74,6 +75,4 @@ def rng_points(model, count, seed):
 
 def unit_section(model, p, seed=0):
     """A random g-unit vector in L at p."""
-    from fcontact.nullity import PointTensors
-
-    return PointTensors(model, p).random_unit_section(np.random.default_rng(seed))
+    return PointFrame(model, p).random_unit_section(np.random.default_rng(seed))

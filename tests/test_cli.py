@@ -3,7 +3,8 @@ import json
 import jsonschema
 import pytest
 
-from fcontact.cli import ConfigError, RunConfig, main, run
+from fcontact import geom
+from fcontact.cli import ConfigError, RunConfig, _resolve_entry, main, run
 from fcontact.report import REPORT_SCHEMA, emit_report, parse_report
 
 
@@ -163,3 +164,26 @@ def test_convention_override_fails_wrong_convention():
 def test_gssf_requested_on_wrong_s_is_config_error():
     with pytest.raises(ConfigError):
         run(RunConfig(manifold_key="flat-contact-r3", points=3, checks=["gssf"]))
+
+
+def test_deformation_constant_passed_through_exactly():
+    entry = _resolve_entry(RunConfig(manifold_key="flat-contact-r3", deform_a=0.1234567))
+    assert entry.key == "flat-contact-r3:deformed:0.1234567"
+    assert float(entry.key.rsplit(":", 1)[1]) == 0.1234567
+    # constants that ":g" already writes exactly keep their short keys
+    for a, suffix in ((2.0, "2"), (0.5, "0.5"), (1e-7, "1e-07")):
+        assert _resolve_entry(RunConfig(manifold_key="flat-contact-r3", deform_a=a)).key.endswith(":" + suffix)
+
+
+def test_run_builds_one_frame_per_point(monkeypatch):
+    built = []
+    init = geom.PointFrame.__init__
+
+    def counting_init(frame, model, point):
+        init(frame, model, point)
+        built.append(frame)
+
+    monkeypatch.setattr(geom.PointFrame, "__init__", counting_init)
+    report = run(RunConfig("s-space-form:2,2", points=5, samples=50))
+    assert report.passed
+    assert len(built) == 5

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fcontact import jets
+from fcontact.errors import SingularJetError
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 nonzero = st.floats(min_value=0.2, max_value=10).map(lambda v: v)
@@ -53,6 +54,30 @@ def test_division_and_reciprocal():
     assert np.allclose(w.grad, [1 / 2, -3 / 4])
     # d2/dy2 (x/y) = 2x/y^3
     assert w.hess[1, 1] == pytest.approx(2 * 3 / 8)
+
+
+def test_reciprocal_at_zero_raises_typed_error():
+    x, y = seed2(3.0, 0.0)
+    with pytest.raises(SingularJetError):
+        x / y
+    with pytest.raises(SingularJetError):
+        1.0 / y
+    with pytest.raises(SingularJetError):
+        y**-2
+
+
+def test_low_integer_powers_at_zero():
+    (x,) = jets.variables([0.0])
+    w = x**1
+    assert (w.val, w.grad[0], w.hess[0, 0]) == (0.0, 1.0, 0.0)
+    w = x**0
+    assert (w.val, w.grad[0], w.hess[0, 0]) == (1.0, 0.0, 0.0)
+    # a negative power away from zero still has the exact derivatives
+    (x,) = jets.variables([2.0])
+    w = x**-2
+    assert w.val == pytest.approx(0.25)
+    assert w.grad[0] == pytest.approx(-0.25)
+    assert w.hess[0, 0] == pytest.approx(6 / 16)
 
 
 def test_sqrt_exp_log():

@@ -5,6 +5,7 @@ import pytest
 
 from fcontact import (
     NotApplicableError,
+    PointFrame,
     check_curvature_model,
     check_rf_identity,
     check_ricci_model,
@@ -20,7 +21,8 @@ from fcontact import (
     verify_r_xi,
 )
 from fcontact.errors import InsufficientSampleError, InvalidSectionError
-from fcontact.nullity import PointTensors
+
+from .conftest import unit_section as section
 
 FIT_TOL = 1e-6
 
@@ -28,7 +30,9 @@ FIT_TOL = 1e-6
 # -- fit_nullity -------------------------------------------------------------
 
 
-def test_fit_flat_is_zero_zero(flat_fit):
+def test_fit_flat_is_zero_zero(flat, flat_points, flat_fit):
+    frames = [PointFrame(flat, p) for p in flat_points]
+    assert fit_nullity(flat, frames, 200, rng=0) == flat_fit
     assert flat_fit.kappa == pytest.approx(0.0, abs=FIT_TOL)
     assert flat_fit.mu_determined
     assert flat_fit.mu == pytest.approx(0.0, abs=FIT_TOL)
@@ -94,9 +98,13 @@ def test_spectrum_flat(flat, flat_fit, flat_points):
 
 
 def test_spectrum_deformed_a2(deformed, deformed_fits, flat_points):
-    spec = h_spectrum(deformed[2.0], deformed_fits[2.0], flat_points[0])
+    model, fit, p = deformed[2.0], deformed_fits[2.0], flat_points[0]
+    spec = h_spectrum(model, fit, p)
     assert spec.lam == pytest.approx(0.5, abs=FIT_TOL)
     assert np.allclose(np.abs(spec.eigenvalues), 0.5, atol=FIT_TOL)
+    from_frame = h_spectrum(model, fit, PointFrame(model, p))
+    for field in dataclasses.fields(spec):
+        assert np.array_equal(getattr(spec, field.name), getattr(from_frame, field.name)), field.name
 
 
 def test_spectrum_s_case(s22, s22_fit, s22_points):
@@ -133,11 +141,11 @@ def test_rf_identity_xi_slot(deformed, deformed_fits, flat_points):
     from fcontact.nullity import _rf_rhs
 
     for p in flat_points[:4]:
-        pt = PointTensors(model, p)
+        fr = PointFrame(model, p)
         X, Y = np.eye(3)[0], np.eye(3)[2]
-        Z = pt.xi[0]
-        lhs = pt.R(X, Y, pt.f @ Z)
-        rhs = _rf_rhs(pt, fit.kappa, fit.mu_effective, X, Y, Z)
+        Z = fr.xi[0]
+        lhs = fr.curvature_operator(X, Y, fr.f @ Z)
+        rhs = _rf_rhs(fr, fit.kappa, fit.mu_effective, X, Y, Z)
         assert np.max(np.abs(lhs - rhs)) < FIT_TOL
 
 
@@ -161,10 +169,6 @@ def test_ricci_model_rejects_kappa_one(s22, s22_fit, s22_points):
 # -- f-sectional curvature -------------------------------------------------------
 
 
-def section(model, p, seed=0):
-    return PointTensors(model, p).random_unit_section(np.random.default_rng(seed))
-
-
 def test_f_sectional_flat_is_zero(flat, flat_points):
     p = flat_points[0]
     assert f_sectional(flat, p, section(flat, p)) == pytest.approx(0.0, abs=1e-10)
@@ -186,9 +190,9 @@ def test_f_sectional_s_structure(s22, s22_points, s11, s11_points):
 
 def test_f_sectional_rejects_bad_sections(flat, flat_points):
     p = flat_points[0]
-    pt = PointTensors(flat, p)
+    fr = PointFrame(flat, p)
     with pytest.raises(InvalidSectionError):
-        f_sectional(flat, p, pt.xi[0])  # not in L
+        f_sectional(flat, p, fr.xi[0])  # not in L
     X = section(flat, p)
     with pytest.raises(InvalidSectionError):
         f_sectional(flat, p, 2.0 * X)  # not unit
@@ -211,10 +215,10 @@ def test_H_pure_plus_sections_give_minus_s_kappa_plus_mu(deformed, deformed_fits
     model, fit = deformed[2.0], deformed_fits[2.0]
     rng = np.random.default_rng(0)
     spec = h_spectrum(model, fit, flat_points[0])
-    pt = PointTensors(model, flat_points[0])
+    fr = PointFrame(model, flat_points[0])
     for _ in range(10):
         v = spec.p_plus @ rng.standard_normal(3)
-        norm = np.sqrt(pt.ip(v, v))
+        norm = np.sqrt(fr.inner(v, v))
         if norm < 1e-6:
             continue
         X = v / norm
@@ -232,9 +236,9 @@ def test_curvature_model_s22(s22, s22_fit, s22_points):
 
 def test_curvature_model_antisymmetry(s22, s22_fit, s22_points):
     # X = Y: both sides vanish
-    pt = PointTensors(s22, s22_points[0])
+    fr = PointFrame(s22, s22_points[0])
     X = np.eye(6)[1]
-    assert np.max(np.abs(4.0 * pt.R(X, X, np.eye(6)[3]))) < 1e-12
+    assert np.max(np.abs(4.0 * fr.curvature_operator(X, X, np.eye(6)[3]))) < 1e-12
 
 
 def test_curvature_model_deformed_half_recorded(deformed, deformed_fits, flat_points):

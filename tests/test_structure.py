@@ -5,10 +5,12 @@ import pytest
 
 from fcontact import (
     Convention,
+    PointFrame,
     check_contact,
     check_f_axioms,
     check_normality,
     d_deform,
+    jets,
     killing_check,
     structure_at,
 )
@@ -21,6 +23,10 @@ def test_axiom_battery_s_structure(s22, s22_points):
     assert report.max_residual < IDT
     assert all(report.pass_flags().values())
     assert report.rank_detected == 4
+    # frames in place of the points give the identical report
+    from_frames = check_f_axioms(s22, [PointFrame(s22, p) for p in s22_points])
+    for field in dataclasses.fields(report):
+        assert np.array_equal(getattr(report, field.name), getattr(from_frames, field.name)), field.name
 
 
 def test_axiom_battery_flat(flat, flat_points):
@@ -150,3 +156,23 @@ def test_rank_check_detects_excess_rank(flat, flat_points):
     report = check_f_axioms(full, flat_points[:2])
     assert report.rank_detected == 3
     assert not report.pass_flags()["rank"]
+
+
+def test_rank_detected_reports_the_worst_point(flat, flat_points):
+    # f loses its last row at the first point only: rank 1 there, 2 elsewhere
+    first = flat_points[0]
+
+    def f_field(x, base=flat.f_field):
+        out = base(x)
+        if jets.value(x[0]) == first[0]:
+            out[2, :] = 0.0
+        return out
+
+    report = check_f_axioms(dataclasses.replace(flat, f_field=f_field), flat_points[:3])
+    assert report.rank_detected == 1
+    assert not report.pass_flags()["rank"]
+
+
+def test_frame_of_another_model_rejected(flat, s11, flat_points):
+    with pytest.raises(ValueError):
+        check_normality(s11, [PointFrame(flat, flat_points[0])])
