@@ -26,7 +26,7 @@ print(f"{'a':>5} | {'kappa fit':>12} {'kappa pred':>12} | {'mu fit':>12} {'mu pr
       f"| {'H mean':>10} {'H pred':>10} | {'lambda':>7}")
 for a in (0.5, 0.75, 1.0, 2.0, 3.0, 4.0):
     model = d_deform(flat, a)
-    fit = fit_nullity(model, points, 200, rng=0)
+    fit = fit_nullity(model, points)
     pred = predict_deformed_nullity(a, s=1)
     rep = sample_H_constancy(model, points[:4], 25, rng=0)
     spec = h_spectrum(model, fit, points[0]) if fit.kappa < 1 - 1e-6 else None
@@ -40,7 +40,7 @@ print("Convention normalization: the PLAIN-convention flat structure, rescaled")
 print("to HALF (eta' = 2 eta, xi' = xi/2, g' = g + 3 eta x eta), lands on the")
 print("same (kappa, mu, H) as the closed-form deformation law at a = 4:")
 norm = convention_normalize(build_flat_contact_r3_plain())
-fit = fit_nullity(norm, points, 200, rng=0)
+fit = fit_nullity(norm, points)
 rep = sample_H_constancy(norm, points[:4], 25, rng=0)
 pred = predict_deformed_nullity(4.0, s=1)
 print(f"   normalized fit: kappa={fit.kappa:.8f}, mu={fit.mu:.8f}, H={rep.h_mean:.6f}")

@@ -30,6 +30,7 @@ Deformed entries use keys like ``flat-contact-r3:deformed:0.5``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,7 +203,7 @@ def catalog_get(key: str) -> CatalogEntry:
             a = float(a_str)
         except ValueError as exc:
             raise UnknownManifoldError(key) from exc
-        if not a > 0:
+        if not (math.isfinite(a) and a > 0):
             raise UnknownManifoldError(key)
         base = _base_entry(base_key)
         model = d_deform(base.model, a)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -64,8 +65,8 @@ class RunConfig:
             raise ConfigError("samples must be >= 1")
         if not self.tolerance > 0:
             raise ConfigError("tolerance must be positive")
-        if self.deform_a is not None and not self.deform_a > 0:
-            raise ConfigError("deformation constant must be positive")
+        if self.deform_a is not None and not (math.isfinite(self.deform_a) and self.deform_a > 0):
+            raise ConfigError("deformation constant must be positive and finite")
         if self.convention not in ("auto", "half", "plain"):
             raise ConfigError(f"unknown convention {self.convention!r}")
         if self.checks != "all":
@@ -188,7 +189,7 @@ def run(config: RunConfig) -> CheckReport:
     # nullity fit -----------------------------------------------------------
     fit = None
     try:
-        fit = nl.fit_nullity(model, frames, config.samples, rng=rng_for["nullity"])
+        fit = nl.fit_nullity(model, frames)
         fits["nullity"] = {
             "kappa": fit.kappa,
             "mu": fit.mu,
@@ -235,8 +236,8 @@ def run(config: RunConfig) -> CheckReport:
 
     # curvature identities ----------------------------------------------------
     if fit is not None:
-        guarded("r-xi", fit_tol, True, lambda: nl.verify_r_xi(model, fit, frames, config.samples, rng=rng_for["r-xi"]))
-        guarded("rf", fit_tol, True, lambda: nl.check_rf_identity(model, fit, frames, config.samples, rng=rng_for["rf"]))
+        guarded("r-xi", fit_tol, True, lambda: nl.verify_r_xi(model, fit, frames))
+        guarded("rf", fit_tol, True, lambda: nl.check_rf_identity(model, fit, frames))
         guarded("ricci", fit_tol, True, lambda: nl.check_ricci_model(model, fit, frames))
 
     # f-sectional curvature ----------------------------------------------------
@@ -268,9 +269,7 @@ def run(config: RunConfig) -> CheckReport:
                     "curvature-model",
                     fit_tol,
                     True,
-                    lambda: nl.check_curvature_model(
-                        model, fit, h_report.h_mean, frames, config.samples, rng=rng_for["curvature-model"]
-                    ),
+                    lambda: nl.check_curvature_model(model, fit, h_report.h_mean, frames),
                 )
             else:
                 record(
@@ -295,13 +294,14 @@ def run(config: RunConfig) -> CheckReport:
 
     if "gssf" in requested and model.s == 2:
         try:
-            gfit = nl.fit_gssf(model, frames, config.samples, rng=rng_for["gssf"])
+            gfit = nl.fit_gssf(model, frames)
             fits["gssf"] = {
                 "F": [float(v) for v in gfit.f_constants],
                 "residual": gfit.residual,
                 "condition_residuals": [float(v) for v in gfit.condition_residuals],
                 "f_spread": [float(v) for v in gfit.f_spread],
                 "implied_kappa": gfit.implied_kappa,
+                "condition": gfit.condition,
             }
             record("gssf", gfit.residual, fit_tol, gating=False, note="seven-function curvature ansatz fit")
         except FContactError as exc:
@@ -309,12 +309,13 @@ def run(config: RunConfig) -> CheckReport:
 
     if "trans-s" in requested:
         try:
-            tfit = nl.fit_trans_s(model, frames, config.samples, rng=rng_for["trans-s"])
+            tfit = nl.fit_trans_s(model, frames)
             fits["trans_s"] = {
                 "alpha": [float(v) for v in tfit.alpha],
                 "beta": [float(v) for v in tfit.beta],
                 "residual": tfit.residual,
                 "t421_residual": tfit.t421_residual,
+                "condition": tfit.condition,
             }
             record("trans-s", tfit.residual, fit_tol, gating=False, note="characteristic-function fit of nabla f")
         except FContactError as exc:

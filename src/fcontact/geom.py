@@ -29,6 +29,7 @@ import numpy as np
 
 from . import jets
 from .errors import DegenerateMetricError, InsufficientSampleError
+from .tolerances import METRIC_CONDITION_MAX
 
 Point = np.ndarray
 FieldEvaluator = Callable[[np.ndarray], np.ndarray]
@@ -114,10 +115,17 @@ class PointFrame:
 
     @cached_property
     def ginv(self):
+        """Inverse metric; a singular ``g``, or one whose condition number
+        (in the max-row-sum norm) exceeds ``METRIC_CONDITION_MAX``, raises."""
+        g = self.g
         try:
-            return np.linalg.inv(self.g)
+            ginv = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
             raise DegenerateMetricError(self.point) from exc
+        cond = np.abs(g).sum(axis=1).max() * np.abs(ginv).sum(axis=1).max()
+        if not cond <= METRIC_CONDITION_MAX:
+            raise DegenerateMetricError(self.point, f"metric condition number {cond:.3g} is too large")
+        return ginv
 
     @cached_property
     def _f_raw(self):
@@ -293,15 +301,22 @@ class PointFrame:
         """Projector onto L: ``-f^2 = I - sum xi_alpha (x) eta_alpha``."""
         return -self.f2
 
-    def random_unit_section(self, rng) -> np.ndarray:
-        """Random g-unit vector in L (projected Gaussian, normalized)."""
-        P = self.proj_L
-        for _ in range(64):
-            v = P @ rng.standard_normal(self.model.dim)
-            norm = np.sqrt(max(self.inner(v, v), 0.0))
-            if norm >= 1e-3:
-                return v / norm
-        raise InsufficientSampleError("could not draw a unit vector in L")
+    def random_unit_sections(self, rng, count: int) -> np.ndarray:
+        """``count`` random g-unit vectors in L, as rows (projected Gaussians, normalized).
+
+        Draws whose projection has norm below 1e-3 are skipped, so the rows
+        are those that ``count`` draws made one after another would give.
+        """
+        P, rows, need = self.proj_L, [], count
+        while need:
+            v = rng.standard_normal((need, self.model.dim)) @ P.T
+            norm = np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", v, self.g, v), 0.0))
+            keep = norm >= 1e-3
+            if not keep.any():
+                raise InsufficientSampleError("could not draw a unit vector in L")
+            rows.append(v[keep] / norm[keep, None])
+            need -= int(keep.sum())
+        return np.concatenate(rows)
 
 
 def as_frame(model: ManifoldModel, p: Point | PointFrame) -> PointFrame:

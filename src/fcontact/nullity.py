@@ -19,6 +19,15 @@ operator model, constancy and value of the f-sectional curvature
 for H(X) in terms of the L_+/L_- components of X, the seven-function
 curvature ansatz for s = 2, and the characteristic-function fit of
 ``(nabla_X f) Y``.
+
+Every identity above except the two involving H(X) is multilinear in its
+vector arguments, so it holds for all vectors exactly when it holds on the
+coordinate basis vectors.  Those identities are therefore checked, and the
+fits solved, on every basis pair or triple at every point: each side is
+built as a tensor with ``einsum`` and compared component by component with
+``riemann31`` or ``nabla_f``.  Only H(X) (``sample_H_constancy``) and the
+splitting formula, which are not multilinear, are sampled over random unit
+sections of L.  Every residual is :func:`~fcontact.tolerances.relative_residual`.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .errors import (
 )
 from .geom import ManifoldModel, Point, PointFrame, as_frame, as_rng
 from .structure import structure_at  # noqa: F401  (re-exported)
-from .tolerances import FIT_TOL, IDENTITY_TOL, SCALE_FLOOR
+from .tolerances import FIT_TOL, IDENTITY_TOL, relative_residual
 
 
 # ---------------------------------------------------------------------------
@@ -65,78 +74,94 @@ class NullityFit:
         return self.mu if self.mu_determined else 0.0
 
 
-def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) -> NullityFit:
-    """Fit (kappa, mu) by stacking the nullity condition over random samples.
-
-    Each sample draws a point, an index alpha and Gaussian coordinate vectors
-    X, Y, contributing ``dim`` linear equations
-    ``R(X, Y) xi_alpha = kappa * A + mu * B``.
-    """
-    rng = as_rng(rng)
-    data = [as_frame(model, p) for p in points]
-    rows_a, rows_b, rhs = [], [], []
-    for _ in range(vector_samples):
-        fr = data[rng.integers(len(data))]
-        alpha = int(rng.integers(model.s))
-        X = rng.standard_normal(model.dim)
-        Y = rng.standard_normal(model.dim)
-        ebX = float(fr.eta_bar @ X)
-        ebY = float(fr.eta_bar @ Y)
-        h = fr.h_all[alpha]
-        rows_a.append(ebX * (fr.f2 @ Y) - ebY * (fr.f2 @ X))
-        rows_b.append(ebY * (h @ X) - ebX * (h @ Y))
-        rhs.append(fr.curvature_operator(X, Y, fr.xi[alpha]))
-
-    a = np.concatenate(rows_a)
-    b = np.concatenate(rows_b)
-    y = np.concatenate(rhs)
-    scale = max(float(np.max(np.abs(y))), float(np.max(np.abs(a))), float(np.max(np.abs(b))), SCALE_FLOOR)
-
-    a_norm = float(np.max(np.abs(a)))
-    if a_norm < 1e-8:
-        raise InsufficientSampleError("all eta-bar terms vanish in the sampled system")
-
-    mu_determined = float(np.max(np.abs(b))) >= 1e-8 * max(1.0, a_norm)
-    if mu_determined:
-        design = np.column_stack([a, b])
-    else:
-        design = a[:, None]
+def _lstsq(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares solution and the condition number of ``design``."""
     sol, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    return sol, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
-    misfit = float(np.max(np.abs(design @ sol - y)))
+
+def _reduce(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, Q^T y)`` for ``design = QR``: the same least-squares problem, with
+    the same singular values, in at most as many rows as columns."""
+    q, r = np.linalg.qr(design)
+    return r, q.T @ y
+
+
+def _lstsq_reduced(reduced, columns=slice(None)) -> tuple[np.ndarray, float]:
+    """``_lstsq`` of the per-point systems whose ``_reduce`` forms are ``reduced``, stacked.
+
+    Stacking the small R factors instead of the designs keeps a fit's memory
+    independent of the number of tensor components.
+    """
+    design = np.concatenate([r[:, columns] for r, _ in reduced])
+    return _lstsq(design, np.concatenate([c for _, c in reduced]))
+
+
+def _antisym(t: np.ndarray) -> np.ndarray:
+    """``t(X, Y) - t(Y, X)`` for a tensor laid out like ``riemann31``: [l, k, i, j]."""
+    return t - t.swapaxes(-1, -2)
+
+
+def _gz(fr: PointFrame, M, N) -> np.ndarray:
+    """``g(M X, Z) N Y`` on basis vectors, laid out like ``riemann31``: [l, k, i, j]."""
+    return np.einsum("ki,lj->lkij", fr.g @ M, N)
+
+
+def _nullity_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``(A, B)`` and right-hand side ``R(e_i, e_j) xi_alpha`` of the
+    nullity condition at ``fr``, over alpha, basis pairs i < j and components."""
+    iu, ju = np.triu_indices(fr.model.dim, 1)
+    a = _antisym(np.einsum("i,lj->lij", fr.eta_bar, fr.f2))
+    b = _antisym(np.einsum("j,ali->alij", fr.eta_bar, fr.h_all))
+    y = np.einsum("lkij,ak->alij", fr.riemann31, fr.xi)
+    a = np.broadcast_to(a[:, iu, ju], b.shape[:2] + iu.shape)
+    return np.column_stack([a.ravel(), b[..., iu, ju].ravel()]), y[..., iu, ju].ravel()
+
+
+def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) -> NullityFit:
+    """Fit (kappa, mu) by least squares over every component of the nullity condition.
+
+    Each point contributes ``R(e_i, e_j) xi_alpha = kappa * A + mu * B`` for
+    every alpha, every basis pair ``i < j`` (both sides are antisymmetric in
+    i, j) and every component.  ``vector_samples`` and ``rng`` are accepted
+    for compatibility and unused.
+    """
+    frames = [as_frame(model, p) for p in points]
+    reduced, a_norm, b_norm = [], 0.0, 0.0
+    for design, y in map(_nullity_block, frames):
+        a_norm, b_norm = np.maximum((a_norm, b_norm), np.max(np.abs(design), axis=0))
+        reduced.append(_reduce(design, y))
+    if a_norm < 1e-8:
+        raise InsufficientSampleError("all eta-bar terms of the nullity system vanish")
+
+    mu_determined = bool(b_norm >= 1e-8 * max(1.0, a_norm))
+    columns = slice(None) if mu_determined else slice(1)
+    sol, cond = _lstsq_reduced(reduced, columns)
     kappa = float(sol[0])
-    mu = float(sol[1]) if mu_determined else None
-    lam = float(np.sqrt(1.0 - kappa)) if kappa < 1.0 - FIT_TOL else None
     return NullityFit(
         kappa=kappa,
-        mu=mu,
+        mu=float(sol[1]) if mu_determined else None,
         mu_determined=mu_determined,
-        residual=misfit / scale,
+        residual=relative_residual((y, design[:, columns] @ sol) for design, y in map(_nullity_block, frames)),
         condition=cond,
-        lam=lam,
+        lam=float(np.sqrt(1.0 - kappa)) if kappa < 1.0 - FIT_TOL else None,
     )
 
 
-def verify_r_xi(model: ManifoldModel, fit: NullityFit, points, samples: int = 200, rng=0) -> float:
-    """Residual of the transposed nullity identity for ``R(xi_alpha, X)Y``."""
-    rng = as_rng(rng)
+def verify_r_xi(model: ManifoldModel, fit: NullityFit, points) -> float:
+    """Relative residual of the transposed nullity identity for ``R(xi_alpha, X)Y``.
+
+    Compared on every basis pair (X, Y) = (e_i, e_k) and every alpha.
+    """
     kappa, mu = fit.kappa, fit.mu_effective
-    worst, scale = 0.0, SCALE_FLOOR
-    for fr in (as_frame(model, p) for p in points):
-        for _ in range(max(1, samples // len(points))):
-            alpha = int(rng.integers(model.s))
-            X = rng.standard_normal(model.dim)
-            Y = rng.standard_normal(model.dim)
-            h = fr.h_all[alpha]
-            lhs = fr.curvature_operator(fr.xi[alpha], X, Y)
-            ebY = float(fr.eta_bar @ Y)
-            rhs = kappa * (ebY * (fr.f2 @ X) - fr.inner(X, fr.f2 @ Y) * fr.xi_bar) + mu * (
-                fr.inner(X, h @ Y) * fr.xi_bar - ebY * (h @ X)
-            )
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            scale = max(scale, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1.0)
-    return worst / scale
+
+    def sides(fr):
+        k = kappa * fr.f2 - mu * fr.h_all  # (s, dim, dim)
+        lhs = np.einsum("lkmi,am->alik", fr.riemann31, fr.xi)
+        rhs = np.einsum("k,ali->alik", fr.eta_bar, k) - np.einsum("aik,l->alik", fr.g @ k, fr.xi_bar)
+        return lhs, rhs
+
+    return relative_residual(sides(as_frame(model, p)) for p in points)
 
 
 # ---------------------------------------------------------------------------
@@ -232,55 +257,28 @@ def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point | PointFrame) -> 
 # ---------------------------------------------------------------------------
 
 
-def _rf_rhs(fr: PointFrame, kappa: float, mu: float, X, Y, Z) -> np.ndarray:
-    """Right-hand side of the R(X, Y)fZ expansion."""
-    s = fr.model.s
-    f, h, f2 = fr.f, fr.h, fr.f2
-    fh = f @ h
-    ebX = float(fr.eta_bar @ X)
-    ebY = float(fr.eta_bar @ Y)
-    ebZ = float(fr.eta_bar @ Z)
-    ip = fr.inner
+def _rf_sides(fr: PointFrame, kappa: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the R(X, Y)fZ expansion on basis vectors, laid out like ``riemann31``.
 
-    out = f @ fr.curvature_operator(X, Y, Z)
-    out = out + (
-        kappa * (ebY * ip(f @ X, Z) - ebX * ip(f @ Y, Z))
-        + mu * (ebY * ip(fh @ X, Z) - ebX * ip(fh @ Y, Z))
-    ) * fr.xi_bar
-    hX, hY = h @ X, h @ Y
-    f2X, f2Y = f2 @ X, f2 @ Y
-    fX, fY = f @ X, f @ Y
-    fhX, fhY = fh @ X, fh @ Y
-    out = out + s * (
-        -ip(hY - f2Y, Z) * (fX + fhX)
-        + ip(hX - f2X, Z) * (fY + fhY)
-        - ip(fY + fhY, Z) * (hX - f2X)
-        + ip(fX + fhX, Z) * (hY - f2Y)
+    ``R(X, Y)fZ = f R(X, Y)Z + (kappa, mu, s) correction terms`` in f, h,
+    f^2, fh, etab and xib.
+    """
+    f, fh = fr.f, fr.f @ fr.h
+    c = kappa * f + mu * fh
+    p, q = fr.h - fr.f2, f + fh
+    half = (
+        np.einsum("l,j,ki->lkij", fr.xi_bar, fr.eta_bar, fr.g @ c)
+        + fr.model.s * (_gz(fr, p, q) + _gz(fr, q, p))
+        + np.einsum("k,i,lj->lkij", fr.eta_bar, fr.eta_bar, c)
     )
-    out = out + ebZ * (
-        kappa * (ebX * fY - ebY * fX) + mu * (ebX * fhY - ebY * fhX)
-    )
-    return out
+    lhs = np.einsum("lmij,mk->lkij", fr.riemann31, f)
+    return lhs, np.einsum("lm,mkij->lkij", f, fr.riemann31) + _antisym(half)
 
 
-def check_rf_identity(model: ManifoldModel, fit: NullityFit, points, samples: int = 200, rng=0) -> float:
-    """Max relative residual of the R(X, Y)fZ expansion on coordinate triples."""
-    rng = as_rng(rng)
+def check_rf_identity(model: ManifoldModel, fit: NullityFit, points) -> float:
+    """Relative residual of the R(X, Y)fZ expansion on every basis triple."""
     kappa, mu = fit.kappa, fit.mu_effective
-    dim = model.dim
-    eye = np.eye(dim)
-    worst, scale = 0.0, 1.0
-    data = [as_frame(model, p) for p in points]
-    per_point = max(1, samples // len(data))
-    for fr in data:
-        for _ in range(per_point):
-            i, j, k = rng.integers(dim, size=3)
-            X, Y, Z = eye[i], eye[j], eye[k]
-            lhs = fr.curvature_operator(X, Y, fr.f @ Z)
-            rhs = _rf_rhs(fr, kappa, mu, X, Y, Z)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            scale = max(scale, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return worst / scale
+    return relative_residual(_rf_sides(as_frame(model, p), kappa, mu) for p in points)
 
 
 def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
@@ -294,17 +292,16 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
     if not fit.mu_determined:
         raise NotApplicableError("the Ricci model needs a determined mu")
     n, s = model.n, model.s
-    worst = 0.0
-    for fr in (as_frame(model, p) for p in points):
+
+    def sides(fr):
         q_model = (
             s * (2.0 * (1 - n) + n * fit.mu) * fr.f2
             + s * (2.0 * (n - 1) + fit.mu) * fr.h
             + 2.0 * n * fit.kappa * np.outer(fr.xi_bar, fr.eta_bar)
         )
-        Q = fr.ricci_op
-        scale = max(float(np.max(np.abs(Q))), float(np.max(np.abs(q_model))), SCALE_FLOOR)
-        worst = max(worst, float(np.max(np.abs(Q - q_model))) / scale)
-    return worst
+        return fr.ricci_op, q_model
+
+    return relative_residual(sides(as_frame(model, p)) for p in points)
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +309,21 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
 # ---------------------------------------------------------------------------
 
 
-def f_sectional(model: ManifoldModel, p: Point | PointFrame, X) -> float:
-    """Sectional curvature of the plane {X, fX} for a unit X in L."""
-    fr = as_frame(model, p)
-    X = np.asarray(X, dtype=float)
-    eta_res = float(np.max(np.abs(fr.eta @ X)))
+def _f_sectional_rows(fr: PointFrame, X: np.ndarray) -> np.ndarray:
+    """``H(X) = g(R(X, fX)fX, X)`` for each row of ``X``, all unit vectors in L."""
+    fX = X @ fr.f.T
+    eta_res = float(np.max(np.abs(X @ fr.eta.T)))
     if eta_res > 1e-6:
         raise InvalidSectionError(f"X has eta components of size {eta_res}")
-    if abs(fr.inner(X, X) - 1.0) > 1e-6:
-        raise InvalidSectionError("X is not a g-unit vector")
-    fX = fr.f @ X
-    if abs(fr.inner(fX, fX) - 1.0) > 1e-6:
-        raise InvalidSectionError("fX is not a g-unit vector")
-    return fr.inner(fr.curvature_operator(X, fX, fX), X)
+    for name, v in (("X", X), ("fX", fX)):
+        if np.max(np.abs(np.einsum("ni,ij,nj->n", v, fr.g, v) - 1.0)) > 1e-6:
+            raise InvalidSectionError(f"{name} is not a g-unit vector")
+    return np.einsum("ijkl,ni,nj,nk,nl->n", fr.riemann40, X, fX, fX, X)
+
+
+def f_sectional(model: ManifoldModel, p: Point | PointFrame, X) -> float:
+    """Sectional curvature of the plane {X, fX} for a unit X in L."""
+    return float(_f_sectional_rows(as_frame(model, p), np.asarray(X, dtype=float)[None])[0])
 
 
 @dataclass
@@ -339,72 +338,46 @@ class SpaceFormReport:
 def sample_H_constancy(
     model: ManifoldModel, points, sections_per_point: int = 100, rng=0
 ) -> SpaceFormReport:
-    """Sample H over random f-sections; report mean and spread."""
+    """Sample H over random f-sections; report mean and spread.
+
+    H(X) is not multilinear in X, so it is sampled: the sections of each
+    point are drawn in turn and then evaluated together.
+    """
     rng = as_rng(rng)
-    values = []
-    for fr in (as_frame(model, p) for p in points):
-        for _ in range(sections_per_point):
-            values.append(f_sectional(model, fr, fr.random_unit_section(rng)))
-    arr = np.asarray(values)
+    arr = np.concatenate([
+        _f_sectional_rows(fr, fr.random_unit_sections(rng, sections_per_point))
+        for fr in (as_frame(model, p) for p in points)
+    ])
     return SpaceFormReport(
-        h_samples=values,
+        h_samples=arr.tolist(),
         h_mean=float(arr.mean()),
         h_spread=float(arr.max() - arr.min()),
     )
 
 
-def check_curvature_model(
-    model: ManifoldModel, fit: NullityFit, H: float, points, samples: int = 200, rng=0
-) -> float:
-    """Relative residual of the constant-H curvature model.
+def check_curvature_model(model: ManifoldModel, fit: NullityFit, H: float, points) -> float:
+    """Relative residual of the constant-H curvature model on every basis triple.
 
     Compares ``4 R(X, Y)Z`` against the expansion in f^2, f, h, fh, etab and
-    xib with constants (H, kappa, mu) over sampled coordinate triples.
+    xib with constants (H, kappa, mu), component by component.
     """
-    rng = as_rng(rng)
-    kappa, mu = fit.kappa, fit.mu_effective
-    s = model.s
-    dim = model.dim
-    eye = np.eye(dim)
-    worst, scale = 0.0, 1.0
-    data = [as_frame(model, p) for p in points]
-    per_point = max(1, samples // len(data))
-    for fr in data:
+    kappa, mu, s = fit.kappa, fit.mu_effective, model.s
+
+    def sides(fr):
         f, h, f2 = fr.f, fr.h, fr.f2
         fh = f @ h
-        ip = fr.inner
-        for _ in range(per_point):
-            i, j, k = rng.integers(dim, size=3)
-            X, Y, Z = eye[i], eye[j], eye[k]
-            lhs = 4.0 * fr.curvature_operator(X, Y, Z)
-            fX, fY, fZ = f @ X, f @ Y, f @ Z
-            hX, hY, hZ = h @ X, h @ Y, h @ Z
-            f2X, f2Y, f2Z = f2 @ X, f2 @ Y, f2 @ Z
-            fhX, fhY = fh @ X, fh @ Y
-            ebX, ebY, ebZ = (float(fr.eta_bar @ v) for v in (X, Y, Z))
-            rhs = (H + 3 * s) * (ip(f2Y, Z) * f2X - ip(f2X, Z) * f2Y)
-            rhs = rhs + (H - s) * (2 * ip(fY, X) * fZ + ip(X, fZ) * fY - ip(Y, fZ) * fX)
-            rhs = rhs - 2 * s * (
-                ip(hX, Z) * hY
-                - ip(hY, Z) * hX
-                - ip(fhX, Z) * fhY
-                + ip(fhY, Z) * fhX
-                - 2 * ip(f2X, Z) * hY
-                + 2 * ip(f2Y, Z) * hX
-                - 2 * ip(hX, Z) * f2Y
-                + 2 * ip(hY, Z) * f2X
-            )
-            rhs = rhs + 4 * kappa * (
-                ebX * ebZ * f2Y - ebX * ip(Y, f2Z) * fr.xi_bar
-                - ebY * ebZ * f2X + ebY * ip(X, f2Z) * fr.xi_bar
-            )
-            rhs = rhs + 4 * mu * (
-                ebY * ebZ * hX - ebY * ip(X, hZ) * fr.xi_bar
-                - ebX * ebZ * hY + ebX * ip(Y, hZ) * fr.xi_bar
-            )
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            scale = max(scale, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return worst / scale
+        k = kappa * f2 - mu * h
+        half = (
+            -(H + 3 * s) * _gz(fr, f2, f2)
+            + (H - s) * np.einsum("ik,lj->lkij", fr.F, f)
+            - 2 * s * (_gz(fr, h, h) - _gz(fr, fh, fh) - 2 * _gz(fr, f2, h) - 2 * _gz(fr, h, f2))
+            + 4 * np.einsum("i,k,lj->lkij", fr.eta_bar, fr.eta_bar, k)
+            - 4 * np.einsum("i,jk,l->lkij", fr.eta_bar, fr.g @ k, fr.xi_bar)
+        )
+        rhs = _antisym(half) + 2 * (H - s) * np.einsum("ij,lk->lkij", fr.F, f)
+        return 4.0 * fr.riemann31, rhs
+
+    return relative_residual(sides(as_frame(model, p)) for p in points)
 
 
 @dataclass(frozen=True)
@@ -448,10 +421,11 @@ def space_form_criterion(
 def check_splitting_lemma(
     model: ManifoldModel, fit: NullityFit, p: Point | PointFrame, section_samples: int = 100, rng=0
 ) -> float:
-    """Residual of the L_+/L_- splitting formula for H(X), kappa < 1.
+    """Relative residual of the L_+/L_- splitting formula for H(X), kappa < 1.
 
     ``H(X) = -s(kappa + mu) + 4 s (kappa - mu + 1)
-    (g(X_+, X_+) g(X_-, X_-) - g(X_+, f X_-)^2)`` with ``X_+- = P_+- X``.
+    (g(X_+, X_+) g(X_-, X_-) - g(X_+, f X_-)^2)`` with ``X_+- = P_+- X``,
+    over random unit sections X (the formula is not multilinear in X).
     """
     if fit.kappa >= 1.0 - FIT_TOL:
         raise NotApplicableError("the splitting formula requires kappa < 1")
@@ -459,17 +433,16 @@ def check_splitting_lemma(
     fr = as_frame(model, p)
     spec = h_spectrum(model, fit, fr)
     s, mu = model.s, fit.mu_effective
-    worst = 0.0
-    for _ in range(section_samples):
-        X = fr.random_unit_section(rng)
-        xp = spec.p_plus @ X
-        xm = spec.p_minus @ X
-        cross = fr.inner(xp, fr.f @ xm)
-        formula = -s * (fit.kappa + mu) + 4.0 * s * (fit.kappa - mu + 1.0) * (
-            fr.inner(xp, xp) * fr.inner(xm, xm) - cross**2
-        )
-        worst = max(worst, abs(f_sectional(model, fr, X) - formula))
-    return worst
+    X = fr.random_unit_sections(rng, section_samples)
+    xp, xm = X @ spec.p_plus.T, X @ spec.p_minus.T
+
+    def ip(u, v):
+        return np.einsum("ni,ij,nj->n", u, fr.g, v)
+
+    formula = -s * (fit.kappa + mu) + 4.0 * s * (fit.kappa - mu + 1.0) * (
+        ip(xp, xp) * ip(xm, xm) - ip(xp, xm @ fr.f.T) ** 2
+    )
+    return relative_residual([(_f_sectional_rows(fr, X), formula)])
 
 
 # ---------------------------------------------------------------------------
@@ -492,76 +465,53 @@ class GssfFit:
         return float(self.f_constants[0] - self.f_constants[2])
 
 
-def _gssf_terms(fr: PointFrame, X, Y, Z) -> np.ndarray:
-    """The seven basis tensors of the s = 2 curvature ansatz, stacked (7, dim)."""
-    g_ip = fr.inner
-    f = fr.f
-    eta1, eta2 = fr.eta[0], fr.eta[1]
-    xi1, xi2 = fr.xi[0], fr.xi[1]
-    e1X, e1Y, e1Z = (float(eta1 @ v) for v in (X, Y, Z))
-    e2X, e2Y, e2Z = (float(eta2 @ v) for v in (X, Y, Z))
-    gXZ, gYZ = g_ip(X, Z), g_ip(Y, Z)
-    fX, fY, fZ = f @ X, f @ Y, f @ Z
-    t1 = gYZ * X - gXZ * Y
-    t2 = g_ip(X, fZ) * fY - g_ip(Y, fZ) * fX + 2.0 * g_ip(X, fY) * fZ
-    t3 = e1X * e1Z * Y - e1Y * e1Z * X + gXZ * e1Y * xi1 - gYZ * e1X * xi1
-    t4 = e2X * e2Z * Y - e2Y * e2Z * X + gXZ * e2Y * xi2 - gYZ * e2X * xi2
-    t5 = e1X * e2Z * Y - e1Y * e2Z * X + gXZ * e1Y * xi2 - gYZ * e1X * xi2
-    t6 = e2X * e1Z * Y - e2Y * e1Z * X + gXZ * e2Y * xi1 - gYZ * e2X * xi1
-    t7 = (
-        e1X * e2Y * e2Z * xi1
-        - e2X * e1Y * e2Z * xi1
-        + e2X * e1Y * e1Z * xi2
-        - e1X * e2Y * e1Z * xi2
+def _gssf_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Design (rows, 7) and right-hand side of the ansatz on basis pairs i < j at ``fr``.
+
+    The seven basis tensors, laid out like ``riemann31`` ([l, k, i, j]):
+    ``t1 = g(Y, Z)X - g(X, Z)Y``,
+    ``t2 = g(X, fZ)fY - g(Y, fZ)fX + 2 g(X, fY)fZ``,
+    ``t_ab = eta_a(X) eta_b(Z)Y - eta_a(Y) eta_b(Z)X + g(X, Z) eta_a(Y) xi_b
+    - g(Y, Z) eta_a(X) xi_b`` for (a, b) = (1, 1), (2, 2), (1, 2), (2, 1),
+    ``t7 = eta_1(X) eta_2(Y) (eta_2(Z) xi_1 - eta_1(Z) xi_2) - (X <-> Y)``.
+    """
+    iu, ju = np.triu_indices(fr.model.dim, 1)
+    eye, eta, xi = np.eye(fr.model.dim), fr.eta, fr.xi
+    t_ab = _antisym(
+        np.einsum("ai,bk,lj->ablkij", eta, eta, eye) - np.einsum("ai,jk,bl->ablkij", eta, fr.g, xi)
     )
-    return np.stack([t1, t2, t3, t4, t5, t6, t7])
+    terms = np.stack([
+        _antisym(-np.einsum("ik,lj->lkij", fr.g, eye)),
+        _antisym(np.einsum("ik,lj->lkij", fr.F, fr.f)) + 2.0 * np.einsum("ij,lk->lkij", fr.F, fr.f),
+        t_ab[0, 0],
+        t_ab[1, 1],
+        t_ab[0, 1],
+        t_ab[1, 0],
+        _antisym(np.einsum("i,j,kl->lkij", eta[0], eta[1], np.outer(eta[1], xi[0]) - np.outer(eta[0], xi[1]))),
+    ])
+    return terms[..., iu, ju].reshape(7, -1).T, fr.riemann31[..., iu, ju].ravel()
 
 
-def _gssf_system(fr: PointFrame, n_samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    dim = fr.model.dim
-    rows, rhs = [], []
-    for _ in range(n_samples):
-        X = rng.standard_normal(dim)
-        Y = rng.standard_normal(dim)
-        Z = rng.standard_normal(dim)
-        rows.append(_gssf_terms(fr, X, Y, Z).T)  # (dim, 7)
-        rhs.append(fr.curvature_operator(X, Y, Z))
-    return np.concatenate(rows), np.concatenate(rhs)
+def fit_gssf(model: ManifoldModel, points) -> GssfFit:
+    """Fit the seven-function curvature ansatz (two structure vector fields).
 
-
-def fit_gssf(model: ManifoldModel, points, samples: int = 200, rng=0) -> GssfFit:
-    """Fit the seven-function curvature ansatz (two structure vector fields)."""
+    One least-squares solve over every component of ``R(e_i, e_j)e_k`` with
+    ``i < j`` at every point, plus one solve per point for the spread.
+    """
     if model.s != 2:
         raise NotApplicableError("the seven-function ansatz is defined for s = 2")
-    rng = as_rng(rng)
-    data = [as_frame(model, p) for p in points]
-    per_point = max(8, samples // len(data))
+    frames = [as_frame(model, p) for p in points]
+    reduced = [_reduce(*_gssf_block(fr)) for fr in frames]
+    local = np.vstack([_lstsq(r, c)[0] for r, c in reduced])
+    sol, cond = _lstsq_reduced(reduced)
 
-    local_fits = []
-    blocks_a, blocks_y = [], []
-    for fr in data:
-        a, y = _gssf_system(fr, per_point, rng)
-        sol, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
-        local_fits.append(sol)
-        blocks_a.append(a)
-        blocks_y.append(y)
-
-    a = np.concatenate(blocks_a)
-    y = np.concatenate(blocks_y)
-    sol, _, _, sv = np.linalg.lstsq(a, y, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    scale = max(float(np.max(np.abs(y))), float(np.max(np.abs(a))), SCALE_FLOOR)
-    residual = float(np.max(np.abs(a @ sol - y))) / scale
-
-    local = np.vstack(local_fits)
-    spread = local.max(axis=0) - local.min(axis=0)
     c = sol[0] - sol[2]
     conditions = np.array([abs(-sol[4] - c), abs(-sol[5] - c), abs((sol[3] - sol[6]) - c)])
     return GssfFit(
         f_constants=sol,
-        residual=residual,
+        residual=relative_residual((y, a @ sol) for a, y in map(_gssf_block, frames)),
         condition_residuals=conditions,
-        f_spread=spread,
+        f_spread=local.max(axis=0) - local.min(axis=0),
         condition=cond,
     )
 
@@ -582,54 +532,36 @@ class TransSFit:
     condition: float
 
 
-def fit_trans_s(model: ManifoldModel, points, samples: int = 200, rng=0) -> TransSFit:
+def _trans_s_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Template columns (alpha_1..alpha_s, beta_1..beta_s) and ``nabla f`` at ``fr``,
+    over every basis pair (X, Y) = (e_a, e_b) and component k."""
+    # [column, k, b, a]
+    alpha_cols = np.einsum("ab,ik->ikba", fr.f.T @ fr.g @ fr.f, fr.xi) + np.einsum("ib,ka->ikba", fr.eta, fr.f2)
+    beta_cols = np.einsum("ba,ik->ikba", fr.F, fr.xi) - np.einsum("ib,ka->ikba", fr.eta, fr.f)
+    return np.concatenate([alpha_cols, beta_cols]).reshape(2 * fr.model.s, -1).T, fr.nabla_f.ravel()
+
+
+def fit_trans_s(model: ManifoldModel, points) -> TransSFit:
     """Fit ``(nabla_X f)Y`` against the characteristic-function template.
 
     Template per structure index i:
     ``alpha_i (g(fX, fY) xi_i + eta_i(Y) f^2 X) + beta_i (g(fX, Y) xi_i -
-    eta_i(Y) f X)``.  When every h_alpha vanishes (Killing structure fields)
-    also measures the residual of ``R(X, xi_alpha)Y = -(nabla_X f)Y``.
+    eta_i(Y) f X)``, fitted over every basis pair (X, Y) at every point.
+    When every h_alpha vanishes (Killing structure fields) also measures the
+    residual of ``R(X, xi_alpha)Y = -(nabla_X f)Y``.
     """
-    rng = as_rng(rng)
-    s, dim = model.s, model.dim
-    data = [as_frame(model, p) for p in points]
-    per_point = max(2, samples // len(data))
-
-    rows, rhs = [], []
-    killing = all(fr.h_max < IDENTITY_TOL * 10 for fr in data)
-    t421_worst, t421_scale = 0.0, 1.0
-    for fr in data:
-        nabla_f = fr.nabla_f
-        for _ in range(per_point):
-            X = rng.standard_normal(dim)
-            Y = rng.standard_normal(dim)
-            fX = fr.f @ X
-            cols = []
-            for i in range(s):
-                ei_y = float(fr.eta[i] @ Y)
-                cols.append(fr.inner(fX, fr.f @ Y) * fr.xi[i] + ei_y * (fr.f2 @ X))
-            for i in range(s):
-                ei_y = float(fr.eta[i] @ Y)
-                cols.append(fr.inner(fX, Y) * fr.xi[i] - ei_y * fX)
-            rows.append(np.column_stack(cols))
-            lhs = np.einsum("kba,b,a->k", nabla_f, Y, X)
-            rhs.append(lhs)
-            if killing:
-                for alpha in range(s):
-                    r = fr.curvature_operator(X, fr.xi[alpha], Y)
-                    t421_worst = max(t421_worst, float(np.max(np.abs(r + lhs))))
-                    t421_scale = max(t421_scale, float(np.max(np.abs(r))), float(np.max(np.abs(lhs))))
-
-    a = np.concatenate(rows)
-    y = np.concatenate(rhs)
-    sol, _, _, sv = np.linalg.lstsq(a, y, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    scale = max(float(np.max(np.abs(y))), float(np.max(np.abs(a))), SCALE_FLOOR)
-    residual = float(np.max(np.abs(a @ sol - y))) / scale
+    s = model.s
+    frames = [as_frame(model, p) for p in points]
+    sol, cond = _lstsq_reduced([_reduce(*_trans_s_block(fr)) for fr in frames])
+    t421 = None
+    if all(fr.h_max < IDENTITY_TOL * 10 for fr in frames):
+        t421 = relative_residual(
+            (np.einsum("kbam,cm->ckba", fr.riemann31, fr.xi), -fr.nabla_f) for fr in frames
+        )
     return TransSFit(
         alpha=sol[:s],
         beta=sol[s:],
-        residual=residual,
-        t421_residual=(t421_worst / t421_scale) if killing else None,
+        residual=relative_residual((y, a @ sol) for a, y in map(_trans_s_block, frames)),
+        t421_residual=t421,
         condition=cond,
     )

@@ -123,8 +123,8 @@ REPORT_SCHEMA = {
                         "lambda": _NUMBER_OR_NULL,
                     },
                 },
-                "gssf": {"type": ["object", "null"]},
-                "trans_s": {"type": ["object", "null"]},
+                "gssf": {"type": ["object", "null"], "properties": {"condition": {"type": "number"}}},
+                "trans_s": {"type": ["object", "null"], "properties": {"condition": {"type": "number"}}},
             },
         },
         "spectrum": {

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import Convention, ManifoldModel, Point, PointFrame, as_frame
-from .tolerances import IDENTITY_TOL
+from .tolerances import IDENTITY_TOL, relative_residual
 
 RANK_THRESHOLD = 1e-6  # relative singular-value cutoff for rank(f)
 
@@ -207,19 +207,18 @@ def check_normality(model: ManifoldModel, points) -> float:
 
 
 def killing_check(model: ManifoldModel, alpha: int, points) -> float:
-    """Max component of the Lie derivative ``L_{xi_alpha} g`` over ``points``.
+    """Relative residual of ``L_{xi_alpha} g = 0`` over ``points``.
 
     ``(L_xi g)_ij = xi^m d_m g_ij + g_mj d_i xi^m + g_im d_j xi^m``; the
     structure field is Killing iff this vanishes, which happens iff
-    ``h_alpha = 0``.
+    ``h_alpha = 0``.  The first term is compared with minus the other two.
     """
-    worst = 0.0
-    for frame in (as_frame(model, p) for p in points):
-        xi, dxi = frame.xi[alpha], frame.dxi[alpha]
-        lie_g = (
-            np.einsum("m,ijm->ij", xi, frame.dg)
-            + np.einsum("mj,mi->ij", frame.g, dxi)
-            + np.einsum("im,mj->ij", frame.g, dxi)
+
+    def sides(fr):
+        dxi = fr.dxi[alpha]
+        return (
+            np.einsum("m,ijm->ij", fr.xi[alpha], fr.dg),
+            -np.einsum("mj,mi->ij", fr.g, dxi) - np.einsum("im,mj->ij", fr.g, dxi),
         )
-        worst = max(worst, float(np.max(np.abs(lie_g))))
-    return worst
+
+    return relative_residual(sides(as_frame(model, p)) for p in points)

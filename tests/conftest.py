@@ -56,17 +56,17 @@ def deformed(flat):
 
 @pytest.fixture(scope="session")
 def deformed_fits(deformed, flat_points):
-    return {a: fit_nullity(m, flat_points, 200, rng=0) for a, m in deformed.items()}
+    return {a: fit_nullity(m, flat_points) for a, m in deformed.items()}
 
 
 @pytest.fixture(scope="session")
 def flat_fit(flat, flat_points):
-    return fit_nullity(flat, flat_points, 200, rng=0)
+    return fit_nullity(flat, flat_points)
 
 
 @pytest.fixture(scope="session")
 def s22_fit(s22, s22_points):
-    return fit_nullity(s22, s22_points, 200, rng=0)
+    return fit_nullity(s22, s22_points)
 
 
 def rng_points(model, count, seed):
@@ -75,4 +75,4 @@ def rng_points(model, count, seed):
 
 def unit_section(model, p, seed=0):
     """A random g-unit vector in L at p."""
-    return PointFrame(model, p).random_unit_section(np.random.default_rng(seed))
+    return PointFrame(model, p).random_unit_sections(np.random.default_rng(seed), 1)[0]

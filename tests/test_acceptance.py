@@ -45,7 +45,7 @@ def suite():
     for key in ALL_KEYS:
         entry = catalog_get(key)
         points = sample_points(entry.model, 20, seed=0)
-        fit = fit_nullity(entry.model, points, 200, rng=0)
+        fit = fit_nullity(entry.model, points)
         out[key] = (entry, points, fit)
     return out
 
@@ -134,8 +134,8 @@ def test_criterion_5_identity_suites(suite):
     def body():
         for key in ALL_KEYS:
             entry, points, fit = suite[key]
-            assert verify_r_xi(entry.model, fit, points, 200, rng=0) < FIT, key
-            assert check_rf_identity(entry.model, fit, points, 200, rng=0) < FIT, key
+            assert verify_r_xi(entry.model, fit, points) < FIT, key
+            assert check_rf_identity(entry.model, fit, points) < FIT, key
             if fit.kappa < 1.0 - FIT:
                 assert check_ricci_model(entry.model, fit, points) < FIT, key
 
@@ -147,7 +147,7 @@ def test_criterion_6_curvature_model_and_splitting(suite):
         entry, points, fit = suite["s-space-form:2,2"]
         rep = sample_H_constancy(entry.model, points[:5], 40, rng=0)
         assert rep.h_mean == pytest.approx(-6.0, abs=FIT)
-        assert check_curvature_model(entry.model, fit, rep.h_mean, points, 200, rng=0) < FIT
+        assert check_curvature_model(entry.model, fit, rep.h_mean, points) < FIT
         for a in (0.75, 2.0, 3.0):  # a != 1/2
             e, pts, f = suite[f"flat-contact-r3:deformed:{a:g}"]
             assert check_splitting_lemma(e.model, f, pts[0], 100, rng=0) < FIT, a
@@ -158,17 +158,17 @@ def test_criterion_6_curvature_model_and_splitting(suite):
 def test_criterion_7_example_fits(suite):
     def body():
         entry, points, _ = suite["s-space-form:2,2"]
-        gssf = fit_gssf(entry.model, points, 300, rng=0)
+        gssf = fit_gssf(entry.model, points)
         assert gssf.residual < FIT
         assert np.max(gssf.f_spread) < FIT
         for key in ("s-space-form:1,1", "s-space-form:2,2"):
             e, pts, _ = suite[key]
-            tfit = fit_trans_s(e.model, pts, 200, rng=0)
+            tfit = fit_trans_s(e.model, pts)
             assert np.allclose(tfit.alpha, 1.0, atol=FIT), key
             assert np.allclose(tfit.beta, 0.0, atol=FIT), key
             assert tfit.t421_residual < FIT, key
         e, pts, _ = suite["flat-contact-r3"]
-        assert fit_trans_s(e.model, pts, 200, rng=0).residual > 1e-2
+        assert fit_trans_s(e.model, pts).residual > 1e-2
 
     _announce(7, "gssf constancy on s=2 S-structure; trans-S alpha=1, beta=0; flat fails", body)
 

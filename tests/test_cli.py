@@ -31,6 +31,11 @@ def test_run_s_structure_verdicts():
     assert report.fits["nullity"]["mu_determined"] is False
     assert report.fits["gssf"] is not None
     assert report.passed
+    data = json.loads(emit_report(report, "json"))
+    jsonschema.validate(data, REPORT_SCHEMA)
+    for name in ("gssf", "trans_s"):
+        assert "condition" in REPORT_SCHEMA["properties"]["fits"]["properties"][name]["properties"]
+        assert 1.0 <= data["fits"][name]["condition"] < 1e3, name
 
 
 def test_unknown_manifold_raises():
@@ -47,6 +52,9 @@ def test_invalid_config_rejected():
         run(RunConfig(manifold_key="flat-contact-r3", tolerance=-1.0))
     with pytest.raises(ConfigError):
         run(RunConfig(manifold_key="flat-contact-r3", checks=["bogus"]))
+    for a in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            run(RunConfig(manifold_key="flat-contact-r3", deform_a=a))
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"manifold_key": "flat-contact-r3", "what": 1})
 
@@ -106,6 +114,8 @@ def test_different_seeds_still_pass(tmp_path):
 def test_exit_codes(tmp_path, capsys):
     assert main(["check", "--manifold", "nope"]) == 2
     capsys.readouterr()
+    assert main(["check", "--manifold", "flat-contact-r3", "--a", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
     # an unachievable tolerance turns residuals into failures -> exit 1
     code = main(
         ["check", "--manifold", "flat-contact-r3", "--points", "3", "--samples", "60",

@@ -138,7 +138,7 @@ def test_normalized_fit_matches_induced_deformation(flat_plain, flat_points):
     # Recorded behavior: normalizing the rate-1 PLAIN flat structure lands on
     # the same (kappa, mu, H) as the closed-form deformation law at a = 4.
     norm = convention_normalize(flat_plain)
-    fit = fit_nullity(norm, flat_points, 200, rng=0)
+    fit = fit_nullity(norm, flat_points)
     pred = predict_deformed_nullity(4.0, s=1)
     assert fit.kappa == pytest.approx(pred.kappa, abs=FIT_TOL)
     assert fit.mu == pytest.approx(pred.mu, abs=FIT_TOL)

@@ -193,3 +193,9 @@ def test_degenerate_metric_error():
     singular = dataclasses.replace(model, metric_field=lambda x: np.zeros((3, 3)))
     with pytest.raises(DegenerateMetricError):
         christoffel(singular, np.zeros(3))
+    near = dataclasses.replace(model, metric_field=lambda x: np.diag([1.0, 1.0, 1e-12]))
+    with pytest.raises(DegenerateMetricError, match="condition number"):
+        christoffel(near, np.zeros(3))
+    # a small but well-conditioned metric is fine
+    scaled = dataclasses.replace(model, metric_field=lambda x: 1e-6 * np.eye(3))
+    assert np.max(np.abs(christoffel(scaled, np.zeros(3)).gamma)) == 0.0

@@ -32,7 +32,9 @@ FIT_TOL = 1e-6
 
 def test_fit_flat_is_zero_zero(flat, flat_points, flat_fit):
     frames = [PointFrame(flat, p) for p in flat_points]
-    assert fit_nullity(flat, frames, 200, rng=0) == flat_fit
+    assert fit_nullity(flat, frames) == flat_fit
+    # the sample count and rng of the sampled fit are still accepted, and unused
+    assert fit_nullity(flat, frames, 7, rng=np.random.default_rng(1)) == flat_fit
     assert flat_fit.kappa == pytest.approx(0.0, abs=FIT_TOL)
     assert flat_fit.mu_determined
     assert flat_fit.mu == pytest.approx(0.0, abs=FIT_TOL)
@@ -66,24 +68,24 @@ def test_fit_requires_nonvanishing_eta_terms(flat, flat_points):
         flat, eta_fields=(lambda x: np.array([0.0, 0.0, 0.0], dtype=object),)
     )
     with pytest.raises(InsufficientSampleError):
-        fit_nullity(broken, flat_points, 50, rng=0)
+        fit_nullity(broken, flat_points)
 
 
 # -- the transposed identity --------------------------------------------------
 
 
 def test_r_xi_identity_deformed(deformed, deformed_fits, flat_points):
-    assert verify_r_xi(deformed[2.0], deformed_fits[2.0], flat_points, 100, rng=0) < FIT_TOL
+    assert verify_r_xi(deformed[2.0], deformed_fits[2.0], flat_points) < FIT_TOL
 
 
 def test_r_xi_identity_s_structure(s22, s22_fit, s22_points):
-    assert verify_r_xi(s22, s22_fit, s22_points, 100, rng=0) < FIT_TOL
+    assert verify_r_xi(s22, s22_fit, s22_points) < FIT_TOL
 
 
 def test_r_xi_identity_detects_wrong_kappa(deformed, deformed_fits, flat_points):
     fit = deformed_fits[2.0]
     wrong = dataclasses.replace(fit, kappa=fit.kappa + 0.1)
-    assert verify_r_xi(deformed[2.0], wrong, flat_points, 100, rng=0) > 1e-2
+    assert verify_r_xi(deformed[2.0], wrong, flat_points) > 1e-2
 
 
 # -- h spectrum ---------------------------------------------------------------
@@ -128,25 +130,23 @@ def test_spectrum_inconsistency_error(flat, flat_fit, flat_points):
 
 @pytest.mark.parametrize("a", [0.5, 2.0, 3.0])
 def test_rf_identity_deformed(a, deformed, deformed_fits, flat_points):
-    assert check_rf_identity(deformed[a], deformed_fits[a], flat_points, 100, rng=0) < FIT_TOL
+    assert check_rf_identity(deformed[a], deformed_fits[a], flat_points) < FIT_TOL
 
 
 def test_rf_identity_s_structure(s22, s22_fit, s22_points):
-    assert check_rf_identity(s22, s22_fit, s22_points, 100, rng=0) < FIT_TOL
+    assert check_rf_identity(s22, s22_fit, s22_points) < FIT_TOL
 
 
 def test_rf_identity_xi_slot(deformed, deformed_fits, flat_points):
-    # Z = xi: f Z = 0, so the identity reduces to 0 = (correction terms)
+    # Z = xi: f Z = 0, so the expansion's right-hand side must vanish for every X, Y
     model, fit = deformed[2.0], deformed_fits[2.0]
-    from fcontact.nullity import _rf_rhs
+    from fcontact.nullity import _rf_sides
 
     for p in flat_points[:4]:
         fr = PointFrame(model, p)
-        X, Y = np.eye(3)[0], np.eye(3)[2]
-        Z = fr.xi[0]
-        lhs = fr.curvature_operator(X, Y, fr.f @ Z)
-        rhs = _rf_rhs(fr, fit.kappa, fit.mu_effective, X, Y, Z)
-        assert np.max(np.abs(lhs - rhs)) < FIT_TOL
+        lhs, rhs = _rf_sides(fr, fit.kappa, fit.mu_effective)
+        assert np.max(np.abs(np.einsum("lkij,k->lij", lhs, fr.xi[0]))) < 1e-12
+        assert np.max(np.abs(np.einsum("lkij,k->lij", rhs, fr.xi[0]))) < FIT_TOL
 
 
 # -- Ricci model ---------------------------------------------------------------
@@ -231,7 +231,7 @@ def test_H_pure_plus_sections_give_minus_s_kappa_plus_mu(deformed, deformed_fits
 
 def test_curvature_model_s22(s22, s22_fit, s22_points):
     rep = sample_H_constancy(s22, s22_points[:4], 20, rng=0)
-    assert check_curvature_model(s22, s22_fit, rep.h_mean, s22_points, 200, rng=0) < FIT_TOL
+    assert check_curvature_model(s22, s22_fit, rep.h_mean, s22_points) < FIT_TOL
 
 
 def test_curvature_model_antisymmetry(s22, s22_fit, s22_points):
@@ -244,7 +244,7 @@ def test_curvature_model_antisymmetry(s22, s22_fit, s22_points):
 def test_curvature_model_deformed_half_recorded(deformed, deformed_fits, flat_points):
     # n = 1 sits outside the constant-H theorem's hypothesis; the measured
     # residual is recorded behavior of this artifact, not a cited claim.
-    r = check_curvature_model(deformed[0.5], deformed_fits[0.5], 5.0, flat_points, 200, rng=0)
+    r = check_curvature_model(deformed[0.5], deformed_fits[0.5], 5.0, flat_points)
     assert r < FIT_TOL
 
 
@@ -301,7 +301,7 @@ def test_splitting_rejects_kappa_one(s22, s22_fit, s22_points):
 
 
 def test_gssf_fit_s22(s22, s22_points):
-    fit = fit_gssf(s22, s22_points, samples=400, rng=0)
+    fit = fit_gssf(s22, s22_points)
     assert fit.residual < FIT_TOL
     assert np.max(fit.f_spread) < FIT_TOL
     assert np.max(fit.condition_residuals) < FIT_TOL
@@ -311,7 +311,7 @@ def test_gssf_fit_s22(s22, s22_points):
 
 
 def test_gssf_implied_kappa_matches_nullity_fit(s22, s22_points, s22_fit):
-    fit = fit_gssf(s22, s22_points, samples=300, rng=1)
+    fit = fit_gssf(s22, s22_points)
     assert fit.implied_kappa == pytest.approx(s22_fit.kappa, abs=FIT_TOL)
 
 
@@ -325,7 +325,7 @@ def test_gssf_rejects_wrong_s(s11, s11_points):
 
 def test_trans_s_fit_s_structures(s11, s11_points, s22, s22_points):
     for model, points in ((s11, s11_points), (s22, s22_points)):
-        fit = fit_trans_s(model, points, samples=200, rng=0)
+        fit = fit_trans_s(model, points)
         assert np.allclose(fit.alpha, 1.0, atol=FIT_TOL)
         assert np.allclose(fit.beta, 0.0, atol=FIT_TOL)
         assert fit.residual < FIT_TOL
@@ -333,7 +333,7 @@ def test_trans_s_fit_s_structures(s11, s11_points, s22, s22_points):
 
 
 def test_trans_s_fit_fails_on_flat(flat, flat_points):
-    fit = fit_trans_s(flat, flat_points, samples=200, rng=0)
+    fit = fit_trans_s(flat, flat_points)
     assert fit.residual > 1e-2
     assert fit.t421_residual is None  # h != 0: not a Killing structure
 
@@ -349,3 +349,38 @@ def test_spectral_law_all_kappa_less_one_entries(flat, flat_fit, deformed, defor
         assert np.max(np.abs(np.abs(spec.eigenvalues) - lam)) < FIT_TOL
         assert spec.h_equal_residual < 1e-8
         assert spec.f_swap_residual < 1e-8
+
+
+# -- perturbed models ------------------------------------------------------------------------
+
+
+def test_doubled_f_fails_every_identity(deformed, deformed_fits, flat_points):
+    # the nullity condition is homogeneous in f (A scales by 4, B by 2), so a
+    # refit absorbs the doubling; the model's own (kappa, mu) = (-3, -2) no
+    # longer satisfy it, and the rf and curvature-model expansions fail either way
+    model, fit = deformed[0.5], deformed_fits[0.5]
+    f0 = model.f_field
+    bad = dataclasses.replace(model, f_field=lambda x: 2.0 * np.asarray(f0(x)))
+    refit = fit_nullity(bad, flat_points)
+    assert refit.kappa == pytest.approx(fit.kappa / 4, abs=FIT_TOL)
+    assert refit.mu == pytest.approx(fit.mu / 2, abs=FIT_TOL)
+    assert abs(refit.kappa - fit.kappa) > 1.0
+    assert verify_r_xi(bad, fit, flat_points) > 1e-2
+    for f in (fit, refit):
+        assert check_rf_identity(bad, f, flat_points) > 1e-2
+        assert check_curvature_model(bad, f, 5.0, flat_points) > 1e-2
+
+
+def test_rf_identity_flags_a_defect_on_one_basis_triple():
+    from fcontact import build_s_space_form, sample_points
+
+    model = build_s_space_form(3, 3)
+    frames = [PointFrame(model, p) for p in sample_points(model, 2, seed=0)]
+    fit = fit_nullity(model, frames)
+    assert check_rf_identity(model, fit, frames) < FIT_TOL
+    # R(e_1, e_4)e_2 gains 1e-4 in one component (and R(e_4, e_1)e_2 loses it)
+    r = frames[0].riemann31.copy()
+    r[0, 2, 1, 4] += 1e-4
+    r[0, 2, 4, 1] -= 1e-4
+    frames[0].riemann31 = r
+    assert check_rf_identity(model, fit, frames) > 1e-5
