@@ -1,8 +1,14 @@
 """Batch runner: catalog models + check suites -> machine-readable reports.
 
-Subcommands: ``check``, ``fit-nullity``, ``fit-gssf``, ``fit-trans-s``,
-``deform``, ``catalog list``.  Exit codes: 0 all requested checks pass,
-1 at least one gating check failed, 2 usage or configuration error.
+Subcommands: ``check``, ``catalog list``, and the presets of ``check``:
+``fit-nullity``, ``fit-gssf``, ``fit-trans-s`` and ``deform``.  Exit codes:
+0 all requested checks pass, 1 at least one gating check failed, 2 usage or
+configuration error.
+
+A run reads the table ``CHECKS`` in order.  Each row names a check, says
+whether it gates the exit status, which tolerance judges it and whether it
+needs the nullity fit, and measures it from the run's ``RunContext``.  A new
+check is one row here plus its library function.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,25 +32,17 @@ from .geom import Convention, PointFrame, sample_points
 from .report import CheckRecord, CheckReport, emit_report
 from .tolerances import FIT_TOL, IDENTITY_TOL
 
-CHECK_NAMES = [
-    "axioms",
-    "contact",
-    "h-properties",
-    "killing",
-    "nullity",
-    "spectrum",
-    "r-xi",
-    "rf",
-    "ricci",
-    "H",
-    "curvature-model",
-    "splitting",
-    "normality",
-    "gssf",
-    "trans-s",
-]
+
 class ConfigError(ValueError):
     """Invalid run configuration (exit code 2)."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclasses.dataclass
@@ -59,23 +58,32 @@ class RunConfig:
     convention: str = "auto"
 
     def validate(self) -> None:
-        if self.points < 1:
-            raise ConfigError("points must be >= 1")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
-        if not self.tolerance > 0:
-            raise ConfigError("tolerance must be positive")
-        if self.deform_a is not None and not (math.isfinite(self.deform_a) and self.deform_a > 0):
+        if not isinstance(self.manifold_key, str):
+            raise ConfigError("manifold_key must be a string")
+        for name in ("points", "samples"):
+            if not (_is_int(getattr(self, name)) and getattr(self, name) >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError("seed must be an integer >= 0")
+        if not (_is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ConfigError("tolerance must be positive and finite")
+        if self.deform_a is not None and not (
+            _is_real(self.deform_a) and math.isfinite(self.deform_a) and self.deform_a > 0
+        ):
             raise ConfigError("deformation constant must be positive and finite")
         if self.convention not in ("auto", "half", "plain"):
             raise ConfigError(f"unknown convention {self.convention!r}")
         if self.checks != "all":
+            if not isinstance(self.checks, (list, tuple)) or not self.checks:
+                raise ConfigError('checks must be "all" or a non-empty list of check names')
             unknown = [c for c in self.checks if c not in CHECK_NAMES]
             if unknown:
                 raise ConfigError(f"unknown checks: {unknown}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         bad = set(data) - known
         if bad:
@@ -96,243 +104,219 @@ def _resolve_entry(config: RunConfig) -> CatalogEntry:
     return entry
 
 
+def _attempt(fn, *args):
+    """``fn(*args)``, or the library error it raised, kept for the check that reports it."""
+    try:
+        return fn(*args)
+    except FContactError as exc:
+        return exc
+
+
+def _value(result):
+    """``result``, or its error raised again as a failure: a shared value
+    that could not be computed is never a skip."""
+    if isinstance(result, FContactError):
+        raise FContactError(str(result)) from result
+    return result
+
+
+class RunContext:
+    """What every run computes once, whatever checks it reports.
+
+    The report's ``fits.nullity``, ``spectrum``, ``h_sectional`` and verdicts
+    read these values on every run.  ``fit`` and ``spectrum`` hold the
+    library error instead of a value when computing them raised one; ``h``
+    and ``predicted`` (the H that the fit or the catalog predicts) are
+    ``None`` without a fit.
+    """
+
+    def __init__(self, config: RunConfig, entry: CatalogEntry):
+        self.model = model = entry.model
+        self.fit_tol = config.tolerance
+        self._seeds = np.random.SeedSequence(config.seed).spawn(len(CHECKS) + 1)
+        points = sample_points(model, config.points, seed=np.random.default_rng(self._seeds[0]))
+        # every check reads these frames, so each point is evaluated once per run
+        self.frames = [PointFrame(model, p) for p in points]
+        self.axioms = stc.check_f_axioms(model, self.frames)
+        self.fit = _attempt(nl.fit_nullity, model, self.frames)
+        self.fits = {"nullity": None, "gssf": None, "trans_s": None}
+        self.spectrum = self.h = self.predicted = None
+        if self.has_fit:
+            fit = self.fit
+            self.fits["nullity"] = {
+                "kappa": fit.kappa,
+                "mu": fit.mu,
+                "mu_determined": fit.mu_determined,
+                "residual": fit.residual,
+                "condition": fit.condition,
+                "lambda": fit.lam,
+            }
+            self.spectrum = _attempt(nl.h_spectrum, model, fit, self.frames[0])
+            sections = max(10, config.samples // config.points)
+            self.h = nl.sample_H_constancy(model, self.frames[:10], sections_per_point=sections, rng=self.rng("H"))
+            self.predicted = _predicted_h(entry, fit, self.fit_tol)
+        self.normality = stc.check_normality(model, self.frames)
+
+    @property
+    def has_fit(self) -> bool:
+        return not isinstance(self.fit, FContactError)
+
+    def rng(self, name: str) -> np.random.Generator:
+        """The random stream of check ``name``, spawned at its row index."""
+        return np.random.default_rng(self._seeds[1 + CHECK_NAMES.index(name)])
+
+
+def _predicted_h(entry: CatalogEntry, fit: nl.NullityFit, tol: float) -> float | None:
+    """The catalog's H, else ``-s (kappa + mu)`` where the theory makes H constant."""
+    if entry.expected is not None and entry.expected.h_sectional is not None:
+        return entry.expected.h_sectional
+    if fit.kappa < 1.0 - tol:
+        mu = fit.mu_effective
+        if abs(mu - (fit.kappa + 1.0)) <= tol or entry.model.n == 1:
+            return -entry.model.s * (fit.kappa + mu)
+    return None
+
+
+# Each measure returns a residual, or (residual, ok, note): the check passes
+# when the residual is within tolerance and ok holds.
+
+
+def _axioms(ctx: RunContext):
+    ax = ctx.axioms
+    rank_ok = ax.rank_detected == ax.expected_rank
+    return ax.r_axioms, rank_ok, "" if rank_ok else f"rank(f) = {ax.rank_detected} != {ax.expected_rank}"
+
+
+def _killing(ctx: RunContext):
+    """Disagreement between ``L_xi g = 0`` and ``h = 0``, which are equivalent."""
+    defect, notes = 0.0, []
+    for a in range(ctx.model.s):
+        k_res = stc.killing_check(ctx.model, a, ctx.frames)
+        h_norm = max(float(np.max(np.abs(fr.h_all[a]))) for fr in ctx.frames)
+        if (k_res < IDENTITY_TOL) != (h_norm < IDENTITY_TOL):
+            defect = max(defect, min(k_res, h_norm))
+        notes.append(f"alpha={a}: L_xi g={k_res:.2e}, |h|={h_norm:.2e}")
+    return defect, True, "; ".join(notes)
+
+
+def _nullity(ctx: RunContext):
+    fit = _value(ctx.fit)
+    kappa_ok = fit.kappa <= 1.0 + ctx.fit_tol
+    return fit.residual, kappa_ok, "" if kappa_ok else f"kappa = {fit.kappa} exceeds 1"
+
+
+def _spectrum(ctx: RunContext):
+    spec = _value(ctx.spectrum)
+    return max(spec.eigenvalue_residual, spec.h_equal_residual, spec.f_swap_residual or 0.0)
+
+
+def _h_sectional(ctx: RunContext):
+    h, predicted = ctx.h, ctx.predicted
+    note = f"mean = {h.h_mean:.9g}"
+    if predicted is not None:
+        note += f", predicted = {predicted:.9g}"
+    return h.h_spread, predicted is None or abs(h.h_mean - predicted) <= ctx.fit_tol, note
+
+
+def _curvature_model(ctx: RunContext):
+    if not ctx.h.h_spread <= ctx.fit_tol:
+        raise NotApplicableError("f-sectional curvature is not constant")
+    return nl.check_curvature_model(ctx.model, ctx.fit, ctx.h.h_mean, ctx.frames)
+
+
+def _gssf(ctx: RunContext):
+    fit = nl.fit_gssf(ctx.model, ctx.frames)
+    ctx.fits["gssf"] = {
+        "F": [float(v) for v in fit.f_constants],
+        "residual": fit.residual,
+        "condition_residuals": [float(v) for v in fit.condition_residuals],
+        "f_spread": [float(v) for v in fit.f_spread],
+        "implied_kappa": fit.implied_kappa,
+        "condition": fit.condition,
+    }
+    return fit.residual, True, "seven-function curvature ansatz fit"
+
+
+def _trans_s(ctx: RunContext):
+    fit = nl.fit_trans_s(ctx.model, ctx.frames)
+    ctx.fits["trans_s"] = {
+        "alpha": [float(v) for v in fit.alpha],
+        "beta": [float(v) for v in fit.beta],
+        "residual": fit.residual,
+        "t421_residual": fit.t421_residual,
+        "condition": fit.condition,
+    }
+    return fit.residual, True, "characteristic-function fit of nabla f"
+
+
+class Check(NamedTuple):
+    name: str
+    gating: bool                # decides the exit status; else a diagnostic
+    fit_tol: bool               # judged by the run's tolerance, else by IDENTITY_TOL
+    needs_fit: bool             # left out when the nullity fit failed
+    measure: Callable[[RunContext], float | tuple]
+    only_s: int | None = None   # defined only for models with this s
+
+
+def _splitting(ctx: RunContext) -> float:
+    return nl.check_splitting_lemma(ctx.model, ctx.fit, ctx.frames[0], section_samples=100, rng=ctx.rng("splitting"))
+
+
+# Report order.  A row's index also picks its random stream (RunContext.rng).
+CHECKS = (
+    #     name               gating fit_tol needs_fit measure
+    Check("axioms",          True,  False,  False,    _axioms),
+    Check("contact",         True,  False,  False,    lambda ctx: float(np.max(ctx.axioms.r_contact))),
+    Check("h-properties",    True,  False,  False,    lambda ctx: ctx.axioms.r_h_properties),
+    Check("killing",         True,  False,  False,    _killing),
+    Check("nullity",         True,  True,   False,    _nullity),
+    Check("spectrum",        True,  True,   True,     _spectrum),
+    Check("r-xi",            True,  True,   True,     lambda ctx: nl.verify_r_xi(ctx.model, ctx.fit, ctx.frames)),
+    Check("rf",              True,  True,   True,     lambda ctx: nl.check_rf_identity(ctx.model, ctx.fit, ctx.frames)),
+    Check("ricci",           True,  True,   True,     lambda ctx: nl.check_ricci_model(ctx.model, ctx.fit, ctx.frames)),
+    Check("H",               True,  True,   True,     _h_sectional),
+    Check("curvature-model", True,  True,   True,     _curvature_model),
+    Check("splitting",       True,  True,   True,     _splitting),
+    Check("normality",       False, False,  False,    lambda ctx: (ctx.normality, True, "classification, not a failure mode")),
+    Check("gssf",            False, True,   False,    _gssf, only_s=2),
+    Check("trans-s",         False, True,   False,    _trans_s),
+)
+CHECK_NAMES = [row.name for row in CHECKS]
+
+
+def _record(row: Check, ctx: RunContext) -> CheckRecord:
+    tol = ctx.fit_tol if row.fit_tol else IDENTITY_TOL
+    try:
+        out = row.measure(ctx)
+    except NotApplicableError as exc:
+        return CheckRecord(row.name, 0.0, tol, True, False, f"skipped: {exc}")
+    except FContactError as exc:
+        return CheckRecord(row.name, float("inf"), tol, False, row.gating, f"error: {exc}")
+    residual, ok, note = out if isinstance(out, tuple) else (out, True, "")
+    residual = float(residual)
+    return CheckRecord(row.name, residual, tol, bool(residual <= tol and ok), row.gating, note)
+
+
 def run(config: RunConfig) -> CheckReport:
-    """Execute the requested checks in dependency order; deterministic per seed."""
+    """Run the requested rows of ``CHECKS`` in table order; deterministic per seed."""
     config.validate()
     t0 = time.perf_counter()
     entry = _resolve_entry(config)
     model = entry.model
-    requested = CHECK_NAMES if config.checks == "all" else list(config.checks)
-    if model.s != 2 and config.checks != "all" and "gssf" in requested:
-        raise ConfigError("gssf check requires a model with s = 2")
+    requested = CHECK_NAMES if config.checks == "all" else config.checks
+    for row in CHECKS:
+        if config.checks != "all" and row.name in requested and row.only_s not in (None, model.s):
+            raise ConfigError(f"{row.name} check requires a model with s = {row.only_s}")
 
-    seeds = np.random.SeedSequence(config.seed).spawn(len(CHECK_NAMES) + 1)
-    rng_for = {name: np.random.default_rng(seeds[i + 1]) for i, name in enumerate(CHECK_NAMES)}
-    points = sample_points(model, config.points, seed=np.random.default_rng(seeds[0]))
-    # every check reads these frames, so each point is evaluated once per run
-    frames = [PointFrame(model, p) for p in points]
-
-    fit_tol = config.tolerance
-    checks: list[CheckRecord] = []
-    fits: dict = {"nullity": None, "gssf": None, "trans_s": None}
-    spectrum_out = None
-    h_out = None
-
-    def record(name, residual, tol, gating, note="", passed=None):
-        residual = float(residual)
-        passed = (residual <= tol) if passed is None else passed
-        checks.append(CheckRecord(name, residual, tol, bool(passed), gating, note))
-
-    def guarded(name, tol, gating, fn, note=""):
-        if name not in requested:
-            return None
-        try:
-            residual = fn()
-        except NotApplicableError as exc:
-            record(name, 0.0, tol, gating=False, note=f"skipped: {exc}", passed=True)
-            return None
-        except FContactError as exc:
-            record(name, float("inf"), tol, gating, note=f"error: {exc}", passed=False)
-            return None
-        record(name, residual, tol, gating, note=note)
-        return residual
-
-    # axioms / contact / h-properties ------------------------------------
-    axiom_report = stc.check_f_axioms(model, frames)
-    if "axioms" in requested:
-        base_res = max(
-            axiom_report.r_eta_xi,
-            axiom_report.r_f_xi,
-            axiom_report.r_eta_f,
-            axiom_report.r_f_squared,
-            axiom_report.r_compat,
-            axiom_report.r_rank,
-        )
-        rank_ok = axiom_report.rank_detected == axiom_report.expected_rank
-        record(
-            "axioms",
-            base_res,
-            IDENTITY_TOL,
-            gating=True,
-            note="" if rank_ok else f"rank(f) = {axiom_report.rank_detected} != {axiom_report.expected_rank}",
-            passed=base_res <= IDENTITY_TOL and rank_ok,
-        )
-    if "contact" in requested:
-        record("contact", float(np.max(axiom_report.r_contact)), IDENTITY_TOL, gating=True)
-    if "h-properties" in requested:
-        record(
-            "h-properties",
-            max(
-                axiom_report.h_symmetry,
-                axiom_report.h_trace,
-                axiom_report.h_anticommute,
-                axiom_report.h_xi,
-                axiom_report.eta_h,
-            ),
-            IDENTITY_TOL,
-            gating=True,
-        )
-
-    # killing <-> h = 0 agreement -----------------------------------------
-    h_norms = [max(float(np.max(np.abs(fr.h_all[a]))) for fr in frames) for a in range(model.s)]
-    if "killing" in requested:
-        defect = 0.0
-        notes = []
-        for a in range(model.s):
-            k_res = stc.killing_check(model, a, frames)
-            agree = (k_res < IDENTITY_TOL) == (h_norms[a] < IDENTITY_TOL)
-            if not agree:
-                defect = max(defect, min(k_res, h_norms[a]))
-            notes.append(f"alpha={a}: L_xi g={k_res:.2e}, |h|={h_norms[a]:.2e}")
-        record("killing", defect, IDENTITY_TOL, gating=True, note="; ".join(notes))
-
-    # nullity fit -----------------------------------------------------------
-    fit = None
-    try:
-        fit = nl.fit_nullity(model, frames)
-        fits["nullity"] = {
-            "kappa": fit.kappa,
-            "mu": fit.mu,
-            "mu_determined": fit.mu_determined,
-            "residual": fit.residual,
-            "condition": fit.condition,
-            "lambda": fit.lam,
-        }
-        if "nullity" in requested:
-            kappa_ok = fit.kappa <= 1.0 + fit_tol
-            record(
-                "nullity",
-                fit.residual,
-                fit_tol,
-                gating=True,
-                note="" if kappa_ok else f"kappa = {fit.kappa} exceeds 1",
-                passed=fit.residual <= fit_tol and kappa_ok,
-            )
-    except FContactError as exc:
-        if "nullity" in requested:
-            record("nullity", float("inf"), fit_tol, gating=True, note=f"error: {exc}", passed=False)
-
-    # spectrum ---------------------------------------------------------------
-    if fit is not None:
-        try:
-            spec = nl.h_spectrum(model, fit, frames[0])
-            spectrum_out = {
-                "lambda": spec.lam,
-                "eigenvalue_residual": spec.eigenvalue_residual,
-                "h_equal_residual": spec.h_equal_residual,
-                "f_swap_residual": spec.f_swap_residual,
-                "h_zero": spec.h_zero,
-            }
-            if "spectrum" in requested:
-                worst = max(
-                    spec.eigenvalue_residual,
-                    spec.h_equal_residual,
-                    spec.f_swap_residual or 0.0,
-                )
-                record("spectrum", worst, fit_tol, gating=True)
-        except FContactError as exc:
-            if "spectrum" in requested:
-                record("spectrum", float("inf"), fit_tol, gating=True, note=f"error: {exc}", passed=False)
-
-    # curvature identities ----------------------------------------------------
-    if fit is not None:
-        guarded("r-xi", fit_tol, True, lambda: nl.verify_r_xi(model, fit, frames))
-        guarded("rf", fit_tol, True, lambda: nl.check_rf_identity(model, fit, frames))
-        guarded("ricci", fit_tol, True, lambda: nl.check_ricci_model(model, fit, frames))
-
-    # f-sectional curvature ----------------------------------------------------
-    h_report = None
-    if fit is not None:
-        sections = max(10, config.samples // max(1, config.points))
-        h_report = nl.sample_H_constancy(
-            model, frames[:10], sections_per_point=sections, rng=rng_for["H"]
-        )
-        predicted = None
-        if entry.expected is not None and entry.expected.h_sectional is not None:
-            predicted = entry.expected.h_sectional
-        elif fit.kappa < 1.0 - fit_tol:
-            mu = fit.mu_effective
-            if abs(mu - (fit.kappa + 1.0)) <= fit_tol or model.n == 1:
-                predicted = -model.s * (fit.kappa + mu)
-        h_out = {"mean": h_report.h_mean, "spread": h_report.h_spread, "predicted": predicted}
-        if "H" in requested:
-            note = f"mean = {h_report.h_mean:.9g}"
-            if predicted is not None:
-                note += f", predicted = {predicted:.9g}"
-            ok = h_report.h_spread <= fit_tol and (
-                predicted is None or abs(h_report.h_mean - predicted) <= fit_tol
-            )
-            record("H", h_report.h_spread, fit_tol, gating=True, note=note, passed=ok)
-        if "curvature-model" in requested:
-            if h_report.h_spread <= fit_tol:
-                guarded(
-                    "curvature-model",
-                    fit_tol,
-                    True,
-                    lambda: nl.check_curvature_model(model, fit, h_report.h_mean, frames),
-                )
-            else:
-                record(
-                    "curvature-model",
-                    0.0,
-                    fit_tol,
-                    gating=False,
-                    note="skipped: f-sectional curvature is not constant",
-                    passed=True,
-                )
-        guarded(
-            "splitting",
-            fit_tol,
-            True,
-            lambda: nl.check_splitting_lemma(model, fit, frames[0], section_samples=100, rng=rng_for["splitting"]),
-        )
-
-    # diagnostics ---------------------------------------------------------------
-    normal_res = stc.check_normality(model, frames)
-    if "normality" in requested:
-        record("normality", normal_res, IDENTITY_TOL, gating=False, note="classification, not a failure mode")
-
-    if "gssf" in requested and model.s == 2:
-        try:
-            gfit = nl.fit_gssf(model, frames)
-            fits["gssf"] = {
-                "F": [float(v) for v in gfit.f_constants],
-                "residual": gfit.residual,
-                "condition_residuals": [float(v) for v in gfit.condition_residuals],
-                "f_spread": [float(v) for v in gfit.f_spread],
-                "implied_kappa": gfit.implied_kappa,
-                "condition": gfit.condition,
-            }
-            record("gssf", gfit.residual, fit_tol, gating=False, note="seven-function curvature ansatz fit")
-        except FContactError as exc:
-            record("gssf", float("inf"), fit_tol, gating=False, note=f"error: {exc}", passed=False)
-
-    if "trans-s" in requested:
-        try:
-            tfit = nl.fit_trans_s(model, frames)
-            fits["trans_s"] = {
-                "alpha": [float(v) for v in tfit.alpha],
-                "beta": [float(v) for v in tfit.beta],
-                "residual": tfit.residual,
-                "t421_residual": tfit.t421_residual,
-                "condition": tfit.condition,
-            }
-            record("trans-s", tfit.residual, fit_tol, gating=False, note="characteristic-function fit of nabla f")
-        except FContactError as exc:
-            record("trans-s", float("inf"), fit_tol, gating=False, note=f"error: {exc}", passed=False)
-
-    # verdicts -------------------------------------------------------------------
-    is_mfc = axiom_report.max_residual <= IDENTITY_TOL
-    is_normal = normal_res <= IDENTITY_TOL
-    verdicts = {
-        "is_metric_f_contact": bool(is_mfc),
-        "is_normal": bool(is_normal),
-        "is_s_manifold": bool(is_mfc and is_normal),
-        "is_space_form_candidate": (
-            bool(h_report.h_spread <= fit_tol) if h_report is not None else None
-        ),
-    }
-
+    ctx = RunContext(config, entry)
+    checks = [
+        _record(row, ctx)
+        for row in CHECKS
+        if row.name in requested and row.only_s in (None, model.s) and (ctx.has_fit or not row.needs_fit)
+    ]
+    spec = ctx.spectrum
+    is_mfc = ctx.axioms.max_residual <= IDENTITY_TOL
+    is_normal = ctx.normality <= IDENTITY_TOL
     return CheckReport(
         manifold={
             "key": entry.key,
@@ -343,10 +327,23 @@ def run(config: RunConfig) -> CheckReport:
             "convention": model.d_convention.value,
         },
         checks=checks,
-        fits=fits,
-        spectrum=spectrum_out,
-        h_sectional=h_out,
-        verdicts=verdicts,
+        fits=ctx.fits,
+        spectrum=None if spec is None or isinstance(spec, FContactError) else {
+            "lambda": spec.lam,
+            "eigenvalue_residual": spec.eigenvalue_residual,
+            "h_equal_residual": spec.h_equal_residual,
+            "f_swap_residual": spec.f_swap_residual,
+            "h_zero": spec.h_zero,
+        },
+        h_sectional=None if ctx.h is None else {
+            "mean": ctx.h.h_mean, "spread": ctx.h.h_spread, "predicted": ctx.predicted,
+        },
+        verdicts={
+            "is_metric_f_contact": bool(is_mfc),
+            "is_normal": bool(is_normal),
+            "is_s_manifold": bool(is_mfc and is_normal),
+            "is_space_form_candidate": None if ctx.h is None else bool(ctx.h.h_spread <= ctx.fit_tol),
+        },
         seed=config.seed,
         wall_time=time.perf_counter() - t0,
     )
@@ -357,12 +354,12 @@ def run(config: RunConfig) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, manifold_required=True):
-    p.add_argument("--manifold", required=manifold_required, help="catalog key")
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--manifold", help="catalog key")
     p.add_argument("--a", type=float, default=None, help="D-homothetic deformation constant")
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="random seed, >= 0")
     p.add_argument("--tol", type=float, default=FIT_TOL)
     p.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
     p.add_argument(
@@ -374,10 +371,13 @@ def _add_common(p: argparse.ArgumentParser, manifold_required=True):
     p.add_argument("--config", default=None, help="read the run config from a JSON file")
 
 
-def _config_from_args(args, checks) -> RunConfig:
+def _config_from_args(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file is not JSON: {exc}") from exc
         return RunConfig.from_dict(data)
     if args.manifold is None:
         raise ConfigError("either --manifold or --config is required")
@@ -388,7 +388,7 @@ def _config_from_args(args, checks) -> RunConfig:
         points=args.points,
         samples=args.samples,
         tolerance=args.tol,
-        checks=checks,
+        checks=args.checks,
         output_path=args.json_path,
         convention=args.convention,
     )
@@ -398,15 +398,16 @@ def _emit(report: CheckReport, config: RunConfig) -> None:
     if config.output_path:
         with open(config.output_path, "wb") as fh:
             fh.write(emit_report(report, "json"))
-        sys.stdout.write(emit_report(report, "text").decode())
-    else:
-        sys.stdout.write(emit_report(report, "text").decode())
+    sys.stdout.write(emit_report(report, "text").decode())
 
 
-def _run_and_exit(config: RunConfig) -> int:
-    report = run(config)
-    _emit(report, config)
-    return 0 if report.passed else 1
+# Subcommands that run ``check`` on a fixed set of checks.
+PRESETS = {
+    "fit-nullity": (["nullity", "spectrum", "r-xi"], "run the nullity, spectrum and r-xi checks"),
+    "fit-gssf": (["gssf"], "run the gssf check"),
+    "fit-trans-s": (["trans-s"], "run the trans-s check"),
+    "deform": ("all", "check a deformed model against its closed-form prediction"),
+}
 
 
 def main(argv=None) -> int:
@@ -417,24 +418,17 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run the full check battery on a catalog model")
-    _add_common(p_check, manifold_required=False)
+    _add_common(p_check)
     p_check.add_argument(
         "--checks",
         default="all",
-        help="comma-separated subset of checks (default: all)",
+        type=lambda v: "all" if v == "all" else [c.strip() for c in v.split(",")],
+        help=f"comma-separated subset of {', '.join(CHECK_NAMES)} (default: all)",
     )
-
-    for name, checkset in (
-        ("fit-nullity", ["nullity", "spectrum", "r-xi"]),
-        ("fit-gssf", ["gssf"]),
-        ("fit-trans-s", ["trans-s"]),
-    ):
-        p = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} subset")
-        _add_common(p, manifold_required=False)
-        p.set_defaults(checkset=checkset)
-
-    p_deform = sub.add_parser("deform", help="check a deformed model against its closed-form prediction")
-    _add_common(p_deform, manifold_required=False)
+    for name, (checks, help_text) in PRESETS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        p.set_defaults(checks=checks)
 
     p_catalog = sub.add_parser("catalog", help="catalog utilities")
     catalog_sub = p_catalog.add_subparsers(dest="catalog_command", required=True)
@@ -456,28 +450,13 @@ def main(argv=None) -> int:
                       f"convention={entry.d_convention.value}  [{known}]")
             return 0
 
-        if args.command == "check":
-            checks = "all" if args.checks == "all" else [c.strip() for c in args.checks.split(",")]
-            config = _config_from_args(args, checks)
-            return _run_and_exit(config)
-
-        if args.command in ("fit-nullity", "fit-gssf", "fit-trans-s"):
-            config = _config_from_args(args, args.checkset)
-            return _run_and_exit(config)
-
-        if args.command == "deform":
-            if args.a is None and not args.config:
-                raise ConfigError("deform requires --a")
-            config = _config_from_args(args, "all")
-            if config.deform_a is None:
-                raise ConfigError("deform requires a deformation constant")
-            return _run_and_exit(config)
-
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, UnknownManifoldError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except OSError as exc:
+        config = _config_from_args(args)
+        if args.command == "deform" and config.deform_a is None:
+            raise ConfigError("deform requires a deformation constant (--a)")
+        report = run(config)
+        _emit(report, config)
+        return 0 if report.passed else 1
+    except (ConfigError, UnknownManifoldError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -330,7 +330,6 @@ def f_sectional(model: ManifoldModel, p: Point | PointFrame, X) -> float:
 class SpaceFormReport:
     """Sampled f-sectional curvature across points and sections."""
 
-    h_samples: list[float]
     h_mean: float
     h_spread: float
 
@@ -349,7 +348,6 @@ def sample_H_constancy(
         for fr in (as_frame(model, p) for p in points)
     ])
     return SpaceFormReport(
-        h_samples=arr.tolist(),
         h_mean=float(arr.mean()),
         h_spread=float(arr.max() - arr.min()),
     )

@@ -76,11 +76,9 @@ class AxiomReport:
     r_f_squared: float
     r_compat: float
     r_contact: np.ndarray      # per alpha
-    r_normal: float
     r_rank: float              # normalized (2n+1)-th singular value of f
     rank_detected: int
     expected_rank: int
-    convention_used: Convention
     tolerance: float = IDENTITY_TOL
     h_symmetry: float = 0.0    # g-self-adjointness of every h_alpha
     h_trace: float = 0.0
@@ -98,28 +96,22 @@ class AxiomReport:
             "compat": self.r_compat <= tol,
             "contact": bool(np.all(self.r_contact <= tol)),
             "rank": self.r_rank <= tol and self.rank_detected == self.expected_rank,
-            "h_properties": max(
-                self.h_symmetry, self.h_trace, self.h_anticommute, self.h_xi, self.eta_h
-            )
-            <= tol,
+            "h_properties": self.r_h_properties <= tol,
         }
 
     @property
+    def r_axioms(self) -> float:
+        """Worst residual of the f-structure axioms proper, rank included."""
+        return max(self.r_eta_xi, self.r_f_xi, self.r_eta_f, self.r_f_squared, self.r_compat, self.r_rank)
+
+    @property
+    def r_h_properties(self) -> float:
+        """Worst residual of the algebraic properties of the h_alpha."""
+        return max(self.h_symmetry, self.h_trace, self.h_anticommute, self.h_xi, self.eta_h)
+
+    @property
     def max_residual(self) -> float:
-        return max(
-            self.r_eta_xi,
-            self.r_f_xi,
-            self.r_eta_f,
-            self.r_f_squared,
-            self.r_compat,
-            float(np.max(self.r_contact)),
-            self.r_rank,
-            self.h_symmetry,
-            self.h_trace,
-            self.h_anticommute,
-            self.h_xi,
-            self.eta_h,
-        )
+        return max(self.r_axioms, float(np.max(self.r_contact)), self.r_h_properties)
 
 
 def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
@@ -130,7 +122,7 @@ def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
     dim, s, two_n = model.dim, model.s, 2 * model.n
     eye = np.eye(dim)
 
-    r_eta_xi = r_f_xi = r_eta_f = r_f2 = r_compat = r_normal = r_rank = 0.0
+    r_eta_xi = r_f_xi = r_eta_f = r_f2 = r_compat = r_rank = 0.0
     h_sym = h_tr = h_anti = h_xi = eta_h = 0.0
     r_contact = np.zeros(s)
     rank_detected = two_n  # of the point whose rank is furthest from 2n
@@ -151,7 +143,6 @@ def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
         d_eta = fr.d_eta()
         for a in range(s):
             r_contact[a] = max(r_contact[a], float(np.max(np.abs(fr.F - d_eta[a]))))
-        r_normal = max(r_normal, float(np.max(np.abs(fr.normality))))
 
         sv = np.linalg.svd(f, compute_uv=False)
         rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
@@ -175,11 +166,9 @@ def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
         r_f_squared=r_f2,
         r_compat=r_compat,
         r_contact=r_contact,
-        r_normal=r_normal,
         r_rank=r_rank,
         rank_detected=rank_detected,
         expected_rank=two_n,
-        convention_used=model.d_convention,
         h_symmetry=h_sym,
         h_trace=h_tr,
         h_anticommute=h_anti,

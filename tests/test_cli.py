@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 
 from fcontact import geom
-from fcontact.cli import ConfigError, RunConfig, _resolve_entry, main, run
+from fcontact.cli import CHECK_NAMES, ConfigError, RunConfig, _resolve_entry, main, run
 from fcontact.report import REPORT_SCHEMA, emit_report, parse_report
 
 
@@ -57,6 +57,12 @@ def test_invalid_config_rejected():
             run(RunConfig(manifold_key="flat-contact-r3", deform_a=a))
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"manifold_key": "flat-contact-r3", "what": 1})
+    # wrong types, a negative seed and an empty check list never reach a run
+    for bad in ({"seed": -1}, {"points": "3"}, {"points": 2.5}, {"points": True},
+                {"samples": "200"}, {"seed": 1.0}, {"checks": []}, {"checks": "nullity"},
+                {"tolerance": float("inf")}, {"tolerance": "1e-6"}):
+        with pytest.raises(ConfigError):
+            run(RunConfig.from_dict({"manifold_key": "flat-contact-r3", **bad}))
 
 
 def test_json_round_trip(deformed_report):
@@ -116,6 +122,17 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", "--manifold", "flat-contact-r3", "--a", "inf"]) == 2
     assert "finite" in capsys.readouterr().err
+    assert main(["check", "--manifold", "flat-contact-r3", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    path = tmp_path / "bad.json"
+    for bad in ({"points": "3"}, {"points": 2.5}, {"checks": []}):
+        path.write_text(json.dumps({"manifold_key": "flat-contact-r3", **bad}))
+        assert main(["check", "--config", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+    for text in ('["flat-contact-r3"]', "{manifold_key"):
+        path.write_text(text)
+        assert main(["check", "--config", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
     # an unachievable tolerance turns residuals into failures -> exit 1
     code = main(
         ["check", "--manifold", "flat-contact-r3", "--points", "3", "--samples", "60",
@@ -197,3 +214,20 @@ def test_run_builds_one_frame_per_point(monkeypatch):
     report = run(RunConfig("s-space-form:2,2", points=5, samples=50))
     assert report.passed
     assert len(built) == 5
+
+
+@pytest.mark.parametrize("key", ["s-space-form:2,2", "flat-contact-r3:deformed:0.5"])
+def test_check_subset_equals_filtered_full_run(key):
+    def run_checks(checks):
+        return run(RunConfig(key, points=3, samples=40, seed=3, checks=checks))
+
+    full = run_checks("all")
+    names = [n for n in CHECK_NAMES if n != "gssf" or full.manifold["s"] == 2]
+    assert [c.name for c in full.checks] == names
+    for name in names:
+        single = run_checks([name])
+        assert single.checks == [c for c in full.checks if c.name == name], name
+        assert single.fits["nullity"] == full.fits["nullity"], name
+        assert single.spectrum == full.spectrum, name
+        assert single.h_sectional == full.h_sectional, name
+        assert single.verdicts == full.verdicts, name
