@@ -18,7 +18,6 @@ from .catalog import (
     catalog_list,
 )
 from .deform import (
-    DeformationParams,
     DeformedNullityPrediction,
     convention_normalize,
     d_deform,
@@ -35,14 +34,10 @@ from .errors import (
     UnknownManifoldError,
 )
 from .geom import (
-    ConnectionCoefficients,
     Convention,
     CurvatureData,
     ManifoldModel,
     PointFrame,
-    christoffel,
-    exterior_derivative_1form,
-    lie_bracket,
     riemann,
     sample_points,
 )
@@ -84,10 +79,8 @@ __all__ = [
     "CatalogEntry",
     "CheckRecord",
     "CheckReport",
-    "ConnectionCoefficients",
     "Convention",
     "CurvatureData",
-    "DeformationParams",
     "DeformedNullityPrediction",
     "DegenerateMetricError",
     "ExpectedFit",
@@ -120,18 +113,15 @@ __all__ = [
     "check_rf_identity",
     "check_ricci_model",
     "check_splitting_lemma",
-    "christoffel",
     "convention_normalize",
     "d_deform",
     "emit_report",
-    "exterior_derivative_1form",
     "f_sectional",
     "fit_gssf",
     "fit_nullity",
     "fit_trans_s",
     "h_spectrum",
     "killing_check",
-    "lie_bracket",
     "parse_report",
     "predict_deformed_nullity",
     "riemann",

@@ -25,18 +25,18 @@ metric f-contact model and the natural input for
 way the nullity theory expects (its h-eigenvalues are +-1/2), so it is not a
 catalog entry.
 
-Deformed entries use keys like ``flat-contact-r3:deformed:0.5``.
+Deformed entries use keys like ``flat-contact-r3:deformed:0.5``; the constant
+must lie in ``[1e-10, 1e10]`` (see :func:`fcontact.deform.check_constant`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
-from .deform import d_deform, predict_deformed_nullity
+from .deform import check_constant, d_deform, predict_deformed_nullity
 from .errors import UnknownManifoldError
 from .geom import Convention, ManifoldModel
 
@@ -53,12 +53,12 @@ class ExpectedFit:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A catalog key, its model (which carries ``n``, ``s`` and the convention)
+    and the values a fit should reproduce."""
+
     key: str
     model: ManifoldModel
-    n: int
-    s: int
     expected: ExpectedFit | None
-    d_convention: Convention
 
 
 def _default_box(dim: int) -> np.ndarray:
@@ -164,14 +164,10 @@ def build_flat_contact_r3_plain() -> ManifoldModel:
 
 def _base_entry(key: str) -> CatalogEntry:
     if key == "flat-contact-r3":
-        model = build_flat_contact_r3()
         return CatalogEntry(
             key=key,
-            model=model,
-            n=1,
-            s=1,
+            model=build_flat_contact_r3(),
             expected=ExpectedFit(0.0, 0.0, 0.0, note="curvature vanishes identically"),
-            d_convention=model.d_convention,
         )
     if key.startswith("s-space-form:"):
         try:
@@ -181,16 +177,12 @@ def _base_entry(key: str) -> CatalogEntry:
             raise UnknownManifoldError(key) from exc
         if n < 1 or s < 1:
             raise UnknownManifoldError(key)
-        model = build_s_space_form(n, s)
         return CatalogEntry(
             key=key,
-            model=model,
-            n=n,
-            s=s,
+            model=build_s_space_form(n, s),
             expected=ExpectedFit(
                 1.0, None, -3.0 * s, note="normal structure; mu unconstrained since h = 0"
             ),
-            d_convention=model.d_convention,
         )
     raise UnknownManifoldError(key)
 
@@ -200,15 +192,12 @@ def catalog_get(key: str) -> CatalogEntry:
     if ":deformed:" in key:
         base_key, a_str = key.rsplit(":deformed:", 1)
         try:
-            a = float(a_str)
+            a = check_constant(float(a_str))
         except ValueError as exc:
             raise UnknownManifoldError(key) from exc
-        if not (math.isfinite(a) and a > 0):
-            raise UnknownManifoldError(key)
         base = _base_entry(base_key)
-        model = d_deform(base.model, a)
         if base_key == "flat-contact-r3":
-            pred = predict_deformed_nullity(a, base.s)
+            pred = predict_deformed_nullity(a, base.model.s)
             expected = ExpectedFit(
                 pred.kappa,
                 pred.mu,
@@ -219,14 +208,7 @@ def catalog_get(key: str) -> CatalogEntry:
             expected = ExpectedFit(
                 1.0, None, None, note="deformation preserves the normal structure; H measured"
             )
-        return CatalogEntry(
-            key=key,
-            model=model,
-            n=base.n,
-            s=base.s,
-            expected=expected,
-            d_convention=model.d_convention,
-        )
+        return CatalogEntry(key=key, model=d_deform(base.model, a), expected=expected)
     return _base_entry(key)
 
 

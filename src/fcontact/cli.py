@@ -26,7 +26,7 @@ import numpy as np
 from . import nullity as nl
 from . import structure as stc
 from .catalog import CatalogEntry, catalog_get, catalog_list
-from .deform import format_constant
+from .deform import check_constant, format_constant
 from .errors import FContactError, NotApplicableError, UnknownManifoldError
 from .geom import Convention, PointFrame, sample_points
 from .report import CheckRecord, CheckReport, emit_report
@@ -35,6 +35,12 @@ from .tolerances import FIT_TOL, IDENTITY_TOL
 
 class ConfigError(ValueError):
     """Invalid run configuration (exit code 2)."""
+
+
+# Largest accepted sizes: a run holds one frame per point and draws up to
+# ``samples`` sections at once, so larger values exhaust memory.
+MAX_POINTS = 1000
+MAX_SAMPLES = 1_000_000
 
 
 def _is_int(value) -> bool:
@@ -60,17 +66,20 @@ class RunConfig:
     def validate(self) -> None:
         if not isinstance(self.manifold_key, str):
             raise ConfigError("manifold_key must be a string")
-        for name in ("points", "samples"):
-            if not (_is_int(getattr(self, name)) and getattr(self, name) >= 1):
-                raise ConfigError(f"{name} must be an integer >= 1")
+        for name, most in (("points", MAX_POINTS), ("samples", MAX_SAMPLES)):
+            if not (_is_int(getattr(self, name)) and 1 <= getattr(self, name) <= most):
+                raise ConfigError(f"{name} must be an integer in [1, {most}]")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError("seed must be an integer >= 0")
         if not (_is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ConfigError("tolerance must be positive and finite")
-        if self.deform_a is not None and not (
-            _is_real(self.deform_a) and math.isfinite(self.deform_a) and self.deform_a > 0
-        ):
-            raise ConfigError("deformation constant must be positive and finite")
+        if self.deform_a is not None:
+            if not _is_real(self.deform_a):
+                raise ConfigError("deformation constant must be a number")
+            try:
+                check_constant(self.deform_a)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.convention not in ("auto", "half", "plain"):
             raise ConfigError(f"unknown convention {self.convention!r}")
         if self.checks != "all":
@@ -100,7 +109,7 @@ def _resolve_entry(config: RunConfig) -> CatalogEntry:
     entry = catalog_get(key)
     if config.convention != "auto":
         model = dataclasses.replace(entry.model, d_convention=Convention(config.convention))
-        entry = dataclasses.replace(entry, model=model, d_convention=model.d_convention)
+        entry = dataclasses.replace(entry, model=model)
     return entry
 
 
@@ -189,14 +198,15 @@ def _axioms(ctx: RunContext):
 
 def _killing(ctx: RunContext):
     """Disagreement between ``L_xi g = 0`` and ``h = 0``, which are equivalent."""
-    defect, notes = 0.0, []
+    h_norms = np.max(np.abs([fr.h_all for fr in ctx.frames]), axis=(0, 2, 3))
+    defects, notes, tol = [0.0], [], IDENTITY_TOL
     for a in range(ctx.model.s):
-        k_res = stc.killing_check(ctx.model, a, ctx.frames)
-        h_norm = max(float(np.max(np.abs(fr.h_all[a]))) for fr in ctx.frames)
-        if (k_res < IDENTITY_TOL) != (h_norm < IDENTITY_TOL):
-            defect = max(defect, min(k_res, h_norm))
+        k_res, h_norm = stc.killing_check(ctx.model, a, ctx.frames), float(h_norms[a])
+        # every comparison with NaN is false, so NaN agrees with nothing and its defect is NaN
+        if not ((k_res < tol and h_norm < tol) or (k_res >= tol and h_norm >= tol)):
+            defects.append(np.minimum(k_res, h_norm))
         notes.append(f"alpha={a}: L_xi g={k_res:.2e}, |h|={h_norm:.2e}")
-    return defect, True, "; ".join(notes)
+    return np.max(defects), True, "; ".join(notes)
 
 
 def _nullity(ctx: RunContext):
@@ -446,8 +456,9 @@ def main(argv=None) -> int:
                     if exp
                     else "no expected record"
                 )
-                print(f"{entry.key:<22} n={entry.n} s={entry.s} dim={2*entry.n+entry.s} "
-                      f"convention={entry.d_convention.value}  [{known}]")
+                m = entry.model
+                print(f"{entry.key:<22} n={m.n} s={m.s} dim={m.dim} "
+                      f"convention={m.d_convention.value}  [{known}]")
             return 0
 
         config = _config_from_args(args)

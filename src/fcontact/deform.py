@@ -27,17 +27,23 @@ import numpy as np
 
 from .errors import NotApplicableError
 from .geom import Convention, ManifoldModel
+from .tolerances import METRIC_CONDITION_MAX
 
 
-@dataclass(frozen=True)
-class DeformationParams:
-    """Constant of a D-homothetic deformation; ``a = 1`` is the identity."""
+def check_constant(a: float) -> float:
+    """``a`` as a float, if it is a usable deformation constant; else ``ValueError``.
 
-    a: float
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"deformation constant must be positive, got {self.a}")
+    The deformed flat metric has eigenvalues ``a`` and ``a^2``, so its
+    condition number is ``max(a, 1/a)``: outside
+    ``[1/METRIC_CONDITION_MAX, METRIC_CONDITION_MAX]`` every point is degenerate.
+    """
+    a = float(a)
+    if not 1.0 / METRIC_CONDITION_MAX <= a <= METRIC_CONDITION_MAX:
+        raise ValueError(
+            f"deformation constant must be finite and in [{1.0 / METRIC_CONDITION_MAX:g}, "
+            f"{METRIC_CONDITION_MAX:g}], got {a}"
+        )
+    return a
 
 
 def format_constant(a: float) -> str:
@@ -65,11 +71,9 @@ def _rescale(model: ManifoldModel, g_scale, c, xi_scale, eta_scale, **changes) -
     )
 
 
-def d_deform(model: ManifoldModel, params: DeformationParams | float) -> ManifoldModel:
+def d_deform(model: ManifoldModel, a: float) -> ManifoldModel:
     """Return the D-homothetically deformed model (lazy field composition)."""
-    a = params.a if isinstance(params, DeformationParams) else float(params)
-    if not a > 0:
-        raise ValueError(f"deformation constant must be positive, got {a}")
+    a = check_constant(a)
     suffix = f"deformed:{format_constant(a)}"
     return _rescale(model, a, a * (a - 1.0), 1.0 / a, a,
                     label=f"{model.label}:{suffix}" if model.label else suffix)
@@ -84,15 +88,10 @@ class DeformedNullityPrediction:
     h_sectional: float
     is_space_form_case: bool   # mu = kappa + 1, i.e. a = 1/2
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.kappa, self.mu, self.h_sectional)
 
-
-def predict_deformed_nullity(params: DeformationParams | float, s: int) -> DeformedNullityPrediction:
+def predict_deformed_nullity(a: float, s: int) -> DeformedNullityPrediction:
     """Predicted (kappa, mu, H) when the base model satisfies R(X, Y)xi = 0."""
-    a = params.a if isinstance(params, DeformationParams) else float(params)
-    if not a > 0:
-        raise ValueError(f"deformation constant must be positive, got {a}")
+    a = check_constant(a)
     kappa = (a**2 - 1.0) / a**2
     mu = 2.0 * (a - 1.0) / a
     h = -s * (3.0 * a**2 - 2.0 * a - 1.0) / a**2

@@ -21,7 +21,7 @@ Under these choices the built-in S-structure fits ``kappa = +1``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -70,9 +70,6 @@ class ManifoldModel:
     @property
     def dim(self) -> int:
         return 2 * self.n + self.s
-
-    def with_label(self, label: str) -> "ManifoldModel":
-        return replace(self, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +331,6 @@ def as_frame(model: ManifoldModel, p: Point | PointFrame) -> PointFrame:
 
 
 @dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Levi-Civita connection coefficients at a point, ``gamma[k, i, j]``."""
-
-    gamma: np.ndarray
-
-
-@dataclass(frozen=True)
 class CurvatureData:
     """Riemann tensor (3,1) and (4,0) forms plus the Ricci operator."""
 
@@ -349,72 +339,17 @@ class CurvatureData:
     ricci_op: np.ndarray
 
 
-def christoffel(model: ManifoldModel, p: Point | PointFrame) -> ConnectionCoefficients:
-    """Levi-Civita connection from the metric's first derivatives."""
-    return ConnectionCoefficients(gamma=as_frame(model, p).gamma)
-
-
 def riemann(model: ManifoldModel, p: Point | PointFrame) -> CurvatureData:
     """Curvature tensor and Ricci operator at ``p``."""
     frame = as_frame(model, p)
     return CurvatureData(frame.riemann31, frame.riemann40, frame.ricci_op)
 
 
-def lie_bracket(field_a: FieldEvaluator, field_b: FieldEvaluator, p: Point) -> np.ndarray:
-    """``[A, B]^i = A^j d_j B^i - B^j d_j A^i`` at ``p``."""
-    p = np.asarray(p, dtype=float)
-    dim = p.shape[0]
-    x = jets.variables(p)
-    a_raw, b_raw = field_a(x), field_b(x)
-    a, b = jets.tensor_value(a_raw), jets.tensor_value(b_raw)
-    da = jets.tensor_jacobian(a_raw, dim)  # da[i, j] = d_j A^i
-    db = jets.tensor_jacobian(b_raw, dim)
-    return db @ a - da @ b
-
-
-def exterior_derivative_1form(
-    model: ManifoldModel, eta_index: int, p: Point | PointFrame, convention: Convention
-) -> np.ndarray:
-    """``d eta`` of the eta_index-th structure one-form, as an antisymmetric matrix."""
-    return as_frame(model, p).d_eta(convention)[eta_index]
-
-
 def sample_points(model: ManifoldModel, count: int, seed) -> list[Point]:
-    """Deterministic uniform samples from the model's domain box."""
+    """Deterministic uniform samples from the model's domain box; ``seed`` is
+    anything ``np.random.default_rng`` takes, a ``Generator`` being used as is."""
     box = np.asarray(model.domain_box, dtype=float)
     if box.ndim != 2 or box.shape != (model.dim, 2) or np.any(box[:, 1] <= box[:, 0]):
         raise ValueError(f"empty or malformed domain box: {box!r}")
-    rng = as_rng(seed)
-    draws = rng.uniform(box[:, 0], box[:, 1], size=(count, model.dim))
+    draws = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(count, model.dim))
     return [draws[i] for i in range(count)]
-
-
-def as_rng(seed) -> np.random.Generator:
-    """Accept an int seed or a ready Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def metric_compatibility_residual(model: ManifoldModel, p: Point | PointFrame) -> float:
-    """Max component of ``nabla g`` (zero for the Levi-Civita connection)."""
-    frame = as_frame(model, p)
-    nabla_g = (
-        np.einsum("ijk->kij", frame.dg)
-        - np.einsum("lki,lj->kij", frame.gamma, frame.g)
-        - np.einsum("lkj,il->kij", frame.gamma, frame.g)
-    )
-    return float(np.max(np.abs(nabla_g)))
-
-
-def riemann_symmetry_residuals(model: ManifoldModel, p: Point | PointFrame) -> dict[str, float]:
-    """Antisymmetries, pair symmetry and the first Bianchi identity of R."""
-    R = as_frame(model, p).riemann40
-    return {
-        "antisym_xy": float(np.max(np.abs(R + np.einsum("jikl->ijkl", R)))),
-        "antisym_zw": float(np.max(np.abs(R + np.einsum("ijlk->ijkl", R)))),
-        "pair": float(np.max(np.abs(R - np.einsum("klij->ijkl", R)))),
-        "bianchi1": float(
-            np.max(np.abs(R + np.einsum("jkil->ijkl", R) + np.einsum("kijl->ijkl", R)))
-        ),
-    }

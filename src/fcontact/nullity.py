@@ -42,7 +42,7 @@ from .errors import (
     NotApplicableError,
     SpectralInconsistencyError,
 )
-from .geom import ManifoldModel, Point, PointFrame, as_frame, as_rng
+from .geom import ManifoldModel, Point, PointFrame, as_frame
 from .structure import structure_at  # noqa: F401  (re-exported)
 from .tolerances import FIT_TOL, IDENTITY_TOL, relative_residual
 
@@ -342,7 +342,7 @@ def sample_H_constancy(
     H(X) is not multilinear in X, so it is sampled: the sections of each
     point are drawn in turn and then evaluated together.
     """
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     arr = np.concatenate([
         _f_sectional_rows(fr, fr.random_unit_sections(rng, sections_per_point))
         for fr in (as_frame(model, p) for p in points)
@@ -427,7 +427,7 @@ def check_splitting_lemma(
     """
     if fit.kappa >= 1.0 - FIT_TOL:
         raise NotApplicableError("the splitting formula requires kappa < 1")
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     fr = as_frame(model, p)
     spec = h_spectrum(model, fit, fr)
     s, mu = model.s, fit.mu_effective

@@ -49,7 +49,8 @@ def test_deformed_s_structure_key():
 @pytest.mark.parametrize(
     "key",
     ["nope", "s-space-form:abc", "s-space-form:0,1", "flat-contact-r3:deformed:x",
-     "flat-contact-r3:deformed:-1", "flat-contact-r3:deformed:inf", "flat-contact-r3:deformed:nan"],
+     "flat-contact-r3:deformed:-1", "flat-contact-r3:deformed:inf", "flat-contact-r3:deformed:nan",
+     "flat-contact-r3:deformed:1e-300", "flat-contact-r3:deformed:1e300", "flat-contact-r3:deformed:5e-324"],
 )
 def test_unknown_keys_raise(key):
     with pytest.raises(UnknownManifoldError):

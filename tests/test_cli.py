@@ -1,4 +1,5 @@
 import json
+import math
 
 import jsonschema
 import pytest
@@ -45,14 +46,20 @@ def test_unknown_manifold_raises():
         run(RunConfig(manifold_key="nope"))
 
 
-def test_invalid_config_rejected():
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("an invalid config reached point sampling")
+
+
+def test_invalid_config_rejected(monkeypatch):
+    # sizes beyond the bounds must be rejected before anything is allocated
+    monkeypatch.setattr("fcontact.cli.sample_points", _no_sampling)
     with pytest.raises(ConfigError):
         run(RunConfig(manifold_key="flat-contact-r3", points=0))
     with pytest.raises(ConfigError):
         run(RunConfig(manifold_key="flat-contact-r3", tolerance=-1.0))
     with pytest.raises(ConfigError):
         run(RunConfig(manifold_key="flat-contact-r3", checks=["bogus"]))
-    for a in (float("inf"), float("nan")):
+    for a in (float("inf"), float("nan"), 1e300, 1e-300):
         with pytest.raises(ConfigError):
             run(RunConfig(manifold_key="flat-contact-r3", deform_a=a))
     with pytest.raises(ConfigError):
@@ -60,7 +67,8 @@ def test_invalid_config_rejected():
     # wrong types, a negative seed and an empty check list never reach a run
     for bad in ({"seed": -1}, {"points": "3"}, {"points": 2.5}, {"points": True},
                 {"samples": "200"}, {"seed": 1.0}, {"checks": []}, {"checks": "nullity"},
-                {"tolerance": float("inf")}, {"tolerance": "1e-6"}):
+                {"tolerance": float("inf")}, {"tolerance": "1e-6"}, {"deform_a": "2"},
+                {"points": 1001}, {"points": 10**11}, {"samples": 1_000_001}, {"samples": 10**11}):
         with pytest.raises(ConfigError):
             run(RunConfig.from_dict({"manifold_key": "flat-contact-r3", **bad}))
 
@@ -117,11 +125,17 @@ def test_different_seeds_still_pass(tmp_path):
         assert code == 0
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["check", "--manifold", "nope"]) == 2
     capsys.readouterr()
-    assert main(["check", "--manifold", "flat-contact-r3", "--a", "inf"]) == 2
-    assert "finite" in capsys.readouterr().err
+    for a in ("inf", "1e300"):
+        assert main(["check", "--manifold", "flat-contact-r3", "--a", a]) == 2
+        assert "finite" in capsys.readouterr().err
+    with monkeypatch.context() as m:
+        m.setattr("fcontact.cli.sample_points", _no_sampling)
+        for sizes in (["--points", "100000000000"], ["--samples", "100000000000", "--checks", "axioms"]):
+            assert main(["check", "--manifold", "flat-contact-r3", *sizes]) == 2
+            assert sizes[0][2:] in capsys.readouterr().err
     assert main(["check", "--manifold", "flat-contact-r3", "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
     path = tmp_path / "bad.json"
@@ -141,6 +155,14 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1
     capsys.readouterr()
     assert main(["catalog", "list"]) == 0
+
+
+@pytest.mark.parametrize("key", ["flat-contact-r3", "s-space-form:1,1"])
+def test_nan_killing_residual_fails(monkeypatch, key):
+    monkeypatch.setattr("fcontact.structure.killing_check", lambda *args: float("nan"))
+    (record,) = run(RunConfig(key, points=3, samples=20, checks=["killing"])).checks
+    assert math.isnan(record.residual)
+    assert not record.passed and record.gating
 
 
 def test_cli_subcommands_run(capsys):

@@ -14,7 +14,6 @@ from fcontact import (
     sample_H_constancy,
     sample_points,
 )
-from fcontact.deform import DeformationParams
 from fcontact.jets import tensor_value
 
 IDT = 1e-8
@@ -55,16 +54,16 @@ def test_deformed_duality_consistency(flat):
 
 def test_prediction_values():
     pred = predict_deformed_nullity(2.0, s=1)
-    assert pred.as_tuple() == pytest.approx((0.75, 1.0, -1.75))
+    assert (pred.kappa, pred.mu, pred.h_sectional) == pytest.approx((0.75, 1.0, -1.75))
     assert not pred.is_space_form_case
 
     pred = predict_deformed_nullity(0.5, s=1)
-    assert pred.as_tuple() == pytest.approx((-3.0, -2.0, 5.0))
+    assert (pred.kappa, pred.mu, pred.h_sectional) == pytest.approx((-3.0, -2.0, 5.0))
     assert pred.is_space_form_case
     assert pred.mu == pytest.approx(pred.kappa + 1.0)
 
     pred = predict_deformed_nullity(1.0, s=1)
-    assert pred.as_tuple() == pytest.approx((0.0, 0.0, 0.0))
+    assert (pred.kappa, pred.mu, pred.h_sectional) == pytest.approx((0.0, 0.0, 0.0))
 
 
 def test_prediction_rejects_nonpositive_a():
@@ -72,8 +71,12 @@ def test_prediction_rejects_nonpositive_a():
         predict_deformed_nullity(0.0, s=1)
     with pytest.raises(ValueError):
         d_deform(None, -1.0)
-    with pytest.raises(ValueError):
-        DeformationParams(-2.0)
+    # constants outside [1e-10, 1e10] give a degenerate metric at every point
+    for a in (-2.0, 1e-300, 1e300, 5e-324, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="deformation constant"):
+            predict_deformed_nullity(a, s=1)
+        with pytest.raises(ValueError, match="deformation constant"):
+            d_deform(None, a)
 
 
 @pytest.mark.parametrize("a", [0.5, 0.75, 2.0, 3.0])

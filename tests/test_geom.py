@@ -4,26 +4,43 @@ import pytest
 from fcontact import (
     Convention,
     build_s_space_form,
-    christoffel,
     d_deform,
-    exterior_derivative_1form,
-    lie_bracket,
     riemann,
     sample_points,
 )
-from fcontact.geom import (
-    PointFrame,
-    metric_compatibility_residual,
-    riemann_symmetry_residuals,
-)
+from fcontact.geom import ManifoldModel, Point, PointFrame, as_frame
 from fcontact.structure import structure_at
 
-from .oracles import fd_christoffel, fd_dgamma
+from .oracles import fd_christoffel, fd_dgamma, sympy_riemann31
+
+
+def metric_compatibility_residual(model: ManifoldModel, p: Point | PointFrame) -> float:
+    """Max component of ``nabla g`` (zero for the Levi-Civita connection)."""
+    frame = as_frame(model, p)
+    nabla_g = (
+        np.einsum("ijk->kij", frame.dg)
+        - np.einsum("lki,lj->kij", frame.gamma, frame.g)
+        - np.einsum("lkj,il->kij", frame.gamma, frame.g)
+    )
+    return float(np.max(np.abs(nabla_g)))
+
+
+def riemann_symmetry_residuals(model: ManifoldModel, p: Point | PointFrame) -> dict[str, float]:
+    """Antisymmetries, pair symmetry and the first Bianchi identity of R."""
+    R = as_frame(model, p).riemann40
+    return {
+        "antisym_xy": float(np.max(np.abs(R + np.einsum("jikl->ijkl", R)))),
+        "antisym_zw": float(np.max(np.abs(R + np.einsum("ijlk->ijkl", R)))),
+        "pair": float(np.max(np.abs(R - np.einsum("klij->ijkl", R)))),
+        "bianchi1": float(
+            np.max(np.abs(R + np.einsum("jkil->ijkl", R) + np.einsum("kijl->ijkl", R)))
+        ),
+    }
 
 
 def test_flat_metric_has_zero_connection_and_curvature(flat, flat_points):
     for p in flat_points[:3]:
-        assert np.max(np.abs(christoffel(flat, p).gamma)) == 0.0
+        assert np.max(np.abs(PointFrame(flat, p).gamma)) == 0.0
         data = riemann(flat, p)
         assert np.max(np.abs(data.riemann31)) < 1e-10
         assert np.max(np.abs(data.ricci_op)) < 1e-10
@@ -31,14 +48,14 @@ def test_flat_metric_has_zero_connection_and_curvature(flat, flat_points):
 
 def test_christoffel_matches_finite_differences_at_origin(s11):
     p = np.zeros(3)
-    gamma = christoffel(s11, p).gamma
+    gamma = PointFrame(s11, p).gamma
     assert np.max(np.abs(gamma - fd_christoffel(s11, p))) < 1e-6
 
 
 def test_christoffel_matches_finite_differences_r5():
     model = build_s_space_form(2, 1)
     p = np.zeros(5)
-    gamma = christoffel(model, p).gamma
+    gamma = PointFrame(model, p).gamma
     assert np.max(np.abs(gamma - fd_christoffel(model, p))) < 1e-6
 
 
@@ -46,7 +63,7 @@ def test_christoffel_matches_finite_differences_r5():
 def test_christoffel_matches_finite_differences_deformed(flat, seed):
     model = d_deform(flat, 2.0)
     (p,) = sample_points(model, 1, seed=seed)
-    gamma = christoffel(model, p).gamma
+    gamma = PointFrame(model, p).gamma
     assert np.max(np.abs(gamma - fd_christoffel(model, p))) < 1e-6
 
 
@@ -57,7 +74,7 @@ def test_christoffel_matches_fd_on_all_catalog_entries():
                 "flat-contact-r3:deformed:2", "flat-contact-r3:deformed:0.5"):
         model = catalog_get(key).model
         for p in sample_points(model, 3, seed=11):
-            gamma = christoffel(model, p).gamma
+            gamma = PointFrame(model, p).gamma
             assert np.max(np.abs(gamma - fd_christoffel(model, p))) < 1e-5, key
 
 
@@ -70,7 +87,7 @@ def test_dgamma_matches_finite_differences(flat):
 
 def test_torsion_free(s22, s22_points):
     for p in s22_points:
-        gamma = christoffel(s22, p).gamma
+        gamma = PointFrame(s22, p).gamma
         assert np.max(np.abs(gamma - np.einsum("kij->kji", gamma))) < 1e-12
 
 
@@ -80,6 +97,37 @@ def test_metric_compatibility(flat, s11, s22, deformed, flat_points, s11_points,
     for model, points in cases:
         for p in points[:4]:
             assert metric_compatibility_residual(model, p) < 1e-8
+
+
+def _s11_metric(x):
+    # g = eta (x) eta + 1/4 (dx^2 + dy^2), eta = 1/2 (dz - y dx)
+    import sympy as sp
+
+    eta = sp.Matrix([-x[1] / 2, 0, sp.Rational(1, 2)])
+    return eta * eta.T + sp.diag(sp.Rational(1, 4), sp.Rational(1, 4), 0)
+
+
+def _flat_deformed_2_metric(x):
+    # a g + a (a - 1) eta (x) eta at a = 2, with g = I and eta = cos(2z) dx + sin(2z) dy
+    import sympy as sp
+
+    eta = sp.Matrix([sp.cos(2 * x[2]), sp.sin(2 * x[2]), 0])
+    return 2 * sp.eye(3) + 2 * eta * eta.T
+
+
+@pytest.mark.parametrize(
+    "key, metric",
+    [("s-space-form:1,1", _s11_metric), ("flat-contact-r3:deformed:2", _flat_deformed_2_metric)],
+)
+def test_riemann_matches_sympy_oracle(key, metric):
+    sp = pytest.importorskip("sympy")
+    from fcontact import catalog_get
+
+    point = (sp.Rational(1, 3), sp.Rational(-1, 2), sp.Rational(1, 5))
+    expected = sympy_riemann31(metric, point)
+    got = PointFrame(catalog_get(key).model, np.array([float(c) for c in point])).riemann31
+    assert np.max(np.abs(expected)) > 0.1
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_riemann_symmetries_and_bianchi(s22, s22_points, deformed, flat_points):
@@ -109,23 +157,10 @@ def test_sectional_curvature_of_xi_planes_is_one(s22, s22_points):
             assert val == pytest.approx(1.0, abs=1e-8)
 
 
-def test_lie_bracket_coordinate_fields_commute():
-    dx = lambda x: np.array([1.0, 0.0], dtype=object)
-    dy = lambda x: np.array([0.0, 1.0], dtype=object)
-    out = lie_bracket(dx, dy, np.array([0.3, -0.4]))
-    assert np.allclose(out, 0)
-
-
-def test_lie_bracket_hand_oracle():
-    # A = x^2 d/dy, B = d/dx on R^2: [A, B] = -2x d/dy
-    A = lambda x: np.array([0.0, x[0] ** 2], dtype=object)
-    B = lambda x: np.array([1.0, 0.0], dtype=object)
-    p = np.array([1.7, 0.2])
-    assert np.allclose(lie_bracket(A, B, p), [0.0, -2 * 1.7])
-
-
 def test_lie_bracket_structure_fields_commute(s22, s22_points):
-    out = lie_bracket(s22.xi_fields[0], s22.xi_fields[1], s22_points[0])
+    # [xi_1, xi_2]^i = xi_1^j d_j xi_2^i - xi_2^j d_j xi_1^i, with dxi[a, i, j] = d_j xi_a^i
+    frame = PointFrame(s22, s22_points[0])
+    out = frame.dxi[1] @ frame.xi[0] - frame.dxi[0] @ frame.xi[1]
     assert np.allclose(out, 0)
 
 
@@ -135,14 +170,14 @@ def test_exterior_derivative_constant_form(flat):
     import dataclasses
 
     m = dataclasses.replace(model, eta_fields=(const_eta,))
-    d = exterior_derivative_1form(m, 0, np.array([0.1, 0.2, 0.3]), Convention.PLAIN)
+    d = PointFrame(m, np.array([0.1, 0.2, 0.3])).d_eta(Convention.PLAIN)[0]
     assert np.allclose(d, 0)
 
 
 def test_exterior_derivative_hand_oracle(flat_plain):
     # eta = cos z dx + sin z dy at z = 0: (d eta)_zy = 1, (d eta)_zx = 0 (PLAIN)
     p = np.zeros(3)
-    d = exterior_derivative_1form(flat_plain, 0, p, Convention.PLAIN)
+    d = PointFrame(flat_plain, p).d_eta(Convention.PLAIN)[0]
     assert d[2, 1] == pytest.approx(1.0)
     assert d[2, 0] == pytest.approx(0.0)
     assert np.max(np.abs(d + d.T)) < 1e-12
@@ -153,7 +188,7 @@ def test_exterior_derivative_equals_F_under_declared_convention(s22, s22_points)
         frame = PointFrame(s22, p)
         F = frame.g @ frame.f
         for a in range(s22.s):
-            d = exterior_derivative_1form(s22, a, p, Convention.HALF)
+            d = frame.d_eta(Convention.HALF)[a]
             assert np.max(np.abs(F - d)) < 1e-8
 
 
@@ -192,10 +227,10 @@ def test_degenerate_metric_error():
     model = build_s_space_form(1, 1)
     singular = dataclasses.replace(model, metric_field=lambda x: np.zeros((3, 3)))
     with pytest.raises(DegenerateMetricError):
-        christoffel(singular, np.zeros(3))
+        PointFrame(singular, np.zeros(3)).gamma
     near = dataclasses.replace(model, metric_field=lambda x: np.diag([1.0, 1.0, 1e-12]))
     with pytest.raises(DegenerateMetricError, match="condition number"):
-        christoffel(near, np.zeros(3))
+        PointFrame(near, np.zeros(3)).gamma
     # a small but well-conditioned metric is fine
     scaled = dataclasses.replace(model, metric_field=lambda x: 1e-6 * np.eye(3))
-    assert np.max(np.abs(christoffel(scaled, np.zeros(3)).gamma)) == 0.0
+    assert np.max(np.abs(PointFrame(scaled, np.zeros(3)).gamma)) == 0.0
