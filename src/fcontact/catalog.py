@@ -194,7 +194,7 @@ def catalog_get(key: str) -> CatalogEntry:
         try:
             a = check_constant(float(a_str))
         except ValueError as exc:
-            raise UnknownManifoldError(key) from exc
+            raise UnknownManifoldError(f"{key}: {exc}") from exc
         base = _base_entry(base_key)
         if base_key == "flat-contact-r3":
             pred = predict_deformed_nullity(a, base.model.s)

@@ -17,6 +17,8 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import stat
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -28,7 +30,7 @@ from . import structure as stc
 from .catalog import CatalogEntry, catalog_get, catalog_list
 from .deform import check_constant, format_constant
 from .errors import FContactError, NotApplicableError, UnknownManifoldError
-from .geom import Convention, PointFrame, sample_points
+from .geom import Convention, as_frames, sample_points
 from .report import CheckRecord, CheckReport, emit_report
 from .tolerances import FIT_TOL, IDENTITY_TOL
 
@@ -37,7 +39,7 @@ class ConfigError(ValueError):
     """Invalid run configuration (exit code 2)."""
 
 
-# Largest accepted sizes: a run holds one frame per point and draws up to
+# Largest accepted sizes: a run holds every point's arrays and draws up to
 # ``samples`` sections at once, so larger values exhaust memory.
 MAX_POINTS = 1000
 MAX_SAMPLES = 1_000_000
@@ -144,10 +146,10 @@ class RunContext:
         self.fit_tol = config.tolerance
         self._seeds = np.random.SeedSequence(config.seed).spawn(len(CHECKS) + 1)
         points = sample_points(model, config.points, seed=np.random.default_rng(self._seeds[0]))
-        # every check reads these frames, so each point is evaluated once per run
-        self.frames = [PointFrame(model, p) for p in points]
-        self.axioms = stc.check_f_axioms(model, self.frames)
-        self.fit = _attempt(nl.fit_nullity, model, self.frames)
+        # every check reads this one frame over all points: the fields are evaluated once per run
+        self.frame = as_frames(model, points)
+        self.axioms = stc.check_f_axioms(model, self.frame)
+        self.fit = _attempt(nl.fit_nullity, model, self.frame)
         self.fits = {"nullity": None, "gssf": None, "trans_s": None}
         self.spectrum = self.h = self.predicted = None
         if self.has_fit:
@@ -160,11 +162,11 @@ class RunContext:
                 "condition": fit.condition,
                 "lambda": fit.lam,
             }
-            self.spectrum = _attempt(nl.h_spectrum, model, fit, self.frames[0])
+            self.spectrum = _attempt(nl.h_spectrum, model, fit, self.frame[0])
             sections = max(10, config.samples // config.points)
-            self.h = nl.sample_H_constancy(model, self.frames[:10], sections_per_point=sections, rng=self.rng("H"))
+            self.h = nl.sample_H_constancy(model, self.frame[:10], sections_per_point=sections, rng=self.rng("H"))
             self.predicted = _predicted_h(entry, fit, self.fit_tol)
-        self.normality = stc.check_normality(model, self.frames)
+        self.normality = stc.check_normality(model, self.frame)
 
     @property
     def has_fit(self) -> bool:
@@ -198,10 +200,10 @@ def _axioms(ctx: RunContext):
 
 def _killing(ctx: RunContext):
     """Disagreement between ``L_xi g = 0`` and ``h = 0``, which are equivalent."""
-    h_norms = np.max(np.abs([fr.h_all for fr in ctx.frames]), axis=(0, 2, 3))
+    h_norms = np.max(np.abs(ctx.frame.h_all), axis=(0, 2, 3))
     defects, notes, tol = [0.0], [], IDENTITY_TOL
     for a in range(ctx.model.s):
-        k_res, h_norm = stc.killing_check(ctx.model, a, ctx.frames), float(h_norms[a])
+        k_res, h_norm = stc.killing_check(ctx.model, a, ctx.frame), float(h_norms[a])
         # every comparison with NaN is false, so NaN agrees with nothing and its defect is NaN
         if not ((k_res < tol and h_norm < tol) or (k_res >= tol and h_norm >= tol)):
             defects.append(np.minimum(k_res, h_norm))
@@ -231,11 +233,11 @@ def _h_sectional(ctx: RunContext):
 def _curvature_model(ctx: RunContext):
     if not ctx.h.h_spread <= ctx.fit_tol:
         raise NotApplicableError("f-sectional curvature is not constant")
-    return nl.check_curvature_model(ctx.model, ctx.fit, ctx.h.h_mean, ctx.frames)
+    return nl.check_curvature_model(ctx.model, ctx.fit, ctx.h.h_mean, ctx.frame)
 
 
 def _gssf(ctx: RunContext):
-    fit = nl.fit_gssf(ctx.model, ctx.frames)
+    fit = nl.fit_gssf(ctx.model, ctx.frame)
     ctx.fits["gssf"] = {
         "F": [float(v) for v in fit.f_constants],
         "residual": fit.residual,
@@ -248,7 +250,7 @@ def _gssf(ctx: RunContext):
 
 
 def _trans_s(ctx: RunContext):
-    fit = nl.fit_trans_s(ctx.model, ctx.frames)
+    fit = nl.fit_trans_s(ctx.model, ctx.frame)
     ctx.fits["trans_s"] = {
         "alpha": [float(v) for v in fit.alpha],
         "beta": [float(v) for v in fit.beta],
@@ -269,7 +271,7 @@ class Check(NamedTuple):
 
 
 def _splitting(ctx: RunContext) -> float:
-    return nl.check_splitting_lemma(ctx.model, ctx.fit, ctx.frames[0], section_samples=100, rng=ctx.rng("splitting"))
+    return nl.check_splitting_lemma(ctx.model, ctx.fit, ctx.frame[0], section_samples=100, rng=ctx.rng("splitting"))
 
 
 # Report order.  A row's index also picks its random stream (RunContext.rng).
@@ -281,9 +283,9 @@ CHECKS = (
     Check("killing",         True,  False,  False,    _killing),
     Check("nullity",         True,  True,   False,    _nullity),
     Check("spectrum",        True,  True,   True,     _spectrum),
-    Check("r-xi",            True,  True,   True,     lambda ctx: nl.verify_r_xi(ctx.model, ctx.fit, ctx.frames)),
-    Check("rf",              True,  True,   True,     lambda ctx: nl.check_rf_identity(ctx.model, ctx.fit, ctx.frames)),
-    Check("ricci",           True,  True,   True,     lambda ctx: nl.check_ricci_model(ctx.model, ctx.fit, ctx.frames)),
+    Check("r-xi",            True,  True,   True,     lambda ctx: nl.verify_r_xi(ctx.model, ctx.fit, ctx.frame)),
+    Check("rf",              True,  True,   True,     lambda ctx: nl.check_rf_identity(ctx.model, ctx.fit, ctx.frame)),
+    Check("ricci",           True,  True,   True,     lambda ctx: nl.check_ricci_model(ctx.model, ctx.fit, ctx.frame)),
     Check("H",               True,  True,   True,     _h_sectional),
     Check("curvature-model", True,  True,   True,     _curvature_model),
     Check("splitting",       True,  True,   True,     _splitting),
@@ -404,10 +406,22 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
+def _write_report(path: str, data: bytes) -> None:
+    """Make ``data`` the content of ``path``: written over any old report, then cut to length.
+
+    Not truncated on open: ext4 starts the writeback of a file truncated to
+    zero and rewritten when it is closed, which made each rewrite of a report
+    take 1-2 ms with stalls of 10-25 ms.  Pipes and devices are not cut.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _emit(report: CheckReport, config: RunConfig) -> None:
     if config.output_path:
-        with open(config.output_path, "wb") as fh:
-            fh.write(emit_report(report, "json"))
+        _write_report(config.output_path, emit_report(report, "json"))
     sys.stdout.write(emit_report(report, "text").decode())
 
 

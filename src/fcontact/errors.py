@@ -17,6 +17,10 @@ class SingularJetError(FContactError, ZeroDivisionError):
     """A jet operation divides by a zero value (reciprocal or negative power at 0)."""
 
 
+class EmptyPointSetError(FContactError, ValueError):
+    """An operation that takes points was given none."""
+
+
 class InsufficientSampleError(FContactError):
     """A least-squares system has no usable rows (e.g. all eta-bar terms vanish)."""
 

@@ -5,7 +5,13 @@ A :class:`ManifoldModel` bundles the metric, the rank-``2n`` structure tensor
 ``eta_alpha`` as *field evaluators*: callables mapping a coordinate array to
 componentwise values.  Evaluators must accept coordinates that are
 :class:`~fcontact.jets.Jet` scalars, which is how every derivative in this
-package is obtained.
+package is obtained.  Those jets may carry a whole batch of points, so an
+evaluator must not branch on coordinate values.
+
+A :class:`PointFrame` evaluates a model at one point or at a batch of points
+in one pass and keeps every array it computes, batch axis first.  Every
+operation that takes points turns them into one such frame with
+:func:`as_frames`.
 
 Sign conventions (pinned operationally by the test suite):
 
@@ -28,11 +34,28 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .errors import DegenerateMetricError, InsufficientSampleError
+from .errors import DegenerateMetricError, EmptyPointSetError, InsufficientSampleError
 from .tolerances import METRIC_CONDITION_MAX
 
 Point = np.ndarray
 FieldEvaluator = Callable[[np.ndarray], np.ndarray]
+
+
+# Contractions with an operand above this many entries go through
+# ``optimize=True``, which numpy 2 runs as batched matrix products at a fixed
+# cost of about 40-50 us per call.  On a 2-vCPU Xeon (numpy 2.4) plain
+# ``np.einsum`` of the frame's contractions was faster up to about 900
+# entries and ``optimize`` from about 3000 (2.5-9x at 15000), so one-point
+# frames stay on the plain path and a batch of points takes the other.
+OPTIMIZE_SIZE = 2048
+
+
+def einsum(subscripts: str, *operands):
+    """``np.einsum`` of several operands, contracted through BLAS when one is large."""
+    for op in operands:
+        if op.size > OPTIMIZE_SIZE:
+            return np.einsum(subscripts, *operands, optimize=True)
+    return np.einsum(subscripts, *operands)
 
 
 class Convention(str, enum.Enum):
@@ -50,11 +73,11 @@ class ManifoldModel:
     """Chart description of a (2n+s)-dimensional metric f-manifold.
 
     Immutable and safely shareable: every operation in this package is a pure
-    function of the model and its points, so evaluation may be parallelized
-    over points; reductions in the library itself are ordered and
-    deterministic for a fixed seed.  Wherever an operation takes points it
-    also accepts :class:`PointFrame` s of the same model, which lets a caller
-    evaluate each point once and share it between operations.
+    function of the model and its points; reductions in the library itself
+    are ordered and deterministic for a fixed seed.  Wherever an operation
+    takes points it also accepts a :class:`PointFrame` of the same model,
+    which lets a caller evaluate its points once and share them between
+    operations.
     """
 
     n: int
@@ -77,144 +100,184 @@ class ManifoldModel:
 # ---------------------------------------------------------------------------
 
 
+# The fields every other array of a frame is computed from.
+_FIELDS = ("g", "dg", "d2g", "f", "df", "xi", "dxi", "eta", "deta")
+
+
 class PointFrame:
     """All field values, derivatives, curvature and structure tensors of a model
-    at one point, each computed on first use and then kept.
+    at one point or at a batch of points, each computed on first use and then kept.
 
-    Evaluates every field once on jet-seeded coordinates and exposes float
-    arrays.  Derivative indices always come last: ``dg[i, j, k] = d_k g_ij``,
-    ``d2g[i, j, k, l] = d_k d_l g_ij``, ``df[i, j, k] = d_k f^i_j``.  The
-    cached arrays are shared with every caller and must not be modified.
+    ``point`` is one point ``(dim,)`` or a batch ``(P, dim)``.  Every field is
+    evaluated once on jet-seeded coordinates, for the whole batch in one pass,
+    and exposed as float arrays whose leading axes are the batch shape:
+    ``g`` is ``(dim, dim)`` at one point and ``(P, dim, dim)`` over a batch.
+    Derivative indices always come last: ``dg[..., i, j, k] = d_k g_ij``,
+    ``d2g[..., i, j, k, l] = d_k d_l g_ij``, ``df[..., i, j, k] = d_k f^i_j``.
+    ``frame[i]`` and ``frame[i:j]`` are the frames of ``point[i]`` and
+    ``point[i:j]``: they share the arrays computed so far and evaluate no
+    field again.  The cached arrays are shared with every caller and must not
+    be modified.
     """
 
     def __init__(self, model: ManifoldModel, point: Point):
         self.model = model
         self.point = np.asarray(point, dtype=float)
+        if self.point.ndim not in (1, 2) or self.point.shape[-1] != model.dim:
+            raise ValueError(f"expected a point ({model.dim},) or points (P, {model.dim}), got {self.point.shape}")
         self._x = jets.variables(self.point)
 
-    # -- raw field data ----------------------------------------------------
+    def __getitem__(self, index) -> "PointFrame":
+        if self.point.ndim != 2:
+            raise TypeError("only a frame over a batch of points can be indexed")
+        for name in _FIELDS:
+            getattr(self, name)
+        sub = object.__new__(PointFrame)
+        sub.model = self.model
+        vars(sub).update(
+            (name, value[index]) for name, value in vars(self).items()
+            if isinstance(value, np.ndarray) and not name.startswith("_")
+        )
+        return sub
+
+    def _first(self, flags):
+        """Index of the first point whose flag (one per point) is set; ``()`` at one point."""
+        return int(np.argmax(flags)) if self.point.ndim == 2 else ()
+
+    # -- field data ----------------------------------------------------------
+    #
+    # Each field is evaluated once, on the frame's jets; the jets are dropped
+    # once their parts are extracted.
+
+    def _parts(self, field, order: int):
+        """Values and partials up to ``order`` of ``field`` on the frame's jets."""
+        return jets.tensor_parts(field(self._x), self.model.dim, order, self.point.shape[:-1])
+
+    def _stacked(self, fields):
+        """Values and first partials of vector or one-form ``fields``, stacked after the batch axes."""
+        parts = zip(*(self._parts(field, 1) for field in fields))
+        return tuple(np.stack(p, axis=self.point.ndim - 1) for p in parts)
 
     @cached_property
-    def _g_raw(self):
-        return self.model.metric_field(self._x)
+    def _metric(self):
+        return self._parts(self.model.metric_field, 2)
 
     @cached_property
     def g(self):
-        return jets.tensor_value(self._g_raw)
+        return self._metric[0]
 
     @cached_property
     def dg(self):
-        return jets.tensor_jacobian(self._g_raw, self.model.dim)
+        return self._metric[1]
 
     @cached_property
     def d2g(self):
-        return jets.tensor_hessian(self._g_raw, self.model.dim)
+        return self._metric[2]
 
     @cached_property
     def ginv(self):
         """Inverse metric; a singular ``g``, or one whose condition number
-        (in the max-row-sum norm) exceeds ``METRIC_CONDITION_MAX``, raises."""
+        (in the max-row-sum norm) exceeds ``METRIC_CONDITION_MAX``, at any
+        point raises."""
         g = self.g
         try:
             ginv = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
-            raise DegenerateMetricError(self.point) from exc
-        cond = np.abs(g).sum(axis=1).max() * np.abs(ginv).sum(axis=1).max()
-        if not cond <= METRIC_CONDITION_MAX:
-            raise DegenerateMetricError(self.point, f"metric condition number {cond:.3g} is too large")
+            raise DegenerateMetricError(self.point[self._first(np.linalg.det(g) == 0.0)]) from exc
+        cond = np.abs(g).sum(axis=-1).max(axis=-1) * np.abs(ginv).sum(axis=-1).max(axis=-1)
+        if not (cond <= METRIC_CONDITION_MAX).all():  # a NaN fails too
+            i = self._first(~(cond <= METRIC_CONDITION_MAX))
+            raise DegenerateMetricError(self.point[i], f"metric condition number {cond[i]:.3g} is too large")
         return ginv
 
     @cached_property
-    def _f_raw(self):
-        return self.model.f_field(self._x)
+    def _f(self):
+        return self._parts(self.model.f_field, 1)
 
     @cached_property
     def f(self):
-        return jets.tensor_value(self._f_raw)
+        return self._f[0]
 
     @cached_property
     def df(self):
-        return jets.tensor_jacobian(self._f_raw, self.model.dim)
+        return self._f[1]
 
     @cached_property
-    def _xi_raw(self):
-        return [xi(self._x) for xi in self.model.xi_fields]
+    def _xi(self):
+        return self._stacked(self.model.xi_fields)
 
     @cached_property
     def xi(self):
-        return np.stack([jets.tensor_value(v) for v in self._xi_raw])
+        return self._xi[0]
 
     @cached_property
     def dxi(self):
-        return np.stack([jets.tensor_jacobian(v, self.model.dim) for v in self._xi_raw])
+        return self._xi[1]
 
     @cached_property
-    def _eta_raw(self):
-        return [eta(self._x) for eta in self.model.eta_fields]
+    def _eta(self):
+        return self._stacked(self.model.eta_fields)
 
     @cached_property
     def eta(self):
-        return np.stack([jets.tensor_value(v) for v in self._eta_raw])
+        return self._eta[0]
 
     @cached_property
     def deta(self):
-        return np.stack([jets.tensor_jacobian(v, self.model.dim) for v in self._eta_raw])
+        return self._eta[1]
 
     # -- connection and curvature ------------------------------------------
 
     @cached_property
     def gamma(self):
-        """Christoffel symbols ``gamma[k, i, j] = Gamma^k_ij``."""
+        """Christoffel symbols ``gamma[..., k, i, j] = Gamma^k_ij``."""
         dg = self.dg
         # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
         bracket = (
-            np.einsum("jli->lij", dg)
-            + np.einsum("ilj->lij", dg)
-            - np.einsum("ijl->lij", dg)
+            np.einsum("...jli->...lij", dg)
+            + np.einsum("...ilj->...lij", dg)
+            - np.einsum("...ijl->...lij", dg)
         )
-        return 0.5 * np.einsum("kl,lij->kij", self.ginv, bracket)
+        return 0.5 * einsum("...kl,...lij->...kij", self.ginv, bracket)
 
     @cached_property
     def dgamma(self):
-        """``dgamma[k, i, j, m] = d_m Gamma^k_ij``."""
+        """``dgamma[..., k, i, j, m] = d_m Gamma^k_ij``."""
         dg, d2g, ginv = self.dg, self.d2g, self.ginv
         # d_m g^kl = -g^ka (d_m g_ab) g^bl
-        dginv = -np.einsum("ka,abm,bl->klm", ginv, dg, ginv)
+        dginv = -einsum("...ka,...abm,...bl->...klm", ginv, dg, ginv)
         bracket = (
-            np.einsum("jli->lij", dg)
-            + np.einsum("ilj->lij", dg)
-            - np.einsum("ijl->lij", dg)
+            np.einsum("...jli->...lij", dg)
+            + np.einsum("...ilj->...lij", dg)
+            - np.einsum("...ijl->...lij", dg)
         )
-        dbracket = (
-            np.einsum("jlim->lijm", d2g)
-            + np.einsum("iljm->lijm", d2g)
-            - np.einsum("ijlm->lijm", d2g)
-        )
-        return 0.5 * (
-            np.einsum("klm,lij->kijm", dginv, bracket)
-            + np.einsum("kl,lijm->kijm", ginv, dbracket)
-        )
+        # summed in place: over a batch each of these arrays is as large as d2g
+        dbracket = np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
+        dbracket -= np.einsum("...ijlm->...lijm", d2g)
+        out = einsum("...kl,...lijm->...kijm", ginv, dbracket)
+        del dbracket
+        out += einsum("...klm,...lij->...kijm", dginv, bracket)
+        out *= 0.5
+        return out
 
     @cached_property
     def riemann31(self):
-        """``riemann31[l, k, i, j]`` = component ``l`` of ``R(e_i, e_j)e_k``."""
+        """``riemann31[..., l, k, i, j]`` = component ``l`` of ``R(e_i, e_j)e_k``."""
         gamma, dgamma = self.gamma, self.dgamma
-        return (
-            np.einsum("ljki->lkij", dgamma)
-            - np.einsum("likj->lkij", dgamma)
-            + np.einsum("lim,mjk->lkij", gamma, gamma)
-            - np.einsum("ljm,mik->lkij", gamma, gamma)
-        )
+        out = np.einsum("...ljki->...lkij", dgamma) - np.einsum("...likj->...lkij", dgamma)
+        out += einsum("...lim,...mjk->...lkij", gamma, gamma)
+        out -= einsum("...ljm,...mik->...lkij", gamma, gamma)
+        return out
 
     @cached_property
     def riemann40(self):
-        """``riemann40[i, j, k, l] = g(R(e_i, e_j)e_k, e_l)``."""
-        return np.einsum("ml,mkij->ijkl", self.g, self.riemann31)
+        """``riemann40[..., i, j, k, l] = g(R(e_i, e_j)e_k, e_l)``."""
+        return einsum("...ml,...mkij->...ijkl", self.g, self.riemann31)
 
     @cached_property
     def ricci(self):
-        """``ricci[a, b] = trace(Z -> R(Z, e_a)e_b)``."""
-        return np.einsum("mbma->ab", self.riemann31)
+        """``ricci[..., a, b] = trace(Z -> R(Z, e_a)e_b)``."""
+        return np.einsum("...mbma->...ab", self.riemann31)
 
     @cached_property
     def ricci_op(self):
@@ -222,25 +285,26 @@ class PointFrame:
 
     @cached_property
     def nabla_f(self):
-        """Covariant derivative ``nabla_f[k, b, a]`` = comp. k of ``(nabla_a f)e_b``."""
+        """Covariant derivative ``nabla_f[..., k, b, a]`` = comp. k of ``(nabla_a f)e_b``."""
         return (
             self.df
-            + np.einsum("kam,mb->kba", self.gamma, self.f)
-            - np.einsum("mab,km->kba", self.gamma, self.f)
+            + einsum("...kam,...mb->...kba", self.gamma, self.f)
+            - einsum("...mab,...km->...kba", self.gamma, self.f)
         )
 
     def curvature_operator(self, X, Y, Z):
-        """The vector ``R(X, Y)Z`` at this point."""
-        return np.einsum("lkij,i,j,k->l", self.riemann31, X, Y, Z)
+        """The vector ``R(X, Y)Z`` at each point of the frame."""
+        return np.einsum("...lkij,...i,...j,...k->...l", self.riemann31, X, Y, Z)
 
     def inner(self, u, v):
+        """``g(u, v)`` at a one-point frame."""
         return float(u @ self.g @ v)
 
     # -- structure tensors ---------------------------------------------------
 
     @cached_property
     def F(self):
-        """``F[i, j] = g(e_i, f e_j)``."""
+        """``F[..., i, j] = g(e_i, f e_j)``."""
         return self.g @ self.f
 
     @cached_property
@@ -249,49 +313,50 @@ class PointFrame:
 
     @cached_property
     def xi_bar(self):
-        return self.xi.sum(axis=0)
+        return self.xi.sum(axis=-2)
 
     @cached_property
     def eta_bar(self):
-        return self.eta.sum(axis=0)
+        return self.eta.sum(axis=-2)
 
     def d_eta(self, convention: Convention | None = None):
-        """``d_eta[a, i, j] = (d eta_a)_ij`` under ``convention`` (None: the model's)."""
-        plain = np.einsum("aij->aji", self.deta) - self.deta  # d_i eta_j - d_j eta_i
+        """``d_eta[..., a, i, j] = (d eta_a)_ij`` under ``convention`` (None: the model's)."""
+        plain = self.deta.swapaxes(-1, -2) - self.deta  # d_i eta_j - d_j eta_i
         conv = self.model.d_convention if convention is None else convention
         return 0.5 * plain if conv is Convention.HALF else plain
 
     @cached_property
     def h_all(self):
-        """``h_all[a] = h_alpha = 1/2 L_{xi_alpha} f``, from Lie derivatives."""
+        """``h_all[..., a] = h_alpha = 1/2 L_{xi_alpha} f``, from Lie derivatives."""
         # (L_xi f)^i_j = xi^m d_m f^i_j - f^m_j d_m xi^i + f^i_m d_j xi^m
         f, df, xi, dxi = self.f, self.df, self.xi, self.dxi
         return 0.5 * (
-            np.einsum("am,ijm->aij", xi, df)
-            - np.einsum("mj,aim->aij", f, dxi)
-            + np.einsum("im,amj->aij", f, dxi)
+            einsum("...am,...ijm->...aij", xi, df)
+            - einsum("...mj,...aim->...aij", f, dxi)
+            + einsum("...im,...amj->...aij", f, dxi)
         )
 
     @property
     def h(self):
-        return self.h_all[0]
+        return self.h_all[..., 0, :, :]
 
     @cached_property
     def h_max(self) -> float:
+        """The largest ``|h_alpha|`` component over every point of the frame."""
         return float(np.max(np.abs(self.h_all)))
 
     @cached_property
     def normality(self):
-        """``normality[k, i, j]``: component k of ``[f, f] + 2 sum xi_a (x) d eta_a`` on (e_i, e_j)."""
+        """``normality[..., k, i, j]``: component k of ``[f, f] + 2 sum xi_a (x) d eta_a`` on (e_i, e_j)."""
         f, df = self.f, self.df
         # N^k_ij = f^m_i d_m f^k_j - f^m_j d_m f^k_i + f^k_m (d_j f^m_i - d_i f^m_j)
         nijenhuis = (
-            np.einsum("mi,kjm->kij", f, df)
-            - np.einsum("mj,kim->kij", f, df)
-            + np.einsum("km,mij->kij", f, df)
-            - np.einsum("km,mji->kij", f, df)
+            einsum("...mi,...kjm->...kij", f, df)
+            - einsum("...mj,...kim->...kij", f, df)
+            + einsum("...km,...mij->...kij", f, df)
+            - einsum("...km,...mji->...kij", f, df)
         )
-        return nijenhuis + 2.0 * np.einsum("ak,aij->kij", self.xi, self.d_eta())
+        return nijenhuis + 2.0 * einsum("...ak,...aij->...kij", self.xi, self.d_eta())
 
     @property
     def proj_L(self):
@@ -299,7 +364,8 @@ class PointFrame:
         return -self.f2
 
     def random_unit_sections(self, rng, count: int) -> np.ndarray:
-        """``count`` random g-unit vectors in L, as rows (projected Gaussians, normalized).
+        """``count`` random g-unit vectors in L at a one-point frame, as rows
+        (projected Gaussians, normalized).
 
         Draws whose projection has norm below 1e-3 are skipped, so the rows
         are those that ``count`` draws made one after another would give.
@@ -313,16 +379,44 @@ class PointFrame:
                 raise InsufficientSampleError("could not draw a unit vector in L")
             rows.append(v[keep] / norm[keep, None])
             need -= int(keep.sum())
-        return np.concatenate(rows)
+        return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+def _check_model(frame: PointFrame, model: ManifoldModel) -> None:
+    if frame.model is not model:
+        raise ValueError("the PointFrame belongs to a different model")
 
 
 def as_frame(model: ManifoldModel, p: Point | PointFrame) -> PointFrame:
-    """``p`` itself when it is a frame of ``model``, else a new frame at ``p``."""
+    """``p`` itself when it is a one-point frame of ``model``, else a new frame at ``p``."""
     if isinstance(p, PointFrame):
-        if p.model is not model:
-            raise ValueError("the PointFrame belongs to a different model")
+        _check_model(p, model)
+        if p.point.ndim != 1:
+            raise ValueError("expected a one-point frame; use frame[i]")
         return p
     return PointFrame(model, p)
+
+
+def as_frames(model: ManifoldModel, points) -> PointFrame:
+    """One frame over all of ``points``, the input of every operation that takes points.
+
+    ``points`` is a frame of ``model`` over a batch of points, returned as it
+    is, or a sequence of points and one-point frames, whose points are
+    stacked into a new frame.  No points at all raise
+    :class:`EmptyPointSetError`.
+    """
+    if isinstance(points, PointFrame):
+        _check_model(points, model)
+        if points.point.ndim == 2:
+            return points
+        points = [points]
+    items = list(points)
+    if not items:
+        raise EmptyPointSetError("no points given: every check needs at least one point")
+    for p in items:
+        if isinstance(p, PointFrame):
+            _check_model(p, model)
+    return PointFrame(model, np.stack([p.point if isinstance(p, PointFrame) else p for p in items]))
 
 
 # ---------------------------------------------------------------------------

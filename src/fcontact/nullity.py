@@ -24,8 +24,9 @@ Every identity above except the two involving H(X) is multilinear in its
 vector arguments, so it holds for all vectors exactly when it holds on the
 coordinate basis vectors.  Those identities are therefore checked, and the
 fits solved, on every basis pair or triple at every point: each side is
-built as a tensor with ``einsum`` and compared component by component with
-``riemann31`` or ``nabla_f``.  Only H(X) (``sample_H_constancy``) and the
+built as a tensor with ``einsum``, over all points of one stacked
+:class:`~fcontact.geom.PointFrame` at once, and compared component by
+component with ``riemann31`` or ``nabla_f``.  Only H(X) (``sample_H_constancy``) and the
 splitting formula, which are not multilinear, are sampled over random unit
 sections of L.  Every residual is :func:`~fcontact.tolerances.relative_residual`.
 """
@@ -42,7 +43,8 @@ from .errors import (
     NotApplicableError,
     SpectralInconsistencyError,
 )
-from .geom import ManifoldModel, Point, PointFrame, as_frame
+from .geom import ManifoldModel, Point, PointFrame, as_frame, as_frames, einsum
+from .jets import _outer
 from .structure import structure_at  # noqa: F401  (re-exported)
 from .tolerances import FIT_TOL, IDENTITY_TOL, relative_residual
 
@@ -81,20 +83,21 @@ def _lstsq(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _reduce(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(R, Q^T y)`` for ``design = QR``: the same least-squares problem, with
-    the same singular values, in at most as many rows as columns."""
+    """``(R, Q^T y)`` for ``design = QR`` at every point of a stack ``(P, rows, cols)``:
+    the same least-squares problems, with the same singular values, in at most
+    as many rows as columns."""
     q, r = np.linalg.qr(design)
-    return r, q.T @ y
+    return r, (q.swapaxes(-1, -2) @ y[..., None])[..., 0]
 
 
-def _lstsq_reduced(reduced, columns=slice(None)) -> tuple[np.ndarray, float]:
-    """``_lstsq`` of the per-point systems whose ``_reduce`` forms are ``reduced``, stacked.
+def _lstsq_reduced(r: np.ndarray, c: np.ndarray, columns=slice(None)) -> tuple[np.ndarray, float]:
+    """``_lstsq`` of the per-point systems whose ``_reduce`` forms are ``(r, c)``, stacked.
 
-    Stacking the small R factors instead of the designs keeps a fit's memory
-    independent of the number of tensor components.
+    Solving on the small R factors instead of the designs keeps the solve's
+    size independent of the number of tensor components.
     """
-    design = np.concatenate([r[:, columns] for r, _ in reduced])
-    return _lstsq(design, np.concatenate([c for _, c in reduced]))
+    r = r[..., columns]
+    return _lstsq(r.reshape(-1, r.shape[-1]), c.ravel())
 
 
 def _antisym(t: np.ndarray) -> np.ndarray:
@@ -102,20 +105,78 @@ def _antisym(t: np.ndarray) -> np.ndarray:
     return t - t.swapaxes(-1, -2)
 
 
-def _gz(fr: PointFrame, M, N) -> np.ndarray:
-    """``g(M X, Z) N Y`` on basis vectors, laid out like ``riemann31``: [l, k, i, j]."""
-    return np.einsum("ki,lj->lkij", fr.g @ M, N)
+def _xz_y(*terms) -> np.ndarray:
+    """``sum b(X, Z) N Y`` over ``terms`` of ``(b, N)`` with ``b[..., k, i] = b(e_i, e_k)``,
+    on basis vectors laid out like ``riemann31``: [l, k, i, j].
+
+    One contraction over the terms, so no tensor is formed per term.  For
+    ``b = g M`` a term is ``g(M X, Z) N Y``.
+    """
+    b, n = np.stack([t[0] for t in terms]), np.stack([t[1] for t in terms])
+    return einsum("t...ki,t...lj->...lkij", b, n)
+
+
+# Identities whose sides hold a dim^4 tensor per point are compared on blocks
+# of points whose tensors have about this many entries in all, so their
+# memory does not grow with the number of points.
+_BLOCK_ENTRIES = 2**15
+
+
+def _blocks(fr: PointFrame, shared: str = "riemann31"):
+    """``fr`` itself, or its slices of ``_BLOCK_ENTRIES / dim^4`` points when it has more.
+
+    The ``shared`` array is computed over all of ``fr`` first, so the slices
+    read it instead of computing it again block by block.
+    """
+    count, size = len(fr.point), max(1, _BLOCK_ENTRIES // fr.model.dim**4)
+    if count <= size:
+        return [fr]
+    getattr(fr, shared)
+    return (fr[i:i + size] for i in range(0, count, size))
+
+
+def _systems(fr: PointFrame, block, shared: str = "riemann31"):
+    """The per-point least-squares systems ``block(fr)`` builds, over blocks of points.
+
+    Returns the ``_reduce`` forms of all points, stacked (``r``
+    ``(P, cols, cols)`` and ``c`` ``(P, cols)``), the largest ``|entry|`` of
+    each design column, and ``residual(sol, columns)``, the relative residual
+    of a solution on every row.  The design of a single block is kept for the
+    residual; several blocks are built again one at a time, so that memory
+    does not grow with the number of points.
+    """
+    rs, cs, norms = [], [], []
+    for b in _blocks(fr, shared):
+        design, y = block(b)
+        r, c = _reduce(design, y)
+        rs.append(r)
+        cs.append(c)
+        norms.append(np.max(np.abs(design), axis=(0, 1)))
+    kept = [(design, y)] if len(rs) == 1 else None
+
+    def residual(sol, columns=slice(None)):
+        systems = kept or map(block, _blocks(fr, shared))
+        return relative_residual((rhs, d[..., columns] @ sol) for d, rhs in systems)
+
+    return np.concatenate(rs), np.concatenate(cs), np.max(norms, axis=0), residual
+
+
+def _per_alpha(t: np.ndarray) -> np.ndarray:
+    """A ``(..., dim, dim)`` tensor broadcast against the ``(..., s, dim, dim)`` ``h_all``."""
+    return t[..., None, :, :]
 
 
 def _nullity_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
     """Columns ``(A, B)`` and right-hand side ``R(e_i, e_j) xi_alpha`` of the
-    nullity condition at ``fr``, over alpha, basis pairs i < j and components."""
+    nullity condition at each point of ``fr``, over alpha, basis pairs i < j
+    and components: ``(P, rows, 2)`` and ``(P, rows)``."""
     iu, ju = np.triu_indices(fr.model.dim, 1)
-    a = _antisym(np.einsum("i,lj->lij", fr.eta_bar, fr.f2))
-    b = _antisym(np.einsum("j,ali->alij", fr.eta_bar, fr.h_all))
-    y = np.einsum("lkij,ak->alij", fr.riemann31, fr.xi)
-    a = np.broadcast_to(a[:, iu, ju], b.shape[:2] + iu.shape)
-    return np.column_stack([a.ravel(), b[..., iu, ju].ravel()]), y[..., iu, ju].ravel()
+    count = len(fr.point)
+    a = _antisym(einsum("pi,plj->plij", fr.eta_bar, fr.f2))
+    b = _antisym(einsum("pj,pali->palij", fr.eta_bar, fr.h_all))[..., iu, ju]
+    y = einsum("plkij,pak->palij", fr.riemann31, fr.xi)[..., iu, ju]
+    a = np.broadcast_to(a[:, None, :, iu, ju], b.shape)
+    return np.stack([a.reshape(count, -1), b.reshape(count, -1)], axis=-1), y.reshape(count, -1)
 
 
 def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) -> NullityFit:
@@ -126,23 +187,19 @@ def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) 
     i, j) and every component.  ``vector_samples`` and ``rng`` are accepted
     for compatibility and unused.
     """
-    frames = [as_frame(model, p) for p in points]
-    reduced, a_norm, b_norm = [], 0.0, 0.0
-    for design, y in map(_nullity_block, frames):
-        a_norm, b_norm = np.maximum((a_norm, b_norm), np.max(np.abs(design), axis=0))
-        reduced.append(_reduce(design, y))
+    r, c, (a_norm, b_norm), residual = _systems(as_frames(model, points), _nullity_block)
     if a_norm < 1e-8:
         raise InsufficientSampleError("all eta-bar terms of the nullity system vanish")
 
     mu_determined = bool(b_norm >= 1e-8 * max(1.0, a_norm))
     columns = slice(None) if mu_determined else slice(1)
-    sol, cond = _lstsq_reduced(reduced, columns)
+    sol, cond = _lstsq_reduced(r, c, columns)
     kappa = float(sol[0])
     return NullityFit(
         kappa=kappa,
         mu=float(sol[1]) if mu_determined else None,
         mu_determined=mu_determined,
-        residual=relative_residual((y, design[:, columns] @ sol) for design, y in map(_nullity_block, frames)),
+        residual=residual(sol, columns),
         condition=cond,
         lam=float(np.sqrt(1.0 - kappa)) if kappa < 1.0 - FIT_TOL else None,
     )
@@ -156,12 +213,12 @@ def verify_r_xi(model: ManifoldModel, fit: NullityFit, points) -> float:
     kappa, mu = fit.kappa, fit.mu_effective
 
     def sides(fr):
-        k = kappa * fr.f2 - mu * fr.h_all  # (s, dim, dim)
-        lhs = np.einsum("lkmi,am->alik", fr.riemann31, fr.xi)
-        rhs = np.einsum("k,ali->alik", fr.eta_bar, k) - np.einsum("aik,l->alik", fr.g @ k, fr.xi_bar)
+        k = kappa * _per_alpha(fr.f2) - mu * fr.h_all  # (P, s, dim, dim)
+        lhs = einsum("plkmi,pam->palik", fr.riemann31, fr.xi)
+        rhs = einsum("pk,pali->palik", fr.eta_bar, k) - einsum("paik,pl->palik", _per_alpha(fr.g) @ k, fr.xi_bar)
         return lhs, rhs
 
-    return relative_residual(sides(as_frame(model, p)) for p in points)
+    return relative_residual(map(sides, _blocks(as_frames(model, points))))
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +320,23 @@ def _rf_sides(fr: PointFrame, kappa: float, mu: float) -> tuple[np.ndarray, np.n
     ``R(X, Y)fZ = f R(X, Y)Z + (kappa, mu, s) correction terms`` in f, h,
     f^2, fh, etab and xib.
     """
-    f, fh = fr.f, fr.f @ fr.h
+    f, fh, g, s = fr.f, fr.f @ fr.h, fr.g, fr.model.s
     c = kappa * f + mu * fh
     p, q = fr.h - fr.f2, f + fh
-    half = (
-        np.einsum("l,j,ki->lkij", fr.xi_bar, fr.eta_bar, fr.g @ c)
-        + fr.model.s * (_gz(fr, p, q) + _gz(fr, q, p))
-        + np.einsum("k,i,lj->lkij", fr.eta_bar, fr.eta_bar, c)
+    half = _xz_y(
+        (g @ c, _outer(fr.xi_bar, fr.eta_bar)),
+        (g @ p, s * q),
+        (g @ q, s * p),
+        (_outer(fr.eta_bar, fr.eta_bar), c),
     )
-    lhs = np.einsum("lmij,mk->lkij", fr.riemann31, f)
-    return lhs, np.einsum("lm,mkij->lkij", f, fr.riemann31) + _antisym(half)
+    lhs = einsum("...lmij,...mk->...lkij", fr.riemann31, f)
+    return lhs, einsum("...lm,...mkij->...lkij", f, fr.riemann31) + _antisym(half)
 
 
 def check_rf_identity(model: ManifoldModel, fit: NullityFit, points) -> float:
     """Relative residual of the R(X, Y)fZ expansion on every basis triple."""
     kappa, mu = fit.kappa, fit.mu_effective
-    return relative_residual(_rf_sides(as_frame(model, p), kappa, mu) for p in points)
+    return relative_residual(_rf_sides(fr, kappa, mu) for fr in _blocks(as_frames(model, points)))
 
 
 def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
@@ -292,16 +350,13 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
     if not fit.mu_determined:
         raise NotApplicableError("the Ricci model needs a determined mu")
     n, s = model.n, model.s
-
-    def sides(fr):
-        q_model = (
-            s * (2.0 * (1 - n) + n * fit.mu) * fr.f2
-            + s * (2.0 * (n - 1) + fit.mu) * fr.h
-            + 2.0 * n * fit.kappa * np.outer(fr.xi_bar, fr.eta_bar)
-        )
-        return fr.ricci_op, q_model
-
-    return relative_residual(sides(as_frame(model, p)) for p in points)
+    fr = as_frames(model, points)
+    q_model = (
+        s * (2.0 * (1 - n) + n * fit.mu) * fr.f2
+        + s * (2.0 * (n - 1) + fit.mu) * fr.h
+        + 2.0 * n * fit.kappa * einsum("pi,pj->pij", fr.xi_bar, fr.eta_bar)
+    )
+    return relative_residual([(fr.ricci_op, q_model)])
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +364,32 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Sections checked and contracted with R at a time: bounds the (rows, dim^2) blocks.
+_SECTION_BLOCK = 4096
+
+
 def _f_sectional_rows(fr: PointFrame, X: np.ndarray) -> np.ndarray:
-    """``H(X) = g(R(X, fX)fX, X)`` for each row of ``X``, all unit vectors in L."""
-    fX = X @ fr.f.T
-    eta_res = float(np.max(np.abs(X @ fr.eta.T)))
-    if eta_res > 1e-6:
-        raise InvalidSectionError(f"X has eta components of size {eta_res}")
-    for name, v in (("X", X), ("fX", fX)):
-        if np.max(np.abs(np.einsum("ni,ij,nj->n", v, fr.g, v) - 1.0)) > 1e-6:
-            raise InvalidSectionError(f"{name} is not a g-unit vector")
-    return np.einsum("ijkl,ni,nj,nk,nl->n", fr.riemann40, X, fX, fX, X)
+    """``H(X) = g(R(X, fX)fX, X)`` at a one-point frame for each row of ``X``,
+    all unit vectors in L.
+
+    H is ``(X (x) fX) R (fX (x) X)`` with ``riemann40`` as a
+    ``(dim^2, dim^2)`` matrix; rows are checked and contracted in blocks.
+    """
+    dim2 = fr.model.dim ** 2
+    r = fr.riemann40.reshape(dim2, dim2)
+    out = np.empty(len(X))
+    for start in range(0, len(X), _SECTION_BLOCK):
+        x = X[start:start + _SECTION_BLOCK]
+        fx = x @ fr.f.T
+        eta_res = float(np.max(np.abs(x @ fr.eta.T)))
+        if eta_res > 1e-6:
+            raise InvalidSectionError(f"X has eta components of size {eta_res}")
+        for name, v in (("X", x), ("fX", fx)):
+            if np.max(np.abs(np.einsum("ni,ij,nj->n", v, fr.g, v) - 1.0)) > 1e-6:
+                raise InvalidSectionError(f"{name} is not a g-unit vector")
+        u, w = _outer(x, fx).reshape(-1, dim2), _outer(fx, x).reshape(-1, dim2)
+        out[start:start + _SECTION_BLOCK] = np.einsum("nk,nk->n", u @ r, w)
+    return out
 
 
 def f_sectional(model: ManifoldModel, p: Point | PointFrame, X) -> float:
@@ -340,12 +411,13 @@ def sample_H_constancy(
     """Sample H over random f-sections; report mean and spread.
 
     H(X) is not multilinear in X, so it is sampled: the sections of each
-    point are drawn in turn and then evaluated together.
+    point are drawn in turn and evaluated before the next point draws.
     """
-    rng = np.random.default_rng(rng)
+    fr, rng = as_frames(model, points), np.random.default_rng(rng)
+    fr.riemann40, fr.proj_L  # computed over the batch once; each point reads its slice
     arr = np.concatenate([
-        _f_sectional_rows(fr, fr.random_unit_sections(rng, sections_per_point))
-        for fr in (as_frame(model, p) for p in points)
+        _f_sectional_rows(pt, pt.random_unit_sections(rng, sections_per_point))
+        for pt in (fr[i] for i in range(len(fr.point)))
     ])
     return SpaceFormReport(
         h_mean=float(arr.mean()),
@@ -362,20 +434,20 @@ def check_curvature_model(model: ManifoldModel, fit: NullityFit, H: float, point
     kappa, mu, s = fit.kappa, fit.mu_effective, model.s
 
     def sides(fr):
-        f, h, f2 = fr.f, fr.h, fr.f2
+        f, h, f2, g = fr.f, fr.h, fr.f2, fr.g
         fh = f @ h
         k = kappa * f2 - mu * h
-        half = (
-            -(H + 3 * s) * _gz(fr, f2, f2)
-            + (H - s) * np.einsum("ik,lj->lkij", fr.F, f)
-            - 2 * s * (_gz(fr, h, h) - _gz(fr, fh, fh) - 2 * _gz(fr, f2, h) - 2 * _gz(fr, h, f2))
-            + 4 * np.einsum("i,k,lj->lkij", fr.eta_bar, fr.eta_bar, k)
-            - 4 * np.einsum("i,jk,l->lkij", fr.eta_bar, fr.g @ k, fr.xi_bar)
-        )
-        rhs = _antisym(half) + 2 * (H - s) * np.einsum("ij,lk->lkij", fr.F, f)
+        half = _xz_y(
+            (g @ f2, 4 * s * h - (H + 3 * s) * f2),
+            (g @ h, 4 * s * f2 - 2 * s * h),
+            (g @ fh, 2 * s * fh),
+            (fr.F.swapaxes(1, 2), (H - s) * f),
+            (_outer(fr.eta_bar, fr.eta_bar), 4 * k),
+        ) - 4 * einsum("pi,pjk,pl->plkij", fr.eta_bar, g @ k, fr.xi_bar)
+        rhs = _antisym(half) + 2 * (H - s) * einsum("pij,plk->plkij", fr.F, f)
         return 4.0 * fr.riemann31, rhs
 
-    return relative_residual(sides(as_frame(model, p)) for p in points)
+    return relative_residual(map(sides, _blocks(as_frames(model, points))))
 
 
 @dataclass(frozen=True)
@@ -464,7 +536,7 @@ class GssfFit:
 
 
 def _gssf_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Design (rows, 7) and right-hand side of the ansatz on basis pairs i < j at ``fr``.
+    """Design ``(P, rows, 7)`` and right-hand side of the ansatz on basis pairs i < j.
 
     The seven basis tensors, laid out like ``riemann31`` ([l, k, i, j]):
     ``t1 = g(Y, Z)X - g(X, Z)Y``,
@@ -474,20 +546,23 @@ def _gssf_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
     ``t7 = eta_1(X) eta_2(Y) (eta_2(Z) xi_1 - eta_1(Z) xi_2) - (X <-> Y)``.
     """
     iu, ju = np.triu_indices(fr.model.dim, 1)
+    count = len(fr.point)
     eye, eta, xi = np.eye(fr.model.dim), fr.eta, fr.xi
     t_ab = _antisym(
-        np.einsum("ai,bk,lj->ablkij", eta, eta, eye) - np.einsum("ai,jk,bl->ablkij", eta, fr.g, xi)
+        einsum("pai,pbk,lj->pablkij", eta, eta, eye) - einsum("pai,pjk,pbl->pablkij", eta, fr.g, xi)
     )
+    eta1, eta2, xi1, xi2 = eta[:, 0], eta[:, 1], xi[:, 0], xi[:, 1]
     terms = np.stack([
-        _antisym(-np.einsum("ik,lj->lkij", fr.g, eye)),
-        _antisym(np.einsum("ik,lj->lkij", fr.F, fr.f)) + 2.0 * np.einsum("ij,lk->lkij", fr.F, fr.f),
-        t_ab[0, 0],
-        t_ab[1, 1],
-        t_ab[0, 1],
-        t_ab[1, 0],
-        _antisym(np.einsum("i,j,kl->lkij", eta[0], eta[1], np.outer(eta[1], xi[0]) - np.outer(eta[0], xi[1]))),
-    ])
-    return terms[..., iu, ju].reshape(7, -1).T, fr.riemann31[..., iu, ju].ravel()
+        _antisym(-einsum("pik,lj->plkij", fr.g, eye)),
+        _antisym(einsum("pik,plj->plkij", fr.F, fr.f)) + 2.0 * einsum("pij,plk->plkij", fr.F, fr.f),
+        t_ab[:, 0, 0],
+        t_ab[:, 1, 1],
+        t_ab[:, 0, 1],
+        t_ab[:, 1, 0],
+        _antisym(einsum("pi,pj,pkl->plkij", eta1, eta2, _outer(eta2, xi1) - _outer(eta1, xi2))),
+    ], axis=1)
+    design = terms[..., iu, ju].reshape(count, 7, -1).swapaxes(1, 2)
+    return design, fr.riemann31[..., iu, ju].reshape(count, -1)
 
 
 def fit_gssf(model: ManifoldModel, points) -> GssfFit:
@@ -498,16 +573,15 @@ def fit_gssf(model: ManifoldModel, points) -> GssfFit:
     """
     if model.s != 2:
         raise NotApplicableError("the seven-function ansatz is defined for s = 2")
-    frames = [as_frame(model, p) for p in points]
-    reduced = [_reduce(*_gssf_block(fr)) for fr in frames]
-    local = np.vstack([_lstsq(r, c)[0] for r, c in reduced])
-    sol, cond = _lstsq_reduced(reduced)
+    r, c, _, residual = _systems(as_frames(model, points), _gssf_block)
+    local = np.vstack([_lstsq(r_p, c_p)[0] for r_p, c_p in zip(r, c)])
+    sol, cond = _lstsq_reduced(r, c)
 
-    c = sol[0] - sol[2]
-    conditions = np.array([abs(-sol[4] - c), abs(-sol[5] - c), abs((sol[3] - sol[6]) - c)])
+    k = sol[0] - sol[2]
+    conditions = np.array([abs(-sol[4] - k), abs(-sol[5] - k), abs((sol[3] - sol[6]) - k)])
     return GssfFit(
         f_constants=sol,
-        residual=relative_residual((y, a @ sol) for a, y in map(_gssf_block, frames)),
+        residual=residual(sol),
         condition_residuals=conditions,
         f_spread=local.max(axis=0) - local.min(axis=0),
         condition=cond,
@@ -531,12 +605,15 @@ class TransSFit:
 
 
 def _trans_s_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Template columns (alpha_1..alpha_s, beta_1..beta_s) and ``nabla f`` at ``fr``,
-    over every basis pair (X, Y) = (e_a, e_b) and component k."""
-    # [column, k, b, a]
-    alpha_cols = np.einsum("ab,ik->ikba", fr.f.T @ fr.g @ fr.f, fr.xi) + np.einsum("ib,ka->ikba", fr.eta, fr.f2)
-    beta_cols = np.einsum("ba,ik->ikba", fr.F, fr.xi) - np.einsum("ib,ka->ikba", fr.eta, fr.f)
-    return np.concatenate([alpha_cols, beta_cols]).reshape(2 * fr.model.s, -1).T, fr.nabla_f.ravel()
+    """Template columns (alpha_1..alpha_s, beta_1..beta_s) and ``nabla f`` at
+    each point of ``fr``, over every basis pair (X, Y) = (e_a, e_b) and component k."""
+    count = len(fr.point)
+    # [point, k, b, a, column]
+    ftgf = fr.f.swapaxes(1, 2) @ fr.g @ fr.f
+    alpha_cols = einsum("pab,pik->pkbai", ftgf, fr.xi) + einsum("pib,pka->pkbai", fr.eta, fr.f2)
+    beta_cols = einsum("pba,pik->pkbai", fr.F, fr.xi) - einsum("pib,pka->pkbai", fr.eta, fr.f)
+    columns = np.concatenate([alpha_cols, beta_cols], axis=-1)
+    return columns.reshape(count, -1, 2 * fr.model.s), fr.nabla_f.reshape(count, -1)
 
 
 def fit_trans_s(model: ManifoldModel, points) -> TransSFit:
@@ -549,17 +626,18 @@ def fit_trans_s(model: ManifoldModel, points) -> TransSFit:
     residual of ``R(X, xi_alpha)Y = -(nabla_X f)Y``.
     """
     s = model.s
-    frames = [as_frame(model, p) for p in points]
-    sol, cond = _lstsq_reduced([_reduce(*_trans_s_block(fr)) for fr in frames])
+    fr = as_frames(model, points)
+    r, c, _, residual = _systems(fr, _trans_s_block, "nabla_f")
+    sol, cond = _lstsq_reduced(r, c)
     t421 = None
-    if all(fr.h_max < IDENTITY_TOL * 10 for fr in frames):
+    if fr.h_max < IDENTITY_TOL * 10:
         t421 = relative_residual(
-            (np.einsum("kbam,cm->ckba", fr.riemann31, fr.xi), -fr.nabla_f) for fr in frames
+            (einsum("pkbam,pcm->pckba", b.riemann31, b.xi), -b.nabla_f[:, None]) for b in _blocks(fr)
         )
     return TransSFit(
         alpha=sol[:s],
         beta=sol[s:],
-        residual=relative_residual((y, a @ sol) for a, y in map(_trans_s_block, frames)),
+        residual=residual(sol),
         t421_residual=t421,
         condition=cond,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Convention, ManifoldModel, Point, PointFrame, as_frame
+from .geom import Convention, ManifoldModel, Point, PointFrame, as_frame, as_frames
 from .tolerances import IDENTITY_TOL, relative_residual
 
 RANK_THRESHOLD = 1e-6  # relative singular-value cutoff for rank(f)
@@ -122,12 +122,9 @@ def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
     Each identity is evaluated on the tensors of all points stacked along a
     leading axis, so a NaN at any point propagates into its residual.
     """
-    frames = [as_frame(model, p) for p in points]
-    if not frames:
-        raise ValueError("check_f_axioms needs a nonempty point list")
+    frame = as_frames(model, points)
     dim, s, two_n = model.dim, model.s, 2 * model.n
-    names = ("f", "g", "xi", "eta", "f2", "h_all")  # stacked h is (points, s, dim, dim)
-    f, g, xi, eta, f2, h = (np.stack([getattr(fr, name) for fr in frames]) for name in names)
+    f, g, xi, eta, f2, h = frame.f, frame.g, frame.xi, frame.eta, frame.f2, frame.h_all  # h is (points, s, dim, dim)
     xi_t, eta_t = np.swapaxes(xi, 1, 2), np.swapaxes(eta, 1, 2)
 
     sv = np.linalg.svd(f, compute_uv=False)
@@ -139,7 +136,7 @@ def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
         r_eta_f=_amax(eta @ f),
         r_f_squared=_amax(f2 + np.eye(dim) - np.einsum("pai,paj->pij", xi, eta)),
         r_compat=_amax(np.swapaxes(f, 1, 2) @ g @ f - g + eta_t @ eta),
-        r_contact=check_contact(model, frames),
+        r_contact=check_contact(model, frame),
         r_rank=float(np.max(sv[:, two_n] / sv[:, 0])) if dim > two_n else 0.0,
         rank_detected=int(ranks[np.argmax(np.abs(ranks - two_n))]),  # the point furthest from 2n
         expected_rank=two_n,
@@ -156,15 +153,13 @@ def check_contact(model: ManifoldModel, points, convention: Convention | None = 
 
     ``None`` uses the model's declared convention.
     """
-    frames = [as_frame(model, p) for p in points]
-    F = np.stack([fr.F for fr in frames])
-    d_eta = np.stack([fr.d_eta(convention) for fr in frames])
-    return np.max(np.abs(F[:, None] - d_eta), axis=(0, 2, 3))
+    frame = as_frames(model, points)
+    return np.max(np.abs(frame.F[:, None] - frame.d_eta(convention)), axis=(0, 2, 3))
 
 
 def check_normality(model: ManifoldModel, points) -> float:
     """Max component of the normality tensor over ``points``."""
-    return max(float(np.max(np.abs(as_frame(model, p).normality))) for p in points)
+    return _amax(as_frames(model, points).normality)
 
 
 def killing_check(model: ManifoldModel, alpha: int, points) -> float:
@@ -174,12 +169,9 @@ def killing_check(model: ManifoldModel, alpha: int, points) -> float:
     structure field is Killing iff this vanishes, which happens iff
     ``h_alpha = 0``.  The first term is compared with minus the other two.
     """
-
-    def sides(fr):
-        dxi = fr.dxi[alpha]
-        return (
-            np.einsum("m,ijm->ij", fr.xi[alpha], fr.dg),
-            -np.einsum("mj,mi->ij", fr.g, dxi) - np.einsum("im,mj->ij", fr.g, dxi),
-        )
-
-    return relative_residual(sides(as_frame(model, p)) for p in points)
+    fr = as_frames(model, points)
+    dxi = fr.dxi[:, alpha]
+    return relative_residual([(
+        np.einsum("pm,pijm->pij", fr.xi[:, alpha], fr.dg),
+        -np.einsum("pmj,pmi->pij", fr.g, dxi) - np.einsum("pim,pmj->pij", fr.g, dxi),
+    )])

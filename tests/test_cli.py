@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import math
 
 import jsonschema
 import pytest
 
-from fcontact import geom
+from fcontact import cli, geom
+from fcontact.catalog import catalog_get
 from fcontact.cli import CHECK_NAMES, ConfigError, RunConfig, _resolve_entry, main, run
 from fcontact.report import REPORT_SCHEMA, emit_report, parse_report
 
@@ -116,6 +118,25 @@ def test_determinism_identical_seeds(tmp_path):
     assert a == b
 
 
+def test_report_file_is_replaced_whole(tmp_path, capsys):
+    """A report written over a longer old file leaves no trailing bytes; devices are not cut."""
+    path = tmp_path / "r.json"
+    path.write_bytes(b"x" * 100_000)
+    args = ["check", "--manifold", "flat-contact-r3", "--points", "3", "--samples", "60"]
+    assert main(args + ["--json", str(path)]) == 0
+    assert main(args + ["--json", "/dev/null"]) == 0
+    capsys.readouterr()
+    report = parse_report(path.read_bytes())
+    assert path.read_bytes() == emit_report(report, "json")
+
+
+def test_bad_deformation_key_reports_the_range(capsys):
+    assert main(["check", "--manifold", "flat-contact-r3:deformed:1e300"]) == 2
+    err = capsys.readouterr().err
+    assert "flat-contact-r3:deformed:1e300" in err
+    assert "[1e-10, 1e+10]" in err and "1e+300" in err
+
+
 def test_different_seeds_still_pass(tmp_path):
     for seed in (1, 2):
         code = main(
@@ -224,18 +245,30 @@ def test_deformation_constant_passed_through_exactly():
         assert _resolve_entry(RunConfig(manifold_key="flat-contact-r3", deform_a=a)).key.endswith(":" + suffix)
 
 
-def test_run_builds_one_frame_per_point(monkeypatch):
-    built = []
+def test_run_builds_one_frame_over_all_points(monkeypatch):
+    built, metric_calls = [], []
     init = geom.PointFrame.__init__
 
     def counting_init(frame, model, point):
         init(frame, model, point)
         built.append(frame)
 
+    def counting_get(key):
+        entry = catalog_get(key)
+        metric = entry.model.metric_field
+
+        def counted(x):
+            metric_calls.append(x)
+            return metric(x)
+
+        return dataclasses.replace(entry, model=dataclasses.replace(entry.model, metric_field=counted))
+
     monkeypatch.setattr(geom.PointFrame, "__init__", counting_init)
+    monkeypatch.setattr(cli, "catalog_get", counting_get)
     report = run(RunConfig("s-space-form:2,2", points=5, samples=50))
     assert report.passed
-    assert len(built) == 5
+    assert [fr.point.shape for fr in built] == [(5, 6)]
+    assert len(metric_calls) == 1
 
 
 @pytest.mark.parametrize("key", ["s-space-form:2,2", "flat-contact-r3:deformed:0.5"])

@@ -1,13 +1,33 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fcontact import (
     Convention,
+    EmptyPointSetError,
+    build_flat_contact_r3_plain,
     build_s_space_form,
+    catalog_get,
+    check_contact,
+    check_curvature_model,
+    check_f_axioms,
+    check_normality,
+    check_rf_identity,
+    check_ricci_model,
+    check_splitting_lemma,
     d_deform,
+    fit_gssf,
+    fit_nullity,
+    fit_trans_s,
+    h_spectrum,
+    killing_check,
     riemann,
+    sample_H_constancy,
     sample_points,
+    verify_r_xi,
 )
+from fcontact.errors import DegenerateMetricError
 from fcontact.geom import ManifoldModel, Point, PointFrame, as_frame
 from fcontact.structure import structure_at
 
@@ -234,3 +254,104 @@ def test_degenerate_metric_error():
     # a small but well-conditioned metric is fine
     scaled = dataclasses.replace(model, metric_field=lambda x: 1e-6 * np.eye(3))
     assert np.max(np.abs(PointFrame(scaled, np.zeros(3)).gamma)) == 0.0
+
+
+# -- frames over a batch of points ---------------------------------------------
+
+# Evaluated fields, which batched jets give bit for bit, and the arrays derived from them.
+FIELDS = ("g", "dg", "d2g", "f", "df", "xi", "dxi", "eta", "deta")
+DERIVED = (
+    "ginv", "gamma", "dgamma", "riemann31", "riemann40", "ricci", "ricci_op", "nabla_f",
+    "F", "f2", "xi_bar", "eta_bar", "h_all", "h", "normality", "proj_L",
+)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [catalog_get("s-space-form:3,3").model, catalog_get("flat-contact-r3:deformed:0.5").model,
+     build_flat_contact_r3_plain()],
+    ids=["s-space-form:3,3", "flat-contact-r3:deformed:0.5", "flat-contact-r3-plain"],
+)
+def test_batch_frame_equals_the_stacked_point_frames(model):
+    points = sample_points(model, 5, seed=3)
+    batch = PointFrame(model, np.stack(points))
+    singles = [PointFrame(model, p) for p in points]
+    for name in FIELDS:
+        assert np.array_equal(getattr(batch, name), np.stack([getattr(fr, name) for fr in singles])), name
+    for name in DERIVED:
+        want = np.stack([getattr(fr, name) for fr in singles])
+        got = getattr(batch, name)
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), name
+    for convention in (None, Convention.HALF, Convention.PLAIN):
+        want = np.stack([fr.d_eta(convention) for fr in singles])
+        assert np.array_equal(batch.d_eta(convention), want), convention
+    assert batch.h_max == max(fr.h_max for fr in singles)
+    # slices share the batch's arrays and have the shapes of one-point frames
+    first, middle = batch[0], batch[1:3]
+    assert first.g.shape == singles[0].g.shape
+    assert np.array_equal(first.riemann31, batch.riemann31[0])
+    assert np.array_equal(middle.point, np.stack(points[1:3]))
+    assert np.shares_memory(middle.d2g, batch.d2g)
+
+
+def test_batch_frame_rejects_malformed_points():
+    model = catalog_get("flat-contact-r3").model
+    for bad in (np.zeros(4), np.zeros((2, 2)), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError):
+            PointFrame(model, bad)
+    with pytest.raises(TypeError):
+        PointFrame(model, np.zeros(3))[0]
+
+
+def test_one_point_operations_reject_a_batch_frame():
+    model = catalog_get("flat-contact-r3:deformed:2").model
+    batch = PointFrame(model, np.stack(sample_points(model, 3, seed=1)))
+    fit = fit_nullity(model, batch)
+    for op in (
+        lambda: riemann(model, batch),
+        lambda: structure_at(model, batch),
+        lambda: h_spectrum(model, fit, batch),
+        lambda: check_splitting_lemma(model, fit, batch),
+    ):
+        with pytest.raises(ValueError, match="one-point frame"):
+            op()
+    assert riemann(model, batch[1]).riemann31.shape == (3, 3, 3, 3)
+
+
+def test_degenerate_metric_error_names_the_first_bad_point():
+    flat = catalog_get("flat-contact-r3").model
+    # the metric diag(1, 1, x^2) is singular where x = 0
+    model = dataclasses.replace(flat, metric_field=lambda x: np.diag([1.0, 1.0, x[0] * x[0]]))
+    points = np.array([[0.5, 0.0, 0.0], [0.0, 0.1, 0.2], [0.0, 0.3, 0.4]])
+    with pytest.raises(DegenerateMetricError) as err:
+        PointFrame(model, points).ginv
+    assert np.array_equal(err.value.point, points[1])
+
+
+# -- functions that take points ------------------------------------------------
+
+POINT_FUNCTIONS = {
+    "check_f_axioms": lambda model, fit, pts: check_f_axioms(model, pts),
+    "check_contact": lambda model, fit, pts: check_contact(model, pts),
+    "check_normality": lambda model, fit, pts: check_normality(model, pts),
+    "killing_check": lambda model, fit, pts: killing_check(model, 0, pts),
+    "fit_nullity": lambda model, fit, pts: fit_nullity(model, pts),
+    "verify_r_xi": lambda model, fit, pts: verify_r_xi(model, fit, pts),
+    "check_rf_identity": lambda model, fit, pts: check_rf_identity(model, fit, pts),
+    "check_ricci_model": lambda model, fit, pts: check_ricci_model(model, fit, pts),
+    "sample_H_constancy": lambda model, fit, pts: sample_H_constancy(model, pts),
+    "check_curvature_model": lambda model, fit, pts: check_curvature_model(model, fit, 0.0, pts),
+    "fit_gssf": lambda model, fit, pts: fit_gssf(model, pts),
+    "fit_trans_s": lambda model, fit, pts: fit_trans_s(model, pts),
+}
+
+
+@pytest.mark.parametrize("name", list(POINT_FUNCTIONS))
+def test_empty_point_list_raises_typed_error(name, deformed, deformed_fits, s22):
+    model, fit = deformed[2.0], deformed_fits[2.0]
+    if name == "fit_gssf":
+        model = s22  # defined for s = 2 only
+    for empty in ([], np.empty((0, model.dim))):
+        with pytest.raises(EmptyPointSetError, match="no points"):
+            POINT_FUNCTIONS[name](model, fit, empty)

@@ -149,3 +149,59 @@ def test_tensor_extraction_handles_float_arrays():
     assert np.allclose(jets.tensor_value(g), g)
     assert np.allclose(jets.tensor_jacobian(g, 3), 0)
     assert np.allclose(jets.tensor_hessian(g, 3), 0)
+
+
+# -- jets over a batch of points -----------------------------------------------
+
+
+def test_batch_jets_equal_the_point_jets():
+    points = np.array([[0.3, -1.2], [1.5, 0.4], [-0.7, 2.0]])
+
+    def w(x, y):
+        return jets.sin(x * y) / (1.0 + x**2) + jets.exp(y) * jets.cos(x) - jets.sqrt(y * y + 1.0) + x**-3
+
+    x, y = jets.variables(points)
+    batch = w(x, y)
+    assert batch.val.shape == (3,) and batch.grad.shape == (3, 2) and batch.hess.shape == (3, 2, 2)
+    for i, p in enumerate(points):
+        one = w(*jets.variables(p))
+        assert isinstance(one.val, float)
+        # numpy's exp may differ from math.exp in the last bit
+        for got, want in ((batch.val[i], one.val), (batch.grad[i], one.grad), (batch.hess[i], one.hess)):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_batch_reciprocal_raises_if_any_point_is_zero():
+    x, y = jets.variables(np.array([[3.0, 2.0], [1.0, 0.0], [2.0, 5.0]]))
+    with pytest.raises(SingularJetError):
+        x / y
+    with pytest.raises(SingularJetError):
+        1.0 / y
+    with pytest.raises(SingularJetError):
+        y**-2
+    x, y = jets.variables(np.array([[3.0, 2.0], [2.0, 5.0]]))
+    assert np.array_equal((x / y).val, [1.5, 0.4])
+
+
+def test_batch_fractional_power_rejects_any_nonpositive_point():
+    (x,) = jets.variables(np.array([[4.0], [-1.0], [9.0]]))
+    with pytest.raises(ValueError):
+        x**0.5
+    with pytest.raises(ValueError):
+        jets.sqrt(x)
+    with pytest.raises(ValueError):
+        jets.log(x)
+    (x,) = jets.variables(np.array([[4.0], [9.0]]))
+    assert np.array_equal(jets.sqrt(x).val, [2.0, 3.0])
+
+
+def test_batch_extraction_broadcasts_plain_entries():
+    x, y = jets.variables(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    arr = np.array([[x * y, 0.5], [0.5, 1]], dtype=object)
+    value, jac, hess = jets.tensor_parts(arr, 2, 2, batch=(2,))
+    assert value.shape == (2, 2, 2) and jac.shape == (2, 2, 2, 2) and hess.shape == (2, 2, 2, 2, 2)
+    assert np.array_equal(value[:, 0, 0], [2.0, 12.0])
+    assert np.array_equal(value[:, 1, 1], [1.0, 1.0])
+    assert np.array_equal(jac[1, 0, 0], [4.0, 3.0])
+    assert np.array_equal(hess[0, 0, 0], [[0.0, 1.0], [1.0, 0.0]])
+    assert not jac[:, 1].any() and not hess[:, 1].any()

@@ -375,12 +375,110 @@ def test_rf_identity_flags_a_defect_on_one_basis_triple():
     from fcontact import build_s_space_form, sample_points
 
     model = build_s_space_form(3, 3)
-    frames = [PointFrame(model, p) for p in sample_points(model, 2, seed=0)]
-    fit = fit_nullity(model, frames)
-    assert check_rf_identity(model, fit, frames) < FIT_TOL
-    # R(e_1, e_4)e_2 gains 1e-4 in one component (and R(e_4, e_1)e_2 loses it)
-    r = frames[0].riemann31.copy()
-    r[0, 2, 1, 4] += 1e-4
-    r[0, 2, 4, 1] -= 1e-4
-    frames[0].riemann31 = r
-    assert check_rf_identity(model, fit, frames) > 1e-5
+    frame = PointFrame(model, np.stack(sample_points(model, 2, seed=0)))
+    fit = fit_nullity(model, frame)
+    assert check_rf_identity(model, fit, frame) < FIT_TOL
+    # at the first point, R(e_1, e_4)e_2 gains 1e-4 in one component (and R(e_4, e_1)e_2 loses it)
+    r = frame.riemann31.copy()
+    r[0, 0, 2, 1, 4] += 1e-4
+    r[0, 0, 2, 4, 1] -= 1e-4
+    frame.riemann31 = r
+    assert check_rf_identity(model, fit, frame) > 1e-5
+
+
+# -- batched evaluation ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", ["s-space-form:3,3", "flat-contact-r3:deformed:0.5"])
+def test_f_sectional_contraction_matches_the_five_operand_formula(key, monkeypatch):
+    from fcontact import catalog_get, sample_points
+    from fcontact import nullity as nl
+
+    model = catalog_get(key).model
+    frame = PointFrame(model, np.stack(sample_points(model, 3, seed=4)))
+    monkeypatch.setattr(nl, "_SECTION_BLOCK", 7)  # several blocks of rows
+    for i in range(3):
+        one = frame[i]
+        X = one.random_unit_sections(np.random.default_rng(5 + i), 50)
+        fX = X @ one.f.T
+        want = np.einsum("ijkl,ni,nj,nk,nl->n", one.riemann40, X, fX, fX, X)
+        assert np.max(np.abs(nl._f_sectional_rows(one, X) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_checks_over_blocks_of_points_match_one_block(
+    monkeypatch, deformed, deformed_fits, flat_points, s22, s22_points
+):
+    from fcontact import nullity as nl
+
+    model, fit = deformed[0.5], deformed_fits[0.5]
+
+    def results():
+        frame = PointFrame(model, np.stack(flat_points))
+        refit = fit_nullity(model, frame)
+        gssf = fit_gssf(s22, s22_points)
+        # a solution that fits no point, whose worst row is at the last point
+        _, _, norms, residual = nl._systems(PointFrame(s22, np.stack(s22_points[::-1])), nl._gssf_block)
+        return [
+            *norms, residual(np.linspace(-1.0, 1.0, 7)),
+            refit.kappa, refit.mu, refit.residual,
+            verify_r_xi(model, fit, frame),
+            check_rf_identity(model, fit, frame),
+            check_curvature_model(model, fit, 5.0, frame),
+            fit_trans_s(model, frame).residual,
+            *gssf.f_constants, gssf.residual,
+        ]
+
+    whole = results()
+    monkeypatch.setattr(nl, "_BLOCK_ENTRIES", 3 * model.dim**4)  # blocks of 3 points, of one for s22
+    assert results() == pytest.approx(whole, rel=1e-12, abs=1e-15)
+
+
+def _gz_term(fr, M, N):
+    """``g(M X, Z) N Y`` on basis vectors, one term at a time, laid out like ``riemann31``."""
+    return np.einsum("ki,lj->lkij", fr.g @ M, N)
+
+
+def _antisym(t):
+    return t - t.swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("key", ["s-space-form:2,2", "flat-contact-r3:deformed:0.75"])
+def test_summed_curvature_sides_match_the_term_by_term_expansion(key):
+    # arbitrary constants, so that every term of both expansions counts
+    from fcontact import catalog_get, sample_points
+    from fcontact.nullity import NullityFit, _rf_sides
+
+    model = catalog_get(key).model
+    s = model.s
+    kappa, mu, H = 0.3, -1.7, 2.9
+    fit = NullityFit(kappa=kappa, mu=mu, mu_determined=True, residual=0.0, condition=1.0)
+    points = sample_points(model, 3, seed=6)
+    want_cm = []
+    for p in points:
+        fr = PointFrame(model, p)
+        f, h, f2, F, eb, xb = fr.f, fr.h, fr.f2, fr.F, fr.eta_bar, fr.xi_bar
+        fh = f @ h
+        c, k = kappa * f + mu * fh, kappa * f2 - mu * h
+        pp, q = h - f2, f + fh
+        half = (
+            np.einsum("l,j,ki->lkij", xb, eb, fr.g @ c)
+            + s * (_gz_term(fr, pp, q) + _gz_term(fr, q, pp))
+            + np.einsum("k,i,lj->lkij", eb, eb, c)
+        )
+        lhs, rhs = _rf_sides(fr, kappa, mu)
+        assert np.max(np.abs(lhs - np.einsum("lmij,mk->lkij", fr.riemann31, f))) <= 1e-13
+        want = np.einsum("lm,mkij->lkij", f, fr.riemann31) + _antisym(half)
+        assert np.max(np.abs(rhs - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+        half = (
+            -(H + 3 * s) * _gz_term(fr, f2, f2)
+            + (H - s) * np.einsum("ik,lj->lkij", F, f)
+            - 2 * s * (_gz_term(fr, h, h) - _gz_term(fr, fh, fh) - 2 * _gz_term(fr, f2, h) - 2 * _gz_term(fr, h, f2))
+            + 4 * np.einsum("i,k,lj->lkij", eb, eb, k)
+            - 4 * np.einsum("i,jk,l->lkij", eb, fr.g @ k, xb)
+        )
+        want_cm.append((4.0 * fr.riemann31, _antisym(half) + 2 * (H - s) * np.einsum("ij,lk->lkij", F, f)))
+    from fcontact.tolerances import relative_residual
+
+    want = relative_residual(want_cm)
+    assert want > 1e-3  # the constants are wrong for the model, so the residual is not roundoff
+    assert check_curvature_model(model, fit, H, points) == pytest.approx(want, rel=1e-12)

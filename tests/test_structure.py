@@ -10,7 +10,6 @@ from fcontact import (
     check_f_axioms,
     check_normality,
     d_deform,
-    jets,
     killing_check,
     structure_at,
 )
@@ -159,13 +158,14 @@ def test_rank_check_detects_excess_rank(flat, flat_points):
 
 
 def test_rank_detected_reports_the_worst_point(flat, flat_points):
-    # f loses its last row at the first point only: rank 1 there, 2 elsewhere
+    # f loses its last row at the first point only: rank 1 there, 2 elsewhere.
+    # The row is scaled by x - x_first rather than branched on, because an
+    # evaluator may receive every point at once.
     first = flat_points[0]
 
     def f_field(x, base=flat.f_field):
         out = base(x)
-        if jets.value(x[0]) == first[0]:
-            out[2, :] = 0.0
+        out[2, :] = out[2, :] * (x[0] - first[0])
         return out
 
     report = check_f_axioms(dataclasses.replace(flat, f_field=f_field), flat_points[:3])
