@@ -9,9 +9,11 @@ package is obtained.  Those jets may carry a whole batch of points, so an
 evaluator must not branch on coordinate values.
 
 A :class:`PointFrame` evaluates a model at one point or at a batch of points
-in one pass and keeps every array it computes, batch axis first.  Every
-operation that takes points turns them into one such frame with
-:func:`as_frames`.
+in one pass and keeps every array it computes, batch axis first, read-only.
+Every operation that takes points turns them into one such frame with
+:func:`as_frames`; an operation that takes one point uses :func:`as_frame`,
+which hands one-point calls made one after another at the same raw point the
+same frame.
 
 Sign conventions (pinned operationally by the test suite):
 
@@ -77,7 +79,9 @@ class ManifoldModel:
     are ordered and deterministic for a fixed seed.  Wherever an operation
     takes points it also accepts a :class:`PointFrame` of the same model,
     which lets a caller evaluate its points once and share them between
-    operations.
+    operations.  The field evaluators must be pure functions of their
+    coordinates: one-point operations repeated at the same point reuse the
+    first evaluation (:func:`as_frame`).
     """
 
     n: int
@@ -104,6 +108,26 @@ class ManifoldModel:
 _FIELDS = ("g", "dg", "d2g", "f", "df", "xi", "dxi", "eta", "deta")
 
 
+def _read_only(value):
+    """``value``, with each array in it (or it, if an array) made read-only."""
+    for arr in value if isinstance(value, tuple) else (value,):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return value
+
+
+class _kept(cached_property):
+    """A ``cached_property`` whose arrays are made read-only once computed.
+
+    Frames are shared between callers (:func:`as_frame`), so an array one
+    caller wrote into would silently change every other caller's results.
+    """
+
+    def __get__(self, instance, owner=None):
+        value = super().__get__(instance, owner)
+        return value if instance is None else _read_only(value)
+
+
 class PointFrame:
     """All field values, derivatives, curvature and structure tensors of a model
     at one point or at a batch of points, each computed on first use and then kept.
@@ -116,13 +140,16 @@ class PointFrame:
     ``d2g[..., i, j, k, l] = d_k d_l g_ij``, ``df[..., i, j, k] = d_k f^i_j``.
     ``frame[i]`` and ``frame[i:j]`` are the frames of ``point[i]`` and
     ``point[i:j]``: they share the arrays computed so far and evaluate no
-    field again.  The cached arrays are shared with every caller and must not
-    be modified.
+    field again.  The kept arrays, ``point`` among them, are shared with every
+    caller and read-only: writing into one raises ``ValueError``.  A caller
+    may still set a whole new array on a frame it built itself
+    (``frame.riemann31 = r``).  The model's field evaluators must be pure
+    functions of their coordinates, as a frame may serve many calls.
     """
 
     def __init__(self, model: ManifoldModel, point: Point):
         self.model = model
-        self.point = np.asarray(point, dtype=float)
+        self.point = _read_only(np.array(point, dtype=float))
         if self.point.ndim not in (1, 2) or self.point.shape[-1] != model.dim:
             raise ValueError(f"expected a point ({model.dim},) or points (P, {model.dim}), got {self.point.shape}")
         self._x = jets.variables(self.point)
@@ -158,23 +185,23 @@ class PointFrame:
         parts = zip(*(self._parts(field, 1) for field in fields))
         return tuple(np.stack(p, axis=self.point.ndim - 1) for p in parts)
 
-    @cached_property
+    @_kept
     def _metric(self):
         return self._parts(self.model.metric_field, 2)
 
-    @cached_property
+    @_kept
     def g(self):
         return self._metric[0]
 
-    @cached_property
+    @_kept
     def dg(self):
         return self._metric[1]
 
-    @cached_property
+    @_kept
     def d2g(self):
         return self._metric[2]
 
-    @cached_property
+    @_kept
     def ginv(self):
         """Inverse metric; a singular ``g``, or one whose condition number
         (in the max-row-sum norm) exceeds ``METRIC_CONDITION_MAX``, at any
@@ -190,45 +217,45 @@ class PointFrame:
             raise DegenerateMetricError(self.point[i], f"metric condition number {cond[i]:.3g} is too large")
         return ginv
 
-    @cached_property
+    @_kept
     def _f(self):
         return self._parts(self.model.f_field, 1)
 
-    @cached_property
+    @_kept
     def f(self):
         return self._f[0]
 
-    @cached_property
+    @_kept
     def df(self):
         return self._f[1]
 
-    @cached_property
+    @_kept
     def _xi(self):
         return self._stacked(self.model.xi_fields)
 
-    @cached_property
+    @_kept
     def xi(self):
         return self._xi[0]
 
-    @cached_property
+    @_kept
     def dxi(self):
         return self._xi[1]
 
-    @cached_property
+    @_kept
     def _eta(self):
         return self._stacked(self.model.eta_fields)
 
-    @cached_property
+    @_kept
     def eta(self):
         return self._eta[0]
 
-    @cached_property
+    @_kept
     def deta(self):
         return self._eta[1]
 
     # -- connection and curvature ------------------------------------------
 
-    @cached_property
+    @_kept
     def gamma(self):
         """Christoffel symbols ``gamma[..., k, i, j] = Gamma^k_ij``."""
         dg = self.dg
@@ -240,7 +267,7 @@ class PointFrame:
         )
         return 0.5 * einsum("...kl,...lij->...kij", self.ginv, bracket)
 
-    @cached_property
+    @_kept
     def dgamma(self):
         """``dgamma[..., k, i, j, m] = d_m Gamma^k_ij``."""
         dg, d2g, ginv = self.dg, self.d2g, self.ginv
@@ -260,7 +287,7 @@ class PointFrame:
         out *= 0.5
         return out
 
-    @cached_property
+    @_kept
     def riemann31(self):
         """``riemann31[..., l, k, i, j]`` = component ``l`` of ``R(e_i, e_j)e_k``."""
         gamma, dgamma = self.gamma, self.dgamma
@@ -269,21 +296,21 @@ class PointFrame:
         out -= einsum("...ljm,...mik->...lkij", gamma, gamma)
         return out
 
-    @cached_property
+    @_kept
     def riemann40(self):
         """``riemann40[..., i, j, k, l] = g(R(e_i, e_j)e_k, e_l)``."""
         return einsum("...ml,...mkij->...ijkl", self.g, self.riemann31)
 
-    @cached_property
+    @_kept
     def ricci(self):
         """``ricci[..., a, b] = trace(Z -> R(Z, e_a)e_b)``."""
         return np.einsum("...mbma->...ab", self.riemann31)
 
-    @cached_property
+    @_kept
     def ricci_op(self):
         return self.ginv @ self.ricci
 
-    @cached_property
+    @_kept
     def nabla_f(self):
         """Covariant derivative ``nabla_f[..., k, b, a]`` = comp. k of ``(nabla_a f)e_b``."""
         return (
@@ -302,30 +329,37 @@ class PointFrame:
 
     # -- structure tensors ---------------------------------------------------
 
-    @cached_property
+    @_kept
     def F(self):
         """``F[..., i, j] = g(e_i, f e_j)``."""
         return self.g @ self.f
 
-    @cached_property
+    @_kept
     def f2(self):
         return self.f @ self.f
 
-    @cached_property
+    @_kept
     def xi_bar(self):
         return self.xi.sum(axis=-2)
 
-    @cached_property
+    @_kept
     def eta_bar(self):
         return self.eta.sum(axis=-2)
 
+    @_kept
+    def _d_eta_plain(self):
+        return self.deta.swapaxes(-1, -2) - self.deta  # d_i eta_j - d_j eta_i
+
+    @_kept
+    def _d_eta_half(self):
+        return 0.5 * self._d_eta_plain
+
     def d_eta(self, convention: Convention | None = None):
         """``d_eta[..., a, i, j] = (d eta_a)_ij`` under ``convention`` (None: the model's)."""
-        plain = self.deta.swapaxes(-1, -2) - self.deta  # d_i eta_j - d_j eta_i
         conv = self.model.d_convention if convention is None else convention
-        return 0.5 * plain if conv is Convention.HALF else plain
+        return self._d_eta_half if conv is Convention.HALF else self._d_eta_plain
 
-    @cached_property
+    @_kept
     def h_all(self):
         """``h_all[..., a] = h_alpha = 1/2 L_{xi_alpha} f``, from Lie derivatives."""
         # (L_xi f)^i_j = xi^m d_m f^i_j - f^m_j d_m xi^i + f^i_m d_j xi^m
@@ -340,12 +374,12 @@ class PointFrame:
     def h(self):
         return self.h_all[..., 0, :, :]
 
-    @cached_property
+    @_kept
     def h_max(self) -> float:
         """The largest ``|h_alpha|`` component over every point of the frame."""
         return float(np.max(np.abs(self.h_all)))
 
-    @cached_property
+    @_kept
     def normality(self):
         """``normality[..., k, i, j]``: component k of ``[f, f] + 2 sum xi_a (x) d eta_a`` on (e_i, e_j)."""
         f, df = self.f, self.df
@@ -358,7 +392,7 @@ class PointFrame:
         )
         return nijenhuis + 2.0 * einsum("...ak,...aij->...kij", self.xi, self.d_eta())
 
-    @property
+    @_kept
     def proj_L(self):
         """Projector onto L: ``-f^2 = I - sum xi_alpha (x) eta_alpha``."""
         return -self.f2
@@ -387,14 +421,37 @@ def _check_model(frame: PointFrame, model: ManifoldModel) -> None:
         raise ValueError("the PointFrame belongs to a different model")
 
 
+# The frame the last ``as_frame`` call built from a raw point.
+_last_frame: PointFrame | None = None
+
+
 def as_frame(model: ManifoldModel, p: Point | PointFrame) -> PointFrame:
-    """``p`` itself when it is a one-point frame of ``model``, else a new frame at ``p``."""
+    """``p`` itself when it is a one-point frame of ``model``, else the frame at ``p``.
+
+    The last frame built here from a raw point is kept and returned again
+    while the calls name the same model object and a point of the same
+    shape and float64 bytes, so one-point operations called one after
+    another at one point (``riemann``, ``structure_at``, ``h_spectrum``,
+    ...) evaluate its fields and derived arrays once.  This relies on the
+    model's field evaluators being pure functions of their coordinates.
+    ``-0.0`` and ``0.0`` are different points here.  Frames built with
+    ``PointFrame`` itself, and frames passed in, are never kept.
+    """
+    global _last_frame
     if isinstance(p, PointFrame):
         _check_model(p, model)
         if p.point.ndim != 1:
             raise ValueError("expected a one-point frame; use frame[i]")
         return p
-    return PointFrame(model, p)
+    point = np.asarray(p, dtype=float)
+    last = _last_frame
+    if (last is not None and last.model is model and last.point.shape == point.shape
+            and last.point.tobytes() == point.tobytes()):
+        return last
+    if point.ndim != 1:
+        raise ValueError(f"expected one point ({model.dim},), got {point.shape}")
+    _last_frame = frame = PointFrame(model, point)
+    return frame
 
 
 def as_frames(model: ManifoldModel, points) -> PointFrame:

@@ -260,6 +260,11 @@ def _l_basis(fr: PointFrame) -> np.ndarray:
     return np.column_stack(basis)
 
 
+def _split_projectors(fr: PointFrame, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The projectors ``1/2 (P_L +- h / lam)`` onto ``L_+`` and ``L_-``, lam = sqrt(1 - kappa)."""
+    return 0.5 * (fr.proj_L + fr.h / lam), 0.5 * (fr.proj_L - fr.h / lam)
+
+
 def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point | PointFrame) -> SpectrumReport:
     """Spectral data of h on L; validates the +-sqrt(1 - kappa) law.
 
@@ -291,15 +296,13 @@ def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point | PointFrame) -> 
         )
 
     lam = float(np.sqrt(1.0 - fit.kappa))
-    p_l = fr.proj_L
-    p_plus = 0.5 * (p_l + fr.h / lam)
-    p_minus = 0.5 * (p_l - fr.h / lam)
+    p_plus, p_minus = _split_projectors(fr, lam)
     ev_res = float(np.max(np.abs(np.abs(eigs) - lam)))
     f_swap = float(np.max(np.abs(fr.f @ p_plus - p_minus @ fr.f)))
     return SpectrumReport(
         eigenvalues=eigs,
         lam=lam,
-        p_l=p_l,
+        p_l=fr.proj_L,
         p_plus=p_plus,
         p_minus=p_minus,
         h_equal_residual=h_equal,
@@ -501,10 +504,10 @@ def check_splitting_lemma(
         raise NotApplicableError("the splitting formula requires kappa < 1")
     rng = np.random.default_rng(rng)
     fr = as_frame(model, p)
-    spec = h_spectrum(model, fit, fr)
+    p_plus, p_minus = _split_projectors(fr, float(np.sqrt(1.0 - fit.kappa)))
     s, mu = model.s, fit.mu_effective
     X = fr.random_unit_sections(rng, section_samples)
-    xp, xm = X @ spec.p_plus.T, X @ spec.p_minus.T
+    xp, xm = X @ p_plus.T, X @ p_minus.T
 
     def ip(u, v):
         return np.einsum("ni,ij,nj->n", u, fr.g, v)

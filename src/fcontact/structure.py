@@ -49,8 +49,15 @@ class StructureTensors:
 
 
 def structure_at(model: ManifoldModel, p: Point | PointFrame, frame: PointFrame | None = None) -> StructureTensors:
-    """Every structure tensor of ``model`` at ``p``, read from ``frame`` when given."""
+    """Every structure tensor of ``model`` at ``p``, read from ``frame`` when given.
+
+    A ``frame`` at another point than ``p`` raises ``ValueError``.
+    """
     fr = as_frame(model, p if frame is None else frame)
+    if frame is not None:
+        point = p.point if isinstance(p, PointFrame) else np.asarray(p, dtype=float)
+        if not np.array_equal(fr.point, point, equal_nan=True):
+            raise ValueError(f"the frame is at {fr.point}, not at the point given, {point}")
     return StructureTensors(
         point=fr.point,
         g_mat=fr.g,

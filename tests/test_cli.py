@@ -5,7 +5,7 @@ import math
 import jsonschema
 import pytest
 
-from fcontact import cli, geom
+from fcontact import cli, geom, nullity
 from fcontact.catalog import catalog_get
 from fcontact.cli import CHECK_NAMES, ConfigError, RunConfig, _resolve_entry, main, run
 from fcontact.report import REPORT_SCHEMA, emit_report, parse_report
@@ -269,6 +269,21 @@ def test_run_builds_one_frame_over_all_points(monkeypatch):
     assert report.passed
     assert [fr.point.shape for fr in built] == [(5, 6)]
     assert len(metric_calls) == 1
+
+
+def test_run_computes_the_h_spectrum_once(monkeypatch):
+    calls = []
+    spectrum = nullity.h_spectrum
+
+    def counting(*args):
+        calls.append(args)
+        return spectrum(*args)
+
+    monkeypatch.setattr(nullity, "h_spectrum", counting)
+    report = run(RunConfig("flat-contact-r3:deformed:0.5"))
+    assert report.passed
+    assert {c.name for c in report.checks} >= {"spectrum", "splitting"}
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("key", ["s-space-form:2,2", "flat-contact-r3:deformed:0.5"])

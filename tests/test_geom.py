@@ -316,6 +316,8 @@ def test_one_point_operations_reject_a_batch_frame():
     ):
         with pytest.raises(ValueError, match="one-point frame"):
             op()
+    with pytest.raises(ValueError, match="expected one point"):
+        riemann(model, batch.point)
     assert riemann(model, batch[1]).riemann31.shape == (3, 3, 3, 3)
 
 
@@ -355,3 +357,90 @@ def test_empty_point_list_raises_typed_error(name, deformed, deformed_fits, s22)
     for empty in ([], np.empty((0, model.dim))):
         with pytest.raises(EmptyPointSetError, match="no points"):
             POINT_FUNCTIONS[name](model, fit, empty)
+
+
+# -- one frame per point -------------------------------------------------------
+
+
+@pytest.fixture
+def built_frames(monkeypatch):
+    """Every frame built while the test runs."""
+    built, init = [], PointFrame.__init__
+
+    def counting_init(frame, model, point):
+        init(frame, model, point)
+        built.append(frame)
+
+    monkeypatch.setattr(PointFrame, "__init__", counting_init)
+    return built
+
+
+@pytest.fixture
+def deformed_query():
+    """A model no frame is kept for yet, its fit, and a point of it."""
+    model = dataclasses.replace(catalog_get("flat-contact-r3:deformed:2").model)
+    return model, fit_nullity(model, sample_points(model, 4, seed=0)), sample_points(model, 1, seed=5)[0]
+
+
+def point_query_arrays(model, fit, p) -> dict[str, np.ndarray]:
+    """Every array that ``riemann``, ``structure_at`` and ``h_spectrum`` return at ``p``."""
+    results = (riemann(model, p), structure_at(model, p), h_spectrum(model, fit, p))
+    return {
+        f"{type(r).__name__}.{f.name}": getattr(r, f.name)
+        for r in results for f in dataclasses.fields(r)
+        if isinstance(getattr(r, f.name), np.ndarray)
+    }
+
+
+def test_one_point_calls_at_one_point_share_one_frame(deformed_query, built_frames):
+    model, fit, p = deformed_query
+    got = point_query_arrays(model, fit, p)
+    assert len(built_frames) == 1
+    want = point_query_arrays(model, fit, PointFrame(model, p))
+    assert got.keys() == want.keys()
+    for name, arr in got.items():
+        assert np.array_equal(arr, want[name]), name
+    built_frames.clear()
+    riemann(model, p.copy())  # the same point in another array
+    assert built_frames == []
+
+
+def test_another_point_or_model_builds_another_frame(deformed_query, built_frames):
+    model, _, p = deformed_query
+    zero, negative_zero = np.array([0.0, 0.2, 0.3]), np.array([-0.0, 0.2, 0.3])
+    for q, m in ((p, model), (zero, model), (negative_zero, model), (negative_zero, dataclasses.replace(model))):
+        riemann(m, q)
+        riemann(m, q)
+    assert len(built_frames) == 4
+    assert [fr.point.tobytes() for fr in built_frames[1:3]] == [zero.tobytes(), negative_zero.tobytes()]
+
+
+def test_a_degenerate_point_raises_on_every_call(built_frames):
+    flat = catalog_get("flat-contact-r3").model
+    model = dataclasses.replace(flat, metric_field=lambda x: np.diag([1.0, 1.0, x[0] * x[0]]))
+    for _ in range(2):
+        with pytest.raises(DegenerateMetricError):
+            riemann(model, np.array([0.0, 0.1, 0.2]))
+    assert len(built_frames) == 1
+
+
+def test_frame_arrays_are_read_only(deformed_query):
+    model, fit, p = deformed_query
+    returned = point_query_arrays(model, fit, p)
+    frame, batch = as_frame(model, p), PointFrame(model, np.stack([p, p]))
+    kept = {name: getattr(frame, name) for name in ("point", *FIELDS, *DERIVED)}
+    kept.update({f"d_eta({c})": frame.d_eta(c) for c in Convention})
+    kept.update({f"batch[0].{name}": getattr(batch[0], name) for name in ("point", *FIELDS, *DERIVED)})
+    # what h_spectrum computes for its caller alone is the caller's to keep
+    own = {name: returned.pop(f"SpectrumReport.{name}") for name in ("eigenvalues", "p_plus", "p_minus")}
+    for name, arr in own.items():
+        assert not any(np.shares_memory(arr, k) for k in kept.values()), name
+    for name, arr in {**returned, **kept}.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    # a caller may still set a whole array on a frame it built
+    mine = PointFrame(model, p)
+    r = mine.riemann31.copy()
+    r[0, 1, 0, 1] += 1.0
+    mine.riemann31 = r
+    assert riemann(model, mine).riemann31 is r

@@ -6,11 +6,13 @@ import pytest
 from fcontact import (
     Convention,
     PointFrame,
+    catalog_get,
     check_contact,
     check_f_axioms,
     check_normality,
     d_deform,
     killing_check,
+    sample_points,
     structure_at,
 )
 
@@ -176,3 +178,11 @@ def test_rank_detected_reports_the_worst_point(flat, flat_points):
 def test_frame_of_another_model_rejected(flat, s11, flat_points):
     with pytest.raises(ValueError):
         check_normality(s11, [PointFrame(flat, flat_points[0])])
+
+
+def test_structure_at_rejects_a_frame_at_another_point():
+    model = catalog_get("flat-contact-r3:deformed:2").model
+    p1, p2 = sample_points(model, 2, seed=0)
+    with pytest.raises(ValueError, match="not at the point given"):
+        structure_at(model, p1, PointFrame(model, p2))
+    assert np.array_equal(structure_at(model, p2, PointFrame(model, p2)).point, p2)
