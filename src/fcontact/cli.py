@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -144,8 +145,8 @@ class RunContext:
     def __init__(self, config: RunConfig, entry: CatalogEntry):
         self.model = model = entry.model
         self.fit_tol = config.tolerance
-        self._seeds = np.random.SeedSequence(config.seed).spawn(len(CHECKS) + 1)
-        points = sample_points(model, config.points, seed=np.random.default_rng(self._seeds[0]))
+        self.seed = config.seed
+        points = sample_points(model, config.points, seed=self._stream(0))
         # every check reads this one frame over all points: the fields are evaluated once per run
         self.frame = as_frames(model, points)
         self.axioms = stc.check_f_axioms(model, self.frame)
@@ -172,9 +173,15 @@ class RunContext:
     def has_fit(self) -> bool:
         return not isinstance(self.fit, FContactError)
 
+    def _stream(self, index: int) -> np.random.Generator:
+        """Child ``index`` of the run's seed: the stream of
+        ``SeedSequence(seed).spawn(k)[index]`` for any ``k > index``, made
+        without spawning the other children."""
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
+
     def rng(self, name: str) -> np.random.Generator:
-        """The random stream of check ``name``, spawned at its row index."""
-        return np.random.default_rng(self._seeds[1 + CHECK_NAMES.index(name)])
+        """The random stream of check ``name``: child ``1 + `` its row index (0 draws the points)."""
+        return self._stream(1 + CHECK_NAMES.index(name))
 
 
 def _predicted_h(entry: CatalogEntry, fit: nl.NullityFit, tol: float) -> float | None:
@@ -434,7 +441,11 @@ PRESETS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``fcontact`` argument parser, built on first use and then kept:
+    parsing reads it and leaves it as it was, so every ``main`` call in a
+    process shares it."""
     parser = argparse.ArgumentParser(
         prog="fcontact",
         description="Verification lab for metric f-contact manifolds and their nullity structure.",
@@ -458,7 +469,11 @@ def main(argv=None) -> int:
     catalog_sub = p_catalog.add_subparsers(dest="catalog_command", required=True)
     catalog_sub.add_parser("list", help="list the built-in base entries")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "catalog":

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .errors import DegenerateMetricError, EmptyPointSetError, InsufficientSampleError
+from .errors import DegenerateMetricError, EmptyPointSetError
 from .tolerances import METRIC_CONDITION_MAX
 
 Point = np.ndarray
@@ -396,24 +396,6 @@ class PointFrame:
     def proj_L(self):
         """Projector onto L: ``-f^2 = I - sum xi_alpha (x) eta_alpha``."""
         return -self.f2
-
-    def random_unit_sections(self, rng, count: int) -> np.ndarray:
-        """``count`` random g-unit vectors in L at a one-point frame, as rows
-        (projected Gaussians, normalized).
-
-        Draws whose projection has norm below 1e-3 are skipped, so the rows
-        are those that ``count`` draws made one after another would give.
-        """
-        P, rows, need = self.proj_L, [], count
-        while need:
-            v = rng.standard_normal((need, self.model.dim)) @ P.T
-            norm = np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", v, self.g, v), 0.0))
-            keep = norm >= 1e-3
-            if not keep.any():
-                raise InsufficientSampleError("could not draw a unit vector in L")
-            rows.append(v[keep] / norm[keep, None])
-            need -= int(keep.sum())
-        return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
 def _check_model(frame: PointFrame, model: ManifoldModel) -> None:

@@ -367,37 +367,68 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Sections checked and contracted with R at a time: bounds the (rows, dim^2) blocks.
+# Rows of sections checked and contracted with R at a time, over all points of
+# a group: bounds the (rows, dim^2) blocks.
 _SECTION_BLOCK = 4096
 
 
-def _f_sectional_rows(fr: PointFrame, X: np.ndarray) -> np.ndarray:
-    """``H(X) = g(R(X, fX)fX, X)`` at a one-point frame for each row of ``X``,
-    all unit vectors in L.
+def _unit_sections(rng, proj_l: np.ndarray, g: np.ndarray, count: int) -> np.ndarray:
+    """``count`` random g-unit vectors in L at one point, as rows: Gaussians
+    projected by ``proj_l`` and normalized in the metric ``g``.
+
+    Draws whose projection has norm below 1e-3 are skipped, so the rows are
+    those that ``count`` draws made one after another would give.
+    """
+    rows, need = [], count
+    while need:
+        v = rng.standard_normal((need, len(g))) @ proj_l.T
+        norm = np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", v, g, v), 0.0))
+        keep = norm >= 1e-3
+        if not keep.any():
+            raise InsufficientSampleError("could not draw a unit vector in L")
+        rows.append(v[keep] / norm[keep, None])
+        need -= int(keep.sum())
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+def _check_count(name: str, count: int) -> None:
+    if count < 1:
+        raise InsufficientSampleError(f"{name} must be at least 1, got {count}")
+
+
+def _f_sectional_rows(fr: PointFrame, X: np.ndarray, points=slice(None)) -> np.ndarray:
+    """``H(X) = g(R(X, fX)fX, X)`` for each row of ``X``, shaped ``(P, N, dim)``:
+    N unit vectors in L at each of the P points ``points`` of a stacked frame,
+    or at a one-point frame (P = 1, ``points`` unused).  Returns ``(P, N)``.
 
     H is ``(X (x) fX) R (fX (x) X)`` with ``riemann40`` as a
-    ``(dim^2, dim^2)`` matrix; rows are checked and contracted in blocks.
+    ``(dim^2, dim^2)`` matrix per point.  The rows of all P points are checked
+    and contracted together, in blocks of at most ``_SECTION_BLOCK`` rows in
+    all (row blocks of one point when it alone has more).
     """
-    dim2 = fr.model.dim ** 2
-    r = fr.riemann40.reshape(dim2, dim2)
-    out = np.empty(len(X))
-    for start in range(0, len(X), _SECTION_BLOCK):
-        x = X[start:start + _SECTION_BLOCK]
-        fx = x @ fr.f.T
-        eta_res = float(np.max(np.abs(x @ fr.eta.T)))
+    at = points if fr.point.ndim == 2 else None  # a one-point frame as a batch of one
+    r, f, eta, g = (getattr(fr, name)[at] for name in ("riemann40", "f", "eta", "g"))
+    count, rows, dim = X.shape
+    r = r.reshape(count, dim * dim, dim * dim)
+    out = np.empty((count, rows))
+    step = max(1, _SECTION_BLOCK // count)
+    for start in range(0, rows, step):
+        x = X[:, start:start + step]
+        fx = x @ f.swapaxes(-1, -2)
+        eta_res = float(np.max(np.abs(x @ eta.swapaxes(-1, -2))))
         if eta_res > 1e-6:
             raise InvalidSectionError(f"X has eta components of size {eta_res}")
         for name, v in (("X", x), ("fX", fx)):
-            if np.max(np.abs(np.einsum("ni,ij,nj->n", v, fr.g, v) - 1.0)) > 1e-6:
+            if np.max(np.abs(np.einsum("pni,pij,pnj->pn", v, g, v) - 1.0)) > 1e-6:
                 raise InvalidSectionError(f"{name} is not a g-unit vector")
-        u, w = _outer(x, fx).reshape(-1, dim2), _outer(fx, x).reshape(-1, dim2)
-        out[start:start + _SECTION_BLOCK] = np.einsum("nk,nk->n", u @ r, w)
+        u, w = _outer(x, fx).reshape(count, -1, dim * dim), _outer(fx, x).reshape(count, -1, dim * dim)
+        out[:, start:start + step] = np.einsum("pnk,pnk->pn", u @ r, w)
     return out
 
 
 def f_sectional(model: ManifoldModel, p: Point | PointFrame, X) -> float:
     """Sectional curvature of the plane {X, fX} for a unit X in L."""
-    return float(_f_sectional_rows(as_frame(model, p), np.asarray(X, dtype=float)[None])[0])
+    return float(_f_sectional_rows(as_frame(model, p), np.asarray(X, dtype=float)[None, None])[0, 0])
 
 
 @dataclass
@@ -413,15 +444,24 @@ def sample_H_constancy(
 ) -> SpaceFormReport:
     """Sample H over random f-sections; report mean and spread.
 
-    H(X) is not multilinear in X, so it is sampled: the sections of each
-    point are drawn in turn and evaluated before the next point draws.
+    H(X) is not multilinear in X, so it is sampled.  The points draw their
+    sections in order, each all of its own before the next, from the one
+    stream ``rng``: the grouping below does not change which sections a seed
+    gives.  The sections are evaluated a group at a time, once the group is
+    drawn: as many whole points as have at most ``_SECTION_BLOCK`` rows in
+    all, or one point, in row blocks, when it alone has more.
     """
+    _check_count("sections_per_point", sections_per_point)
     fr, rng = as_frames(model, points), np.random.default_rng(rng)
-    fr.riemann40, fr.proj_L  # computed over the batch once; each point reads its slice
-    arr = np.concatenate([
-        _f_sectional_rows(pt, pt.random_unit_sections(rng, sections_per_point))
-        for pt in (fr[i] for i in range(len(fr.point)))
-    ])
+    count, group = len(fr.point), max(1, _SECTION_BLOCK // sections_per_point)
+    values = []
+    for start in range(0, count, group):
+        # dropped before the next group draws: memory holds one group's sections
+        members = range(start, min(start + group, count))
+        X = np.stack([_unit_sections(rng, fr.proj_L[i], fr.g[i], sections_per_point) for i in members])
+        values.append(_f_sectional_rows(fr, X, slice(start, start + group)).ravel())
+        del X
+    arr = np.concatenate(values)
     return SpaceFormReport(
         h_mean=float(arr.mean()),
         h_spread=float(arr.max() - arr.min()),
@@ -500,13 +540,14 @@ def check_splitting_lemma(
     (g(X_+, X_+) g(X_-, X_-) - g(X_+, f X_-)^2)`` with ``X_+- = P_+- X``,
     over random unit sections X (the formula is not multilinear in X).
     """
+    _check_count("section_samples", section_samples)
     if fit.kappa >= 1.0 - FIT_TOL:
         raise NotApplicableError("the splitting formula requires kappa < 1")
     rng = np.random.default_rng(rng)
     fr = as_frame(model, p)
     p_plus, p_minus = _split_projectors(fr, float(np.sqrt(1.0 - fit.kappa)))
     s, mu = model.s, fit.mu_effective
-    X = fr.random_unit_sections(rng, section_samples)
+    X = _unit_sections(rng, fr.proj_L, fr.g, section_samples)
     xp, xm = X @ p_plus.T, X @ p_minus.T
 
     def ip(u, v):
@@ -515,7 +556,7 @@ def check_splitting_lemma(
     formula = -s * (fit.kappa + mu) + 4.0 * s * (fit.kappa - mu + 1.0) * (
         ip(xp, xp) * ip(xm, xm) - ip(xp, xm @ fr.f.T) ** 2
     )
-    return relative_residual([(_f_sectional_rows(fr, X), formula)])
+    return relative_residual([(_f_sectional_rows(fr, X[None])[0], formula)])
 
 
 # ---------------------------------------------------------------------------

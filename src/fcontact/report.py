@@ -9,7 +9,7 @@ config and seed, except for ``wall_time``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 __all__ = ["CheckRecord", "CheckReport", "REPORT_SCHEMA", "emit_report", "parse_report"]
 
@@ -51,7 +51,7 @@ class CheckReport:
     def to_dict(self) -> dict:
         return {
             "manifold": self.manifold,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [dict(vars(c)) for c in self.checks],
             "fits": self.fits,
             "spectrum": self.spectrum,
             "h_sectional": self.h_sectional,

@@ -10,6 +10,7 @@ from fcontact import (
     fit_nullity,
     sample_points,
 )
+from fcontact import nullity as nl
 
 DEFORM_AS = (0.5, 0.75, 2.0, 3.0)
 
@@ -75,4 +76,5 @@ def rng_points(model, count, seed):
 
 def unit_section(model, p, seed=0):
     """A random g-unit vector in L at p."""
-    return PointFrame(model, p).random_unit_sections(np.random.default_rng(seed), 1)[0]
+    fr = PointFrame(model, p)
+    return nl._unit_sections(np.random.default_rng(seed), fr.proj_L, fr.g, 1)[0]

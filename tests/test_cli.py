@@ -1,13 +1,19 @@
+import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from fcontact import cli, geom, nullity
 from fcontact.catalog import catalog_get
-from fcontact.cli import CHECK_NAMES, ConfigError, RunConfig, _resolve_entry, main, run
+from fcontact.cli import CHECK_NAMES, CHECKS, ConfigError, RunConfig, _resolve_entry, main, run
 from fcontact.report import REPORT_SCHEMA, emit_report, parse_report
 
 
@@ -301,3 +307,60 @@ def test_check_subset_equals_filtered_full_run(key):
         assert single.spectrum == full.spectrum, name
         assert single.h_sectional == full.h_sectional, name
         assert single.verdicts == full.verdicts, name
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_run_streams_are_the_children_of_the_seed(seed):
+    entry = catalog_get("flat-contact-r3:deformed:0.5")
+    ctx = cli.RunContext(RunConfig(entry.key, seed=seed, points=2, samples=20), entry)
+    children = np.random.SeedSequence(seed).spawn(len(CHECKS) + 1)
+    assert len(children) == 16
+    points = geom.sample_points(entry.model, 2, seed=np.random.default_rng(children[0]))
+    assert np.array_equal(ctx.frame.point, np.stack(points))
+    for i, name in enumerate(CHECK_NAMES):
+        assert np.array_equal(ctx.rng(name).random(8), np.random.default_rng(children[1 + i]).random(8)), name
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def test_a_second_main_call_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(parser, *args, **kwargs):
+        built.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    assert main(["catalog", "list"]) == 0
+    first = len(built)
+    assert main(["catalog", "list"]) == 0
+    capsys.readouterr()
+    assert first > 0 and len(built) == first
+
+
+def test_main_calls_in_one_process_share_no_state(capsys):
+    args = ["--manifold", "s-space-form:2,2", "--points", "3", "--samples", "30"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; from fcontact.cli import main; sys.exit(main(sys.argv[1:]))", "check", *args],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert main(["fit-gssf", *args]) == 0
+    assert main(["check", "--checks", "r-xi", *args]) == 0
+    capsys.readouterr()
+    assert main(["check", *args]) == fresh.returncode == 0
+    out = capsys.readouterr().out
+    assert out == fresh.stdout
+    assert [line.split()[0] for line in out.splitlines()[1:len(CHECK_NAMES) + 1]] == CHECK_NAMES
+
+
+def test_a_parse_error_leaves_the_next_call_working(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--manifold", "flat-contact-r3", "--points", "x"])
+    assert exc.value.code == 2
+    assert "--points" in capsys.readouterr().err
+    assert main(["check", "--manifold", "flat-contact-r3", "--points", "3", "--samples", "30"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out

@@ -14,6 +14,8 @@ from fcontact import (
     sample_H_constancy,
     sample_points,
 )
+from fcontact.catalog import catalog_get
+from fcontact.deform import format_constant
 from fcontact.jets import tensor_value
 
 IDT = 1e-8
@@ -109,6 +111,17 @@ def test_composition_law(a, b):
     for p in sample_points(flat, 3, seed=17):
         for u, v in zip(fields_at(once, p), fields_at(direct, p)):
             assert np.allclose(u, v, atol=1e-10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=0.05, max_value=200.0), st.integers(min_value=0, max_value=2**32 - 1))
+def test_deformed_catalog_models_follow_the_closed_forms(a, seed):
+    model = catalog_get(f"flat-contact-r3:deformed:{format_constant(a)}").model
+    points = sample_points(model, 4, seed=seed)
+    pred, fit = predict_deformed_nullity(a, s=1), fit_nullity(model, points)
+    rep = sample_H_constancy(model, points, 20, rng=seed)
+    for got, want in ((fit.kappa, pred.kappa), (fit.mu, pred.mu), (rep.h_mean, pred.h_sectional)):
+        assert abs(got - want) <= FIT_TOL * max(1.0, abs(want)), (got, want)
 
 
 def test_deformation_preserves_convention_and_labels(flat):

@@ -397,12 +397,72 @@ def test_f_sectional_contraction_matches_the_five_operand_formula(key, monkeypat
     model = catalog_get(key).model
     frame = PointFrame(model, np.stack(sample_points(model, 3, seed=4)))
     monkeypatch.setattr(nl, "_SECTION_BLOCK", 7)  # several blocks of rows
-    for i in range(3):
-        one = frame[i]
-        X = one.random_unit_sections(np.random.default_rng(5 + i), 50)
-        fX = X @ one.f.T
-        want = np.einsum("ijkl,ni,nj,nk,nl->n", one.riemann40, X, fX, fX, X)
-        assert np.max(np.abs(nl._f_sectional_rows(one, X) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    X = np.stack([nl._unit_sections(np.random.default_rng(5 + i), frame.proj_L[i], frame.g[i], 50) for i in range(3)])
+    fX = X @ frame.f.swapaxes(-1, -2)
+    want = np.einsum("pijkl,pni,pnj,pnk,pnl->pn", frame.riemann40, X, fX, fX, X)
+    got = nl._f_sectional_rows(frame, X)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _sample_H_per_point(model, points, sections, rng):
+    """``sample_H_constancy`` as a loop over points: each point draws its
+    sections and evaluates them, in row blocks of ``_SECTION_BLOCK``, before
+    the next point draws."""
+    from fcontact import nullity as nl
+    from fcontact.jets import _outer
+
+    fr, rng, dim2 = PointFrame(model, np.stack(points)), np.random.default_rng(rng), model.dim**2
+    fr.riemann40, fr.proj_L  # over the batch, as the sampler reads them
+    values = []
+    for i in range(len(points)):
+        one = fr[i]
+        X = nl._unit_sections(rng, one.proj_L, one.g, sections)
+        r = one.riemann40.reshape(dim2, dim2)
+        for start in range(0, len(X), nl._SECTION_BLOCK):
+            x = X[start:start + nl._SECTION_BLOCK]
+            fx = x @ one.f.T
+            u, w = _outer(x, fx).reshape(-1, dim2), _outer(fx, x).reshape(-1, dim2)
+            values.append(np.einsum("nk,nk->n", u @ r, w))
+    arr = np.concatenate(values)
+    return float(arr.mean()), float(arr.max() - arr.min())
+
+
+@pytest.mark.parametrize("key", ["s-space-form:3,3", "flat-contact-r3:deformed:0.5"])
+@pytest.mark.parametrize("block", [4096, 50])  # 50: groups of 2 and 5 points, and row blocks of one point
+def test_sample_H_constancy_matches_the_per_point_loop_bit_for_bit(key, block, monkeypatch):
+    from fcontact import catalog_get, sample_points
+    from fcontact import nullity as nl
+
+    model = catalog_get(key).model
+    points = sample_points(model, 7, seed=2)
+    monkeypatch.setattr(nl, "_SECTION_BLOCK", block)
+    for sections in (1, 10, 20, 120) if block == 50 else (1, 30, 1500, 5000):
+        rep = sample_H_constancy(model, points, sections, rng=9)
+        assert (rep.h_mean, rep.h_spread) == _sample_H_per_point(model, points, sections, 9), sections
+
+
+def test_a_bad_row_in_a_group_of_points_raises(deformed, flat_points):
+    from fcontact import nullity as nl
+
+    model = deformed[0.5]
+    frame = PointFrame(model, np.stack(flat_points[:3]))
+    rng = np.random.default_rng(0)
+    X = np.stack([nl._unit_sections(rng, frame.proj_L[i], frame.g[i], 5) for i in range(3)])
+    assert np.all(np.isfinite(nl._f_sectional_rows(frame, X)))
+    for bad in (frame.xi[1, 0] / np.sqrt(frame.g[1] @ frame.xi[1, 0] @ frame.xi[1, 0]), 2.0 * X[1, 2]):
+        rows = X.copy()
+        rows[1, 2] = bad  # not in L, then not a unit vector, at the second point only
+        with pytest.raises(InvalidSectionError):
+            nl._f_sectional_rows(frame, rows)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_section_counts_below_one_raise_typed_errors(count, deformed, deformed_fits, flat_points):
+    model, fit = deformed[0.5], deformed_fits[0.5]
+    with pytest.raises(InsufficientSampleError, match="sections_per_point"):
+        sample_H_constancy(model, flat_points[:2], count)
+    with pytest.raises(InsufficientSampleError, match="section_samples"):
+        check_splitting_lemma(model, fit, flat_points[0], count)
 
 
 def test_checks_over_blocks_of_points_match_one_block(
