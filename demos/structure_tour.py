@@ -31,10 +31,10 @@ for model in (build_flat_contact_r3(), build_s_space_form(2, 2)):
     # The contact condition F = d eta picks out exactly one convention.
     half = np.max(check_contact(model, points, Convention.HALF))
     plain = np.max(check_contact(model, points, Convention.PLAIN))
-    print(f"   |F - d_eta| under HALF: {half:.2e}   under PLAIN: {plain:.2e}")
+    print(f"   relative residual of F = d_eta under HALF: {half:.2e}   under PLAIN: {plain:.2e}")
 
     # Normality separates S-manifolds from merely metric f-contact ones.
-    print(f"   normality tensor: {check_normality(model, points):.2e}")
+    print(f"   relative residual of normality: {check_normality(model, points):.2e}")
 
     # h_alpha = 1/2 L_xi f vanishes exactly when xi is Killing.
     st = structure_at(model, points[0])
@@ -50,4 +50,4 @@ points = sample_points(plain_model, 10, seed=0)
 half = np.max(check_contact(plain_model, points, Convention.HALF))
 plain = np.max(check_contact(plain_model, points, Convention.PLAIN))
 print(f"== {plain_model.label}")
-print(f"   |F - d_eta| under HALF: {half:.2e}   under PLAIN: {plain:.2e}")
+print(f"   relative residual of F = d_eta under HALF: {half:.2e}   under PLAIN: {plain:.2e}")

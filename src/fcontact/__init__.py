@@ -31,7 +31,6 @@ from .errors import (
     InvalidSectionError,
     NotApplicableError,
     SingularJetError,
-    SpectralInconsistencyError,
     UnknownManifoldError,
 )
 from .geom import (
@@ -98,7 +97,6 @@ __all__ = [
     "SingularJetError",
     "SpaceFormReport",
     "SpaceFormVerdict",
-    "SpectralInconsistencyError",
     "SpectrumReport",
     "StructureTensors",
     "TransSFit",

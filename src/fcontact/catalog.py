@@ -48,7 +48,6 @@ class ExpectedFit:
     kappa: float | None
     mu: float | None
     h_sectional: float | None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def _base_entry(key: str) -> CatalogEntry:
         return CatalogEntry(
             key=key,
             model=build_flat_contact_r3(),
-            expected=ExpectedFit(0.0, 0.0, 0.0, note="curvature vanishes identically"),
+            expected=ExpectedFit(0.0, 0.0, 0.0),  # curvature vanishes identically
         )
     if key.startswith("s-space-form:"):
         try:
@@ -180,9 +179,7 @@ def _base_entry(key: str) -> CatalogEntry:
         return CatalogEntry(
             key=key,
             model=build_s_space_form(n, s),
-            expected=ExpectedFit(
-                1.0, None, -3.0 * s, note="normal structure; mu unconstrained since h = 0"
-            ),
+            expected=ExpectedFit(1.0, None, -3.0 * s),  # normal; mu unconstrained since h = 0
         )
     raise UnknownManifoldError(key)
 
@@ -198,16 +195,10 @@ def catalog_get(key: str) -> CatalogEntry:
         base = _base_entry(base_key)
         if base_key == "flat-contact-r3":
             pred = predict_deformed_nullity(a, base.model.s)
-            expected = ExpectedFit(
-                pred.kappa,
-                pred.mu,
-                pred.h_sectional,
-                note="closed-form deformation of the flat structure",
-            )
+            expected = ExpectedFit(pred.kappa, pred.mu, pred.h_sectional)
         else:
-            expected = ExpectedFit(
-                1.0, None, None, note="deformation preserves the normal structure; H measured"
-            )
+            # the deformation keeps the normal structure; H is measured
+            expected = ExpectedFit(1.0, None, None)
         return CatalogEntry(key=key, model=d_deform(base.model, a), expected=expected)
     return _base_entry(key)
 

@@ -33,7 +33,7 @@ from .deform import check_constant, format_constant
 from .errors import FContactError, NotApplicableError, UnknownManifoldError
 from .geom import Convention, as_frames, sample_points
 from .report import CheckRecord, CheckReport, emit_report
-from .tolerances import FIT_TOL, IDENTITY_TOL
+from .tolerances import FIT_TOL, IDENTITY_TOL, relative_residual
 
 
 class ConfigError(ValueError):
@@ -136,7 +136,7 @@ class RunContext:
     """What every run computes once, whatever checks it reports.
 
     The report's ``fits.nullity``, ``spectrum``, ``h_sectional`` and verdicts
-    read these values on every run.  ``fit`` and ``spectrum`` hold the
+    read these values on every run.  ``fit``, ``spectrum`` and ``h`` hold the
     library error instead of a value when computing them raised one; ``h``
     and ``predicted`` (the H that the fit or the catalog predicts) are
     ``None`` without a fit.
@@ -165,7 +165,7 @@ class RunContext:
             }
             self.spectrum = _attempt(nl.h_spectrum, model, fit, self.frame[0])
             sections = max(10, config.samples // config.points)
-            self.h = nl.sample_H_constancy(model, self.frame[:10], sections_per_point=sections, rng=self.rng("H"))
+            self.h = _attempt(nl.sample_H_constancy, model, self.frame[:10], sections, self.rng("H"))
             self.predicted = _predicted_h(entry, fit, self.fit_tol)
         self.normality = stc.check_normality(model, self.frame)
 
@@ -185,10 +185,11 @@ class RunContext:
 
 
 def _predicted_h(entry: CatalogEntry, fit: nl.NullityFit, tol: float) -> float | None:
-    """The catalog's H, else ``-s (kappa + mu)`` where the theory makes H constant."""
+    """The catalog's H, else ``-s (kappa + mu)`` where the theory makes H constant:
+    kappa < 1 with n = 1 or ``mu = kappa + 1`` (to within ``tol``)."""
     if entry.expected is not None and entry.expected.h_sectional is not None:
         return entry.expected.h_sectional
-    if fit.kappa < 1.0 - tol:
+    if fit.lam is not None:
         mu = fit.mu_effective
         if abs(mu - (fit.kappa + 1.0)) <= tol or entry.model.n == 1:
             return -entry.model.s * (fit.kappa + mu)
@@ -207,21 +208,15 @@ def _axioms(ctx: RunContext):
 
 def _killing(ctx: RunContext):
     """Disagreement between ``L_xi g = 0`` and ``h = 0``, which are equivalent."""
-    h_norms = np.max(np.abs(ctx.frame.h_all), axis=(0, 2, 3))
     defects, notes, tol = [0.0], [], IDENTITY_TOL
     for a in range(ctx.model.s):
-        k_res, h_norm = stc.killing_check(ctx.model, a, ctx.frame), float(h_norms[a])
+        k_res = stc.killing_check(ctx.model, a, ctx.frame)
+        h_norm = relative_residual([(ctx.frame.h_all[:, a], 0.0)])
         # every comparison with NaN is false, so NaN agrees with nothing and its defect is NaN
         if not ((k_res < tol and h_norm < tol) or (k_res >= tol and h_norm >= tol)):
             defects.append(np.minimum(k_res, h_norm))
         notes.append(f"alpha={a}: L_xi g={k_res:.2e}, |h|={h_norm:.2e}")
     return np.max(defects), True, "; ".join(notes)
-
-
-def _nullity(ctx: RunContext):
-    fit = _value(ctx.fit)
-    kappa_ok = fit.kappa <= 1.0 + ctx.fit_tol
-    return fit.residual, kappa_ok, "" if kappa_ok else f"kappa = {fit.kappa} exceeds 1"
 
 
 def _spectrum(ctx: RunContext):
@@ -230,7 +225,7 @@ def _spectrum(ctx: RunContext):
 
 
 def _h_sectional(ctx: RunContext):
-    h, predicted = ctx.h, ctx.predicted
+    h, predicted = _value(ctx.h), ctx.predicted
     note = f"mean = {h.h_mean:.9g}"
     if predicted is not None:
         note += f", predicted = {predicted:.9g}"
@@ -238,9 +233,10 @@ def _h_sectional(ctx: RunContext):
 
 
 def _curvature_model(ctx: RunContext):
-    if not ctx.h.h_spread <= ctx.fit_tol:
+    h = _value(ctx.h)
+    if not h.h_spread <= ctx.fit_tol:
         raise NotApplicableError("f-sectional curvature is not constant")
-    return nl.check_curvature_model(ctx.model, ctx.fit, ctx.h.h_mean, ctx.frame)
+    return nl.check_curvature_model(ctx.model, ctx.fit, h.h_mean, ctx.frame)
 
 
 def _gssf(ctx: RunContext):
@@ -288,7 +284,7 @@ CHECKS = (
     Check("contact",         True,  False,  False,    lambda ctx: float(np.max(ctx.axioms.r_contact))),
     Check("h-properties",    True,  False,  False,    lambda ctx: ctx.axioms.r_h_properties),
     Check("killing",         True,  False,  False,    _killing),
-    Check("nullity",         True,  True,   False,    _nullity),
+    Check("nullity",         True,  True,   False,    lambda ctx: _value(ctx.fit).residual),
     Check("spectrum",        True,  True,   True,     _spectrum),
     Check("r-xi",            True,  True,   True,     lambda ctx: nl.verify_r_xi(ctx.model, ctx.fit, ctx.frame)),
     Check("rf",              True,  True,   True,     lambda ctx: nl.check_rf_identity(ctx.model, ctx.fit, ctx.frame)),
@@ -333,7 +329,7 @@ def run(config: RunConfig) -> CheckReport:
         for row in CHECKS
         if row.name in requested and row.only_s in (None, model.s) and (ctx.has_fit or not row.needs_fit)
     ]
-    spec = ctx.spectrum
+    spec, h = (None if isinstance(v, FContactError) else v for v in (ctx.spectrum, ctx.h))
     is_mfc = ctx.axioms.max_residual <= IDENTITY_TOL
     is_normal = ctx.normality <= IDENTITY_TOL
     return CheckReport(
@@ -347,21 +343,21 @@ def run(config: RunConfig) -> CheckReport:
         },
         checks=checks,
         fits=ctx.fits,
-        spectrum=None if spec is None or isinstance(spec, FContactError) else {
+        spectrum=None if spec is None else {
             "lambda": spec.lam,
             "eigenvalue_residual": spec.eigenvalue_residual,
             "h_equal_residual": spec.h_equal_residual,
             "f_swap_residual": spec.f_swap_residual,
             "h_zero": spec.h_zero,
         },
-        h_sectional=None if ctx.h is None else {
-            "mean": ctx.h.h_mean, "spread": ctx.h.h_spread, "predicted": ctx.predicted,
+        h_sectional=None if h is None else {
+            "mean": h.h_mean, "spread": h.h_spread, "predicted": ctx.predicted,
         },
         verdicts={
             "is_metric_f_contact": bool(is_mfc),
             "is_normal": bool(is_normal),
             "is_s_manifold": bool(is_mfc and is_normal),
-            "is_space_form_candidate": None if ctx.h is None else bool(ctx.h.h_spread <= ctx.fit_tol),
+            "is_space_form_candidate": None if h is None else bool(h.h_spread <= ctx.fit_tol),
         },
         seed=config.seed,
         wall_time=time.perf_counter() - t0,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotApplicableError
 from .geom import Convention, ManifoldModel
-from .tolerances import METRIC_CONDITION_MAX
+from .tolerances import CONSTANT_TOL, METRIC_CONDITION_MAX
 
 
 def check_constant(a: float) -> float:
@@ -99,7 +99,7 @@ def predict_deformed_nullity(a: float, s: int) -> DeformedNullityPrediction:
         kappa=kappa,
         mu=mu,
         h_sectional=h,
-        is_space_form_case=abs(a - 0.5) < 1e-12,
+        is_space_form_case=abs(a - 0.5) < CONSTANT_TOL,
     )
 
 

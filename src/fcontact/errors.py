@@ -29,10 +29,6 @@ class InvalidSectionError(FContactError):
     """A vector handed to an f-section computation is not a unit vector in L."""
 
 
-class SpectralInconsistencyError(FContactError):
-    """kappa >= 1 was fitted but the h operators are not numerically zero."""
-
-
 class NotApplicableError(FContactError):
     """Operation precondition not met (wrong s, kappa >= 1, already normalized, ...)."""
 

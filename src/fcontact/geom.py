@@ -323,10 +323,6 @@ class PointFrame:
         """The vector ``R(X, Y)Z`` at each point of the frame."""
         return np.einsum("...lkij,...i,...j,...k->...l", self.riemann31, X, Y, Z)
 
-    def inner(self, u, v):
-        """``g(u, v)`` at a one-point frame."""
-        return float(u @ self.g @ v)
-
     # -- structure tensors ---------------------------------------------------
 
     @_kept
@@ -375,22 +371,26 @@ class PointFrame:
         return self.h_all[..., 0, :, :]
 
     @_kept
-    def h_max(self) -> float:
-        """The largest ``|h_alpha|`` component over every point of the frame."""
-        return float(np.max(np.abs(self.h_all)))
-
-    @_kept
-    def normality(self):
-        """``normality[..., k, i, j]``: component k of ``[f, f] + 2 sum xi_a (x) d eta_a`` on (e_i, e_j)."""
+    def nijenhuis(self):
+        """``nijenhuis[..., k, i, j]``: component k of ``[f, f](e_i, e_j)``."""
         f, df = self.f, self.df
         # N^k_ij = f^m_i d_m f^k_j - f^m_j d_m f^k_i + f^k_m (d_j f^m_i - d_i f^m_j)
-        nijenhuis = (
+        return (
             einsum("...mi,...kjm->...kij", f, df)
             - einsum("...mj,...kim->...kij", f, df)
             + einsum("...km,...mij->...kij", f, df)
             - einsum("...km,...mji->...kij", f, df)
         )
-        return nijenhuis + 2.0 * einsum("...ak,...aij->...kij", self.xi, self.d_eta())
+
+    @_kept
+    def xi_d_eta(self):
+        """``sum xi_alpha (x) d eta_alpha``, laid out like ``nijenhuis``."""
+        return einsum("...ak,...aij->...kij", self.xi, self.d_eta())
+
+    @_kept
+    def normality(self):
+        """``normality[..., k, i, j]``: component k of ``[f, f] + 2 sum xi_a (x) d eta_a`` on (e_i, e_j)."""
+        return self.nijenhuis + 2.0 * self.xi_d_eta
 
     @_kept
     def proj_L(self):

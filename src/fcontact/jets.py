@@ -32,9 +32,6 @@ from .errors import SingularJetError
 __all__ = [
     "Jet",
     "variables",
-    "value",
-    "gradient",
-    "hessian",
     "tensor_parts",
     "tensor_value",
     "tensor_jacobian",
@@ -190,21 +187,6 @@ def variables(coords):
         eye = np.broadcast_to(eye, batch + (dim, dim))
     zero = np.zeros(batch + (dim, dim))
     return np.array([Jet(x[..., i], eye[..., i, :], zero) for i in range(dim)], dtype=object)
-
-
-# -- scalar extraction ----------------------------------------------------
-
-
-def value(x):
-    return x.val if isinstance(x, Jet) else float(x)
-
-
-def gradient(x, dim):
-    return x.grad if isinstance(x, Jet) else np.zeros(dim)
-
-
-def hessian(x, dim):
-    return x.hess if isinstance(x, Jet) else np.zeros((dim, dim))
 
 
 # -- tensor extraction -----------------------------------------------------

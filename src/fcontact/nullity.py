@@ -12,8 +12,9 @@ Equivalently, by the pair symmetry of R and the g-symmetry of f^2 and h,
                        + mu (g(X, h Y) xib - etab(Y) h X).
 
 Both are fitted/verified here, together with: the spectrum of h on the
-distribution L orthogonal to the structure fields (eigenvalues
-``+-sqrt(1 - kappa)`` when kappa < 1), the R(X, Y)fZ expansion, the Ricci
+distribution L orthogonal to the structure fields, through the identity
+``h_alpha^2 = (kappa - 1) f^2`` (eigenvalues ``+-sqrt(1 - kappa)`` on L
+when kappa < 1, ``h = 0`` when kappa = 1), the R(X, Y)fZ expansion, the Ricci
 operator model, constancy and value of the f-sectional curvature
 ``H(X) = K(X, fX)``, the constant-H curvature model, the splitting formula
 for H(X) in terms of the L_+/L_- components of X, the seven-function
@@ -28,7 +29,12 @@ built as a tensor with ``einsum``, over all points of one stacked
 :class:`~fcontact.geom.PointFrame` at once, and compared component by
 component with ``riemann31`` or ``nabla_f``.  Only H(X) (``sample_H_constancy``) and the
 splitting formula, which are not multilinear, are sampled over random unit
-sections of L.  Every residual is :func:`~fcontact.tolerances.relative_residual`.
+sections of L.  Every residual is :func:`~fcontact.tolerances.relative_residual`;
+the H sample reports its mean and spread.
+
+Whether kappa is below 1 is decided once, by :func:`fit_nullity`: ``fit.lam``
+is ``sqrt(1 - kappa)`` then and ``None`` otherwise, and every branch on
+kappa reads it.
 """
 
 from __future__ import annotations
@@ -37,16 +43,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientSampleError,
-    InvalidSectionError,
-    NotApplicableError,
-    SpectralInconsistencyError,
-)
+from .errors import InsufficientSampleError, InvalidSectionError, NotApplicableError
 from .geom import ManifoldModel, Point, PointFrame, as_frame, as_frames, einsum
 from .jets import _outer
 from .structure import structure_at  # noqa: F401  (re-exported)
-from .tolerances import FIT_TOL, IDENTITY_TOL, relative_residual
+from .tolerances import (
+    COLUMN_CUTOFF,
+    FIT_TOL,
+    IDENTITY_TOL,
+    RESIDUAL_FLOOR,
+    SECTION_CUTOFF,
+    SECTION_TOL,
+    relative_residual,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +77,7 @@ class NullityFit:
     mu_determined: bool
     residual: float
     condition: float           # condition number of the solved system
-    lam: float | None = None   # sqrt(1 - kappa) when kappa < 1
+    lam: float | None = None   # sqrt(1 - kappa) when kappa < 1, else None: every branch reads it
 
     @property
     def mu_effective(self) -> float:
@@ -185,13 +194,15 @@ def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) 
     Each point contributes ``R(e_i, e_j) xi_alpha = kappa * A + mu * B`` for
     every alpha, every basis pair ``i < j`` (both sides are antisymmetric in
     i, j) and every component.  ``vector_samples`` and ``rng`` are accepted
-    for compatibility and unused.
+    for compatibility and unused.  Here, and only here, kappa counts as below
+    1 when ``1 - kappa > FIT_TOL``; ``lam`` records the outcome.
     """
     r, c, (a_norm, b_norm), residual = _systems(as_frames(model, points), _nullity_block)
-    if a_norm < 1e-8:
+    cutoff = COLUMN_CUTOFF * max(RESIDUAL_FLOOR, a_norm)
+    if a_norm < cutoff:
         raise InsufficientSampleError("all eta-bar terms of the nullity system vanish")
 
-    mu_determined = bool(b_norm >= 1e-8 * max(1.0, a_norm))
+    mu_determined = bool(b_norm >= cutoff)
     columns = slice(None) if mu_determined else slice(1)
     sol, cond = _lstsq_reduced(r, c, columns)
     kappa = float(sol[0])
@@ -228,36 +239,22 @@ def verify_r_xi(model: ManifoldModel, fit: NullityFit, points) -> float:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenstructure of h restricted to L at a point."""
+    """Eigenstructure of h restricted to L at a point.
+
+    ``lam``, ``p_plus``, ``p_minus`` and ``f_swap_residual`` are set only
+    when the fit has kappa < 1 (``fit.lam``); ``h_zero`` marks the kappa = 1
+    branch, where the residual holds h^2 to 0.
+    """
 
     eigenvalues: np.ndarray            # 2n values on L
-    lam: float | None                  # sqrt(1 - kappa), None in the h = 0 case
+    lam: float | None                  # sqrt(1 - kappa), None when kappa = 1
     p_l: np.ndarray                    # projector onto L
     p_plus: np.ndarray | None
     p_minus: np.ndarray | None
-    h_equal_residual: float            # max_alpha |h_alpha - h_1|
-    f_swap_residual: float | None      # |f P_+ - P_- f|
-    eigenvalue_residual: float         # distance of spectrum to {+-lam} (or to 0)
-    h_zero: bool                       # S-manifold branch (kappa ~ 1, h ~ 0)
-
-
-def _l_basis(fr: PointFrame) -> np.ndarray:
-    """g-orthonormal basis of L, columns of shape (dim, 2n)."""
-    P = fr.proj_L
-    dim, two_n = fr.model.dim, 2 * fr.model.n
-    basis = []
-    for i in range(dim):
-        v = P[:, i].copy()
-        for b in basis:
-            v -= fr.inner(b, v) * b
-        norm = np.sqrt(max(fr.inner(v, v), 0.0))
-        if norm > 1e-8:
-            basis.append(v / norm)
-        if len(basis) == two_n:
-            break
-    if len(basis) != two_n:
-        raise InsufficientSampleError("could not build a basis of L")
-    return np.column_stack(basis)
+    h_equal_residual: float            # h_alpha = h_1 for every alpha
+    f_swap_residual: float | None      # f P_+ = P_- f
+    eigenvalue_residual: float         # h_alpha^2 = (kappa - 1) f^2 for every alpha
+    h_zero: bool                       # the kappa = 1 branch: no L_+/L_- split
 
 
 def _split_projectors(fr: PointFrame, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -266,49 +263,27 @@ def _split_projectors(fr: PointFrame, lam: float) -> tuple[np.ndarray, np.ndarra
 
 
 def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point | PointFrame) -> SpectrumReport:
-    """Spectral data of h on L; validates the +-sqrt(1 - kappa) law.
+    """Spectral data of h on L, and the residual of ``h_alpha^2 = (kappa - 1) f^2``.
 
-    For kappa ~ 1 the split is undefined: returns the h = 0 report, raising
-    if h is not actually numerically zero.
+    As h is g-self-adjoint and ``f^2 = -I`` on L, the identity says that the
+    eigenvalues of every ``h_alpha`` on L are ``+-sqrt(1 - kappa)``; with
+    kappa = 1 it says ``h = 0``, and with kappa > 1 it cannot hold.  The
+    ``L_+-`` split is formed only when ``fit.lam`` is set.
     """
     fr = as_frame(model, p)
-    h_equal = float(max(np.max(np.abs(fr.h_all[a] - fr.h_all[0])) for a in range(model.s)))
-    E = _l_basis(fr)
-    h_on_l = E.T @ fr.g @ fr.h @ E
-    eigs = np.linalg.eigvalsh(0.5 * (h_on_l + h_on_l.T))
-
-    if fit.kappa >= 1.0 - FIT_TOL:
-        if fr.h_max > IDENTITY_TOL * 10:
-            raise SpectralInconsistencyError(
-                f"kappa = {fit.kappa} fitted but |h| = {fr.h_max}; "
-                "kappa = 1 requires h = 0"
-            )
-        return SpectrumReport(
-            eigenvalues=eigs,
-            lam=None,
-            p_l=fr.proj_L,
-            p_plus=None,
-            p_minus=None,
-            h_equal_residual=h_equal,
-            f_swap_residual=None,
-            eigenvalue_residual=float(np.max(np.abs(eigs))),
-            h_zero=True,
-        )
-
-    lam = float(np.sqrt(1.0 - fit.kappa))
-    p_plus, p_minus = _split_projectors(fr, lam)
-    ev_res = float(np.max(np.abs(np.abs(eigs) - lam)))
-    f_swap = float(np.max(np.abs(fr.f @ p_plus - p_minus @ fr.f)))
+    eigs = np.sort(np.linalg.eigvals(fr.h).real)  # real, as h is g-self-adjoint
+    lam = fit.lam
+    p_plus, p_minus = (None, None) if lam is None else _split_projectors(fr, lam)
     return SpectrumReport(
-        eigenvalues=eigs,
+        eigenvalues=eigs[np.sort(np.argsort(np.abs(eigs))[model.s:])],  # less the s of h xi_alpha = 0
         lam=lam,
         p_l=fr.proj_L,
         p_plus=p_plus,
         p_minus=p_minus,
-        h_equal_residual=h_equal,
-        f_swap_residual=f_swap,
-        eigenvalue_residual=ev_res,
-        h_zero=False,
+        h_equal_residual=relative_residual([(fr.h_all, fr.h)]),
+        f_swap_residual=None if lam is None else relative_residual([(fr.f @ p_plus, p_minus @ fr.f)]),
+        eigenvalue_residual=relative_residual([(fr.h_all @ fr.h_all, (fit.kappa - 1.0) * fr.f2)]),
+        h_zero=lam is None,
     )
 
 
@@ -348,7 +323,7 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
     ``Q = s(2(1 - n) + n mu) f^2 + s(2(n - 1) + mu) h
     + 2 n kappa etab (x) xib`` -- valid only for kappa < 1.
     """
-    if fit.kappa >= 1.0 - FIT_TOL:
+    if fit.lam is None:
         raise NotApplicableError("the Ricci model requires kappa < 1")
     if not fit.mu_determined:
         raise NotApplicableError("the Ricci model needs a determined mu")
@@ -371,21 +346,28 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
 # a group: bounds the (rows, dim^2) blocks.
 _SECTION_BLOCK = 4096
 
+# Rounds of draws in a row that keep no section before ``_unit_sections`` gives up.
+_DRAW_ROUNDS = 8
+
 
 def _unit_sections(rng, proj_l: np.ndarray, g: np.ndarray, count: int) -> np.ndarray:
     """``count`` random g-unit vectors in L at one point, as rows: Gaussians
     projected by ``proj_l`` and normalized in the metric ``g``.
 
-    Draws whose projection has norm below 1e-3 are skipped, so the rows are
-    those that ``count`` draws made one after another would give.
+    A draw is skipped when its projection keeps less than ``SECTION_CUTOFF``
+    of its Euclidean norm, so the rows are those that ``count`` draws made
+    one after another would give.  ``_DRAW_ROUNDS`` rounds in a row that
+    keep no draw mean that L has no directions to draw.
     """
-    rows, need = [], count
+    rows, need, misses = [], count, 0
     while need:
-        v = rng.standard_normal((need, len(g))) @ proj_l.T
-        norm = np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", v, g, v), 0.0))
-        keep = norm >= 1e-3
-        if not keep.any():
+        z = rng.standard_normal((need, len(g)))
+        v = z @ proj_l.T
+        keep = np.einsum("ni,ni->n", v, v) >= SECTION_CUTOFF**2 * np.einsum("ni,ni->n", z, z)
+        misses = 0 if keep.any() else misses + 1
+        if misses == _DRAW_ROUNDS:
             raise InsufficientSampleError("could not draw a unit vector in L")
+        norm = np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", v, g, v), 0.0))
         rows.append(v[keep] / norm[keep, None])
         need -= int(keep.sum())
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
@@ -416,10 +398,10 @@ def _f_sectional_rows(fr: PointFrame, X: np.ndarray, points=slice(None)) -> np.n
         x = X[:, start:start + step]
         fx = x @ f.swapaxes(-1, -2)
         eta_res = float(np.max(np.abs(x @ eta.swapaxes(-1, -2))))
-        if eta_res > 1e-6:
+        if eta_res > SECTION_TOL:
             raise InvalidSectionError(f"X has eta components of size {eta_res}")
         for name, v in (("X", x), ("fX", fx)):
-            if np.max(np.abs(np.einsum("pni,pij,pnj->pn", v, g, v) - 1.0)) > 1e-6:
+            if np.max(np.abs(np.einsum("pni,pij,pnj->pn", v, g, v) - 1.0)) > SECTION_TOL:
                 raise InvalidSectionError(f"{name} is not a g-unit vector")
         u, w = _outer(x, fx).reshape(count, -1, dim * dim), _outer(fx, x).reshape(count, -1, dim * dim)
         out[:, start:start + step] = np.einsum("pnk,pnk->pn", u @ r, w)
@@ -509,7 +491,7 @@ def space_form_criterion(
     model: ManifoldModel, fit: NullityFit, report: SpaceFormReport
 ) -> SpaceFormVerdict:
     """Evaluate the constant-H criterion ``mu = kappa + 1`` (n > 1, kappa < 1)."""
-    if fit.kappa >= 1.0 - FIT_TOL:
+    if fit.lam is None:
         return SpaceFormVerdict(
             applicable=False,
             n_is_one=model.n == 1,
@@ -541,11 +523,11 @@ def check_splitting_lemma(
     over random unit sections X (the formula is not multilinear in X).
     """
     _check_count("section_samples", section_samples)
-    if fit.kappa >= 1.0 - FIT_TOL:
+    if fit.lam is None:
         raise NotApplicableError("the splitting formula requires kappa < 1")
     rng = np.random.default_rng(rng)
     fr = as_frame(model, p)
-    p_plus, p_minus = _split_projectors(fr, float(np.sqrt(1.0 - fit.kappa)))
+    p_plus, p_minus = _split_projectors(fr, fit.lam)
     s, mu = model.s, fit.mu_effective
     X = _unit_sections(rng, fr.proj_L, fr.g, section_samples)
     xp, xm = X @ p_plus.T, X @ p_minus.T
@@ -674,7 +656,7 @@ def fit_trans_s(model: ManifoldModel, points) -> TransSFit:
     r, c, _, residual = _systems(fr, _trans_s_block, "nabla_f")
     sol, cond = _lstsq_reduced(r, c)
     t421 = None
-    if fr.h_max < IDENTITY_TOL * 10:
+    if relative_residual([(fr.h_all, 0.0)]) <= IDENTITY_TOL:
         t421 = relative_residual(
             (einsum("pkbam,pcm->pckba", b.riemann31, b.xi), -b.nabla_f[:, None]) for b in _blocks(fr)
         )

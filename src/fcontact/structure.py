@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import Convention, ManifoldModel, Point, PointFrame, as_frame, as_frames
-from .tolerances import IDENTITY_TOL, relative_residual
-
-RANK_THRESHOLD = 1e-6  # relative singular-value cutoff for rank(f)
+from .tolerances import IDENTITY_TOL, RANK_THRESHOLD, relative_residual
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ def structure_at(model: ManifoldModel, p: Point | PointFrame, frame: PointFrame 
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Max-over-points residuals of the metric f-manifold axioms."""
+    """Relative residuals of the metric f-manifold axioms over every point."""
 
     r_eta_xi: float
     r_f_xi: float
@@ -86,11 +84,11 @@ class AxiomReport:
     r_rank: float              # normalized (2n+1)-th singular value of f
     rank_detected: int
     expected_rank: int
-    h_symmetry: float = 0.0    # g-self-adjointness of every h_alpha
-    h_trace: float = 0.0
-    h_anticommute: float = 0.0  # fh + hf
-    h_xi: float = 0.0          # h_alpha xi_beta
-    eta_h: float = 0.0         # eta_alpha o h_beta
+    h_symmetry: float          # g-self-adjointness of every h_alpha
+    h_trace: float
+    h_anticommute: float       # fh = -hf
+    h_xi: float                # h_alpha xi_beta = 0
+    eta_h: float               # eta_alpha o h_beta = 0
 
     def pass_flags(self, tol: float = IDENTITY_TOL) -> dict[str, bool]:
         return {
@@ -119,15 +117,13 @@ class AxiomReport:
         return max(self.r_axioms, float(np.max(self.r_contact)), self.r_h_properties)
 
 
-def _amax(x) -> float:
-    return float(np.max(np.abs(x)))
-
-
 def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
-    """Run the full axiom battery over ``points`` and report max residuals.
+    """Run the full axiom battery over ``points`` and report its residuals.
 
     Each identity is evaluated on the tensors of all points stacked along a
-    leading axis, so a NaN at any point propagates into its residual.
+    leading axis, as the two sides of one :func:`relative_residual`, so a NaN
+    at any point propagates into its residual.  The rank residual is the
+    (2n+1)-th singular value of ``f`` relative to its largest.
     """
     frame = as_frames(model, points)
     dim, s, two_n = model.dim, model.s, 2 * model.n
@@ -138,35 +134,37 @@ def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
     ranks = np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)
     gh = g[:, None] @ h
     return AxiomReport(
-        r_eta_xi=_amax(eta @ xi_t - np.eye(s)),
-        r_f_xi=_amax(f @ xi_t),
-        r_eta_f=_amax(eta @ f),
-        r_f_squared=_amax(f2 + np.eye(dim) - np.einsum("pai,paj->pij", xi, eta)),
-        r_compat=_amax(np.swapaxes(f, 1, 2) @ g @ f - g + eta_t @ eta),
+        r_eta_xi=relative_residual([(eta @ xi_t, np.eye(s))]),
+        r_f_xi=relative_residual([(f @ xi_t, 0.0)]),
+        r_eta_f=relative_residual([(eta @ f, 0.0)]),
+        r_f_squared=relative_residual([(f2, np.einsum("pai,paj->pij", xi, eta) - np.eye(dim))]),
+        r_compat=relative_residual([(np.swapaxes(f, 1, 2) @ g @ f, g - eta_t @ eta)]),
         r_contact=check_contact(model, frame),
         r_rank=float(np.max(sv[:, two_n] / sv[:, 0])) if dim > two_n else 0.0,
         rank_detected=int(ranks[np.argmax(np.abs(ranks - two_n))]),  # the point furthest from 2n
         expected_rank=two_n,
-        h_symmetry=_amax(gh - np.swapaxes(gh, 2, 3)),
-        h_trace=_amax(np.trace(h, axis1=2, axis2=3)),
-        h_anticommute=_amax(f[:, None] @ h + h @ f[:, None]),
-        h_xi=_amax(h @ xi_t[:, None]),
-        eta_h=_amax(eta[:, None] @ h),
+        h_symmetry=relative_residual([(gh, np.swapaxes(gh, 2, 3))]),
+        h_trace=relative_residual([(np.trace(h, axis1=2, axis2=3), 0.0)]),
+        h_anticommute=relative_residual([(f[:, None] @ h, -(h @ f[:, None]))]),
+        h_xi=relative_residual([(h @ xi_t[:, None], 0.0)]),
+        eta_h=relative_residual([(eta[:, None] @ h, 0.0)]),
     )
 
 
 def check_contact(model: ManifoldModel, points, convention: Convention | None = None) -> np.ndarray:
-    """Per-alpha max residual of ``F - d eta_alpha`` under ``convention``.
+    """Per-alpha relative residual of ``F = d eta_alpha`` under ``convention``.
 
     ``None`` uses the model's declared convention.
     """
     frame = as_frames(model, points)
-    return np.max(np.abs(frame.F[:, None] - frame.d_eta(convention)), axis=(0, 2, 3))
+    d_eta = frame.d_eta(convention)
+    return np.array([relative_residual([(frame.F, d_eta[:, a])]) for a in range(model.s)])
 
 
 def check_normality(model: ManifoldModel, points) -> float:
-    """Max component of the normality tensor over ``points``."""
-    return _amax(as_frames(model, points).normality)
+    """Relative residual of ``[f, f] = -2 sum xi_alpha (x) d eta_alpha`` over ``points``."""
+    fr = as_frames(model, points)
+    return relative_residual([(fr.nijenhuis, -2.0 * fr.xi_d_eta)])
 
 
 def killing_check(model: ManifoldModel, alpha: int, points) -> float:

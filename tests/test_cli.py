@@ -364,3 +364,50 @@ def test_a_parse_error_leaves_the_next_call_working(capsys):
     assert "--points" in capsys.readouterr().err
     assert main(["check", "--manifold", "flat-contact-r3", "--points", "3", "--samples", "30"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "key", ["flat-contact-r3:deformed:1e3", "flat-contact-r3:deformed:1e4", "s-space-form:2,2:deformed:1e4"]
+)
+def test_extreme_deformations_pass_on_relative_residuals(key, tmp_path, capsys):
+    # roundoff on a metric of size a^2 and |h| = sqrt(1 - kappa) are what the theory predicts
+    path = tmp_path / "report.json"
+    assert main(["check", "--manifold", key, "--json", str(path)]) == 0
+    capsys.readouterr()
+    report = json.loads(path.read_text())
+    assert report["spectrum"]["eigenvalue_residual"] <= 1e-12
+    assert {c["name"]: c for c in report["checks"]}["spectrum"]["passed"]
+
+
+def test_a_small_deformation_draws_its_sections(capsys):
+    # its metric on L is 1e-5 times the base's, which no longer rejects the section draws
+    code = main(["check", "--manifold", "s-space-form:1,1:deformed:1e-5"])
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    assert "overall:" in out and "Traceback" not in out
+
+
+def test_an_h_sample_error_is_an_error_record(monkeypatch):
+    def fails(*args, **kwargs):
+        raise nullity.InsufficientSampleError("planted")
+
+    monkeypatch.setattr(nullity, "sample_H_constancy", fails)
+    report = run(RunConfig("flat-contact-r3:deformed:0.5", points=3, samples=30))
+    records = {c.name: c for c in report.checks}
+    assert records["H"].note == "error: planted" and not records["H"].passed and records["H"].gating
+    assert records["curvature-model"].note == "error: planted"
+    assert report.h_sectional is None and not report.passed
+    assert main(["check", "--manifold", "flat-contact-r3", "--points", "3", "--samples", "30"]) == 1
+
+
+@pytest.mark.parametrize("key, kappa", [("flat-contact-r3", 1.0), ("s-space-form:2,2", 1.01)])
+def test_a_fit_against_the_spectrum_fails_its_row(monkeypatch, key, kappa):
+    # h^2 = (kappa - 1) f^2: kappa = 1 with h != 0, and kappa > 1, fail the spectrum row
+    config = RunConfig(key, points=3, samples=30, checks=["nullity", "spectrum"])
+    model = _resolve_entry(config).model
+    fit = nullity.fit_nullity(model, geom.sample_points(model, 3, seed=0))
+    bogus = dataclasses.replace(fit, kappa=kappa, lam=None)
+    monkeypatch.setattr(nullity, "fit_nullity", lambda *args, **kwargs: bogus)
+    nullity_row, spectrum_row = run(config).checks
+    assert nullity_row.passed
+    assert spectrum_row.residual > 1e-3 and not spectrum_row.passed and spectrum_row.gating

@@ -262,7 +262,7 @@ def test_degenerate_metric_error():
 FIELDS = ("g", "dg", "d2g", "f", "df", "xi", "dxi", "eta", "deta")
 DERIVED = (
     "ginv", "gamma", "dgamma", "riemann31", "riemann40", "ricci", "ricci_op", "nabla_f",
-    "F", "f2", "xi_bar", "eta_bar", "h_all", "h", "normality", "proj_L",
+    "F", "f2", "xi_bar", "eta_bar", "h_all", "h", "nijenhuis", "xi_d_eta", "normality", "proj_L",
 )
 
 
@@ -286,7 +286,6 @@ def test_batch_frame_equals_the_stacked_point_frames(model):
     for convention in (None, Convention.HALF, Convention.PLAIN):
         want = np.stack([fr.d_eta(convention) for fr in singles])
         assert np.array_equal(batch.d_eta(convention), want), convention
-    assert batch.h_max == max(fr.h_max for fr in singles)
     # slices share the batch's arrays and have the shapes of one-point frames
     first, middle = batch[0], batch[1:3]
     assert first.g.shape == singles[0].g.shape

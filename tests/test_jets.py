@@ -18,7 +18,7 @@ def seed2(x, y):
 
 def test_variables_seeding():
     x = jets.variables([1.5, -2.0, 0.25])
-    assert [jets.value(v) for v in x] == [1.5, -2.0, 0.25]
+    assert [v.val for v in x] == [1.5, -2.0, 0.25]
     assert np.allclose(x[1].grad, [0, 1, 0])
     assert np.allclose(x[2].hess, 0)
 
@@ -109,8 +109,9 @@ def test_fractional_pow_rejects_nonpositive():
 
 def test_plain_floats_pass_through():
     assert jets.sin(0.5) == pytest.approx(math.sin(0.5))
-    assert jets.value(2.5) == 2.5
-    assert np.allclose(jets.gradient(2.5, 3), 0)
+    value, grad, hess = jets.tensor_parts([2.5], 3)
+    assert value[0] == 2.5
+    assert np.all(grad == 0) and np.all(hess == 0)
 
 
 @given(finite, finite, finite, finite)

@@ -117,12 +117,15 @@ def test_spectrum_s_case(s22, s22_fit, s22_points):
     assert spec.h_equal_residual < 1e-8
 
 
-def test_spectrum_inconsistency_error(flat, flat_fit, flat_points):
-    from fcontact.errors import SpectralInconsistencyError
-
-    bogus = dataclasses.replace(flat_fit, kappa=1.0)
-    with pytest.raises(SpectralInconsistencyError):
-        h_spectrum(flat, bogus, flat_points[0])
+def test_spectrum_inconsistency_error(flat, flat_fit, s22, s22_fit, flat_points, s22_points):
+    # h^2 = (kappa - 1) f^2 fails for kappa = 1 with h != 0 (|h^2| = 1 on the
+    # flat structure) and for kappa > 1 with h = 0
+    bogus = dataclasses.replace(flat_fit, kappa=1.0, lam=None)
+    spec = h_spectrum(flat, bogus, flat_points[0])
+    assert spec.h_zero and spec.lam is None
+    assert spec.eigenvalue_residual == pytest.approx(1.0)
+    above = dataclasses.replace(s22_fit, kappa=1.01)
+    assert h_spectrum(s22, above, s22_points[0]).eigenvalue_residual > 1e-3
 
 
 # -- R(X, Y) f Z expansion ----------------------------------------------------
@@ -218,7 +221,7 @@ def test_H_pure_plus_sections_give_minus_s_kappa_plus_mu(deformed, deformed_fits
     fr = PointFrame(model, flat_points[0])
     for _ in range(10):
         v = spec.p_plus @ rng.standard_normal(3)
-        norm = np.sqrt(fr.inner(v, v))
+        norm = np.sqrt(v @ fr.g @ v)
         if norm < 1e-6:
             continue
         X = v / norm
@@ -542,3 +545,24 @@ def test_summed_curvature_sides_match_the_term_by_term_expansion(key):
     want = relative_residual(want_cm)
     assert want > 1e-3  # the constants are wrong for the model, so the residual is not roundoff
     assert check_curvature_model(model, fit, H, points) == pytest.approx(want, rel=1e-12)
+
+
+class _Draws:
+    """A stand-in random stream that hands out the given rows in order."""
+
+    def __init__(self, rows):
+        self.rows = iter(np.asarray(rows, dtype=float))
+
+    def standard_normal(self, shape):
+        return np.array([next(self.rows) for _ in range(shape[0])])
+
+
+def test_unit_sections_redraw_until_filled_and_give_up_only_without_directions():
+    from fcontact import nullity as nl
+
+    proj, g = np.diag([1.0, 1.0, 0.0]), np.diag([1e-5, 4e-5, 1.0])
+    # the draws along e3 project to 0 and are skipped, even when a whole re-draw keeps none
+    rows = nl._unit_sections(_Draws([[0, 0, 1], [1, 0, 0], [0, 0, 1], [0, 0, 1], [0, 3, 0]]), proj, g, 2)
+    assert np.allclose(rows, [[1 / np.sqrt(1e-5), 0, 0], [0, 1 / np.sqrt(4e-5), 0]])
+    with pytest.raises(InsufficientSampleError, match="could not draw"):
+        nl._unit_sections(np.random.default_rng(0), np.zeros((3, 3)), g, 4)

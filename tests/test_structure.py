@@ -44,7 +44,8 @@ def test_axiom_battery_plain_fixture(flat_plain, flat_points):
 def test_doubled_f_breaks_the_squared_axiom(flat, flat_points):
     doubled = dataclasses.replace(flat, f_field=lambda x, base=flat.f_field: 2.0 * base(x))
     report = check_f_axioms(doubled, flat_points[:3])
-    assert report.r_f_squared > 1.0  # 4 f^2 + I - proj = -3 f^2 = order 3
+    # f^2 = -I + sum xi (x) eta reads 4 f^2 against -proj: off by 3 f^2, on sides of size 4
+    assert report.r_f_squared == pytest.approx(0.75)
 
 
 def test_empty_point_list_rejected(flat):
