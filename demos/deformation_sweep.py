@@ -18,6 +18,7 @@ from fcontact import (
     sample_H_constancy,
     sample_points,
 )
+from fcontact.tolerances import FIT_TOL
 
 flat = build_flat_contact_r3()
 points = sample_points(flat, 8, seed=0)
@@ -31,7 +32,7 @@ for a in (0.5, 0.75, 1.0, 2.0, 3.0, 4.0):
     rep = sample_H_constancy(model, points[:4], 25, rng=0)
     spec = h_spectrum(model, fit, points[0]) if fit.kappa < 1 - 1e-6 else None
     lam = f"{spec.lam:7.4f}" if spec else "   n/a "
-    star = "  <- space form with mu = kappa + 1" if pred.is_space_form_case else ""
+    star = "  <- space form with mu = kappa + 1" if abs(pred.mu - (pred.kappa + 1.0)) <= FIT_TOL else ""
     print(f"{a:5.2f} | {fit.kappa:12.8f} {pred.kappa:12.8f} | {fit.mu:12.8f} {pred.mu:12.8f} "
           f"| {rep.h_mean:10.6f} {pred.h_sectional:10.6f} | {lam}{star}")
 

@@ -45,7 +45,6 @@ from .nullity import (
     GssfFit,
     NullityFit,
     SpaceFormReport,
-    SpaceFormVerdict,
     SpectrumReport,
     TransSFit,
     check_curvature_model,
@@ -58,7 +57,6 @@ from .nullity import (
     fit_trans_s,
     h_spectrum,
     sample_H_constancy,
-    space_form_criterion,
     verify_r_xi,
 )
 from .report import CheckRecord, CheckReport, REPORT_SCHEMA, emit_report, parse_report
@@ -96,7 +94,6 @@ __all__ = [
     "REPORT_SCHEMA",
     "SingularJetError",
     "SpaceFormReport",
-    "SpaceFormVerdict",
     "SpectrumReport",
     "StructureTensors",
     "TransSFit",
@@ -127,7 +124,6 @@ __all__ = [
     "riemann",
     "sample_H_constancy",
     "sample_points",
-    "space_form_criterion",
     "structure_at",
     "verify_r_xi",
 ]

@@ -138,8 +138,8 @@ class RunContext:
     The report's ``fits.nullity``, ``spectrum``, ``h_sectional`` and verdicts
     read these values on every run.  ``fit``, ``spectrum`` and ``h`` hold the
     library error instead of a value when computing them raised one; ``h``
-    and ``predicted`` (the H that the fit or the catalog predicts) are
-    ``None`` without a fit.
+    (the one H sample, judged with the fit) and ``predicted`` (the catalog's
+    H) are ``None`` without a fit.
     """
 
     def __init__(self, config: RunConfig, entry: CatalogEntry):
@@ -165,8 +165,8 @@ class RunContext:
             }
             self.spectrum = _attempt(nl.h_spectrum, model, fit, self.frame[0])
             sections = max(10, config.samples // config.points)
-            self.h = _attempt(nl.sample_H_constancy, model, self.frame[:10], sections, self.rng("H"))
-            self.predicted = _predicted_h(entry, fit, self.fit_tol)
+            self.h = _attempt(nl.sample_H_constancy, model, self.frame[:10], sections, self.rng("H"), fit)
+            self.predicted = None if entry.expected is None else entry.expected.h_sectional
         self.normality = stc.check_normality(model, self.frame)
 
     @property
@@ -182,18 +182,6 @@ class RunContext:
     def rng(self, name: str) -> np.random.Generator:
         """The random stream of check ``name``: child ``1 + `` its row index (0 draws the points)."""
         return self._stream(1 + CHECK_NAMES.index(name))
-
-
-def _predicted_h(entry: CatalogEntry, fit: nl.NullityFit, tol: float) -> float | None:
-    """The catalog's H, else ``-s (kappa + mu)`` where the theory makes H constant:
-    kappa < 1 with n = 1 or ``mu = kappa + 1`` (to within ``tol``)."""
-    if entry.expected is not None and entry.expected.h_sectional is not None:
-        return entry.expected.h_sectional
-    if fit.lam is not None:
-        mu = fit.mu_effective
-        if abs(mu - (fit.kappa + 1.0)) <= tol or entry.model.n == 1:
-            return -entry.model.s * (fit.kappa + mu)
-    return None
 
 
 # Each measure returns a residual, or (residual, ok, note): the check passes
@@ -225,16 +213,24 @@ def _spectrum(ctx: RunContext):
 
 
 def _h_sectional(ctx: RunContext):
+    """H against the theorem: for kappa < 1 the residual of the splitting
+    formula, which holds for every n and (kappa, mu); for kappa = 1, where no
+    formula is known, the spread of H relative to its size.  The mean is
+    compared with the catalog's H."""
     h, predicted = _value(ctx.h), ctx.predicted
     note = f"mean = {h.h_mean:.9g}"
+    ok = True
     if predicted is not None:
         note += f", predicted = {predicted:.9g}"
-    return h.h_spread, predicted is None or abs(h.h_mean - predicted) <= ctx.fit_tol, note
+        ok = relative_residual([(h.h_mean, predicted)]) <= ctx.fit_tol
+    if ctx.fit.lam is None:
+        return h.relative_spread, ok, note + "; residual: relative spread"
+    return h.splitting_residual, ok, note + "; residual: splitting formula"
 
 
 def _curvature_model(ctx: RunContext):
     h = _value(ctx.h)
-    if not h.h_spread <= ctx.fit_tol:
+    if not h.relative_spread <= ctx.fit_tol:
         raise NotApplicableError("f-sectional curvature is not constant")
     return nl.check_curvature_model(ctx.model, ctx.fit, h.h_mean, ctx.frame)
 
@@ -273,10 +269,6 @@ class Check(NamedTuple):
     only_s: int | None = None   # defined only for models with this s
 
 
-def _splitting(ctx: RunContext) -> float:
-    return nl.check_splitting_lemma(ctx.model, ctx.fit, ctx.frame[0], section_samples=100, rng=ctx.rng("splitting"))
-
-
 # Report order.  A row's index also picks its random stream (RunContext.rng).
 CHECKS = (
     #     name               gating fit_tol needs_fit measure
@@ -291,7 +283,6 @@ CHECKS = (
     Check("ricci",           True,  True,   True,     lambda ctx: nl.check_ricci_model(ctx.model, ctx.fit, ctx.frame)),
     Check("H",               True,  True,   True,     _h_sectional),
     Check("curvature-model", True,  True,   True,     _curvature_model),
-    Check("splitting",       True,  True,   True,     _splitting),
     Check("normality",       False, False,  False,    lambda ctx: (ctx.normality, True, "classification, not a failure mode")),
     Check("gssf",            False, True,   False,    _gssf, only_s=2),
     Check("trans-s",         False, True,   False,    _trans_s),
@@ -357,7 +348,7 @@ def run(config: RunConfig) -> CheckReport:
             "is_metric_f_contact": bool(is_mfc),
             "is_normal": bool(is_normal),
             "is_s_manifold": bool(is_mfc and is_normal),
-            "is_space_form_candidate": None if h is None else bool(h.h_spread <= ctx.fit_tol),
+            "is_space_form_candidate": None if h is None else bool(h.relative_spread <= ctx.fit_tol),
         },
         seed=config.seed,
         wall_time=time.perf_counter() - t0,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotApplicableError
 from .geom import Convention, ManifoldModel
-from .tolerances import CONSTANT_TOL, METRIC_CONDITION_MAX
+from .tolerances import METRIC_CONDITION_MAX
 
 
 def check_constant(a: float) -> float:
@@ -86,7 +86,6 @@ class DeformedNullityPrediction:
     kappa: float
     mu: float
     h_sectional: float
-    is_space_form_case: bool   # mu = kappa + 1, i.e. a = 1/2
 
 
 def predict_deformed_nullity(a: float, s: int) -> DeformedNullityPrediction:
@@ -95,12 +94,7 @@ def predict_deformed_nullity(a: float, s: int) -> DeformedNullityPrediction:
     kappa = (a**2 - 1.0) / a**2
     mu = 2.0 * (a - 1.0) / a
     h = -s * (3.0 * a**2 - 2.0 * a - 1.0) / a**2
-    return DeformedNullityPrediction(
-        kappa=kappa,
-        mu=mu,
-        h_sectional=h,
-        is_space_form_case=abs(a - 0.5) < CONSTANT_TOL,
-    )
+    return DeformedNullityPrediction(kappa=kappa, mu=mu, h_sectional=h)
 
 
 def convention_normalize(model: ManifoldModel) -> ManifoldModel:

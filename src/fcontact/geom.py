@@ -256,28 +256,27 @@ class PointFrame:
     # -- connection and curvature ------------------------------------------
 
     @_kept
-    def gamma(self):
-        """Christoffel symbols ``gamma[..., k, i, j] = Gamma^k_ij``."""
+    def _bracket(self):
+        """``_bracket[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij``, so that
+        ``Gamma^k_ij = 1/2 g^kl _bracket_lij``."""
         dg = self.dg
-        # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
-        bracket = (
+        return (
             np.einsum("...jli->...lij", dg)
             + np.einsum("...ilj->...lij", dg)
             - np.einsum("...ijl->...lij", dg)
         )
-        return 0.5 * einsum("...kl,...lij->...kij", self.ginv, bracket)
+
+    @_kept
+    def gamma(self):
+        """Christoffel symbols ``gamma[..., k, i, j] = Gamma^k_ij``."""
+        return 0.5 * einsum("...kl,...lij->...kij", self.ginv, self._bracket)
 
     @_kept
     def dgamma(self):
         """``dgamma[..., k, i, j, m] = d_m Gamma^k_ij``."""
-        dg, d2g, ginv = self.dg, self.d2g, self.ginv
+        dg, d2g, ginv, bracket = self.dg, self.d2g, self.ginv, self._bracket
         # d_m g^kl = -g^ka (d_m g_ab) g^bl
         dginv = -einsum("...ka,...abm,...bl->...klm", ginv, dg, ginv)
-        bracket = (
-            np.einsum("...jli->...lij", dg)
-            + np.einsum("...ilj->...lij", dg)
-            - np.einsum("...ijl->...lij", dg)
-        )
         # summed in place: over a batch each of these arrays is as large as d2g
         dbracket = np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
         dbracket -= np.einsum("...ijlm->...lijm", d2g)

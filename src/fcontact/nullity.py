@@ -15,22 +15,24 @@ Both are fitted/verified here, together with: the spectrum of h on the
 distribution L orthogonal to the structure fields, through the identity
 ``h_alpha^2 = (kappa - 1) f^2`` (eigenvalues ``+-sqrt(1 - kappa)`` on L
 when kappa < 1, ``h = 0`` when kappa = 1), the R(X, Y)fZ expansion, the Ricci
-operator model, constancy and value of the f-sectional curvature
-``H(X) = K(X, fX)``, the constant-H curvature model, the splitting formula
-for H(X) in terms of the L_+/L_- components of X, the seven-function
-curvature ansatz for s = 2, and the characteristic-function fit of
-``(nabla_X f) Y``.
+operator model, the f-sectional curvature ``H(X) = K(X, fX)``, the
+constant-H curvature model, the seven-function curvature ansatz for s = 2,
+and the characteristic-function fit of ``(nabla_X f) Y``.
 
-Every identity above except the two involving H(X) is multilinear in its
-vector arguments, so it holds for all vectors exactly when it holds on the
+Every identity above except H(X) itself is multilinear in its vector
+arguments, so it holds for all vectors exactly when it holds on the
 coordinate basis vectors.  Those identities are therefore checked, and the
 fits solved, on every basis pair or triple at every point: each side is
 built as a tensor with ``einsum``, over all points of one stacked
 :class:`~fcontact.geom.PointFrame` at once, and compared component by
-component with ``riemann31`` or ``nabla_f``.  Only H(X) (``sample_H_constancy``) and the
-splitting formula, which are not multilinear, are sampled over random unit
-sections of L.  Every residual is :func:`~fcontact.tolerances.relative_residual`;
-the H sample reports its mean and spread.
+component with ``riemann31`` or ``nabla_f``.  Only H(X), which is not
+multilinear, is sampled over random unit sections of L, by
+:func:`sample_H_constancy`, and one sample decides everything about H: its
+mean, its spread relative to its size, and, for kappa < 1, its residual
+against the splitting formula ``H(X) = -s(kappa + mu) - s(mu - kappa - 1)
+t(X)`` on the same sections.  That formula is the paper's theorem in closed
+form: for n > 1, H is constant exactly when ``mu = kappa + 1``.  Every
+residual is :func:`~fcontact.tolerances.relative_residual`.
 
 Whether kappa is below 1 is decided once, by :func:`fit_nullity`: ``fit.lam``
 is ``sqrt(1 - kappa)`` then and ``None`` otherwise, and every branch on
@@ -257,11 +259,6 @@ class SpectrumReport:
     h_zero: bool                       # the kappa = 1 branch: no L_+/L_- split
 
 
-def _split_projectors(fr: PointFrame, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The projectors ``1/2 (P_L +- h / lam)`` onto ``L_+`` and ``L_-``, lam = sqrt(1 - kappa)."""
-    return 0.5 * (fr.proj_L + fr.h / lam), 0.5 * (fr.proj_L - fr.h / lam)
-
-
 def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point | PointFrame) -> SpectrumReport:
     """Spectral data of h on L, and the residual of ``h_alpha^2 = (kappa - 1) f^2``.
 
@@ -273,7 +270,9 @@ def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point | PointFrame) -> 
     fr = as_frame(model, p)
     eigs = np.sort(np.linalg.eigvals(fr.h).real)  # real, as h is g-self-adjoint
     lam = fit.lam
-    p_plus, p_minus = (None, None) if lam is None else _split_projectors(fr, lam)
+    p_plus = p_minus = None
+    if lam is not None:  # the projectors 1/2 (P_L +- h / lam) onto L_+ and L_-
+        p_plus, p_minus = 0.5 * (fr.proj_L + fr.h / lam), 0.5 * (fr.proj_L - fr.h / lam)
     return SpectrumReport(
         eigenvalues=eigs[np.sort(np.argsort(np.abs(eigs))[model.s:])],  # less the s of h xi_alpha = 0
         lam=lam,
@@ -373,11 +372,6 @@ def _unit_sections(rng, proj_l: np.ndarray, g: np.ndarray, count: int) -> np.nda
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
-def _check_count(name: str, count: int) -> None:
-    if count < 1:
-        raise InsufficientSampleError(f"{name} must be at least 1, got {count}")
-
-
 def _f_sectional_rows(fr: PointFrame, X: np.ndarray, points=slice(None)) -> np.ndarray:
     """``H(X) = g(R(X, fX)fX, X)`` for each row of ``X``, shaped ``(P, N, dim)``:
     N unit vectors in L at each of the P points ``points`` of a stacked frame,
@@ -415,38 +409,75 @@ def f_sectional(model: ManifoldModel, p: Point | PointFrame, X) -> float:
 
 @dataclass
 class SpaceFormReport:
-    """Sampled f-sectional curvature across points and sections."""
+    """Sampled f-sectional curvature across points and sections.
+
+    ``relative_spread`` is the spread over the largest ``|H(X)|`` (at least
+    1): the measure of constant H.  ``splitting_residual`` is set only when
+    the sampler was given a fit with kappa < 1 (``fit.lam``).
+    """
 
     h_mean: float
     h_spread: float
+    relative_spread: float
+    splitting_residual: float | None = None   # H(X) against the splitting formula
+
+
+def _splitting_rows(fr: PointFrame, X: np.ndarray, fit: NullityFit, points: slice) -> np.ndarray:
+    """The closed form of ``H(X)`` for kappa < 1, for rows ``X`` shaped
+    ``(P, N, dim)`` at the P points ``points`` of a stacked frame.
+
+    ``H(X) = -s(kappa + mu) - s(mu - kappa - 1) t(X)`` with
+    ``t(X) = 1 - (g(X, hX)^2 + g(X, fhX)^2) / (1 - kappa)``, which is
+    ``4 (|X_+|^2 |X_-|^2 - g(X_+, f X_-)^2)`` for the components
+    ``X_+- = 1/2 (X +- hX / lam)`` of X in ``L_+`` and ``L_-``, given
+    ``h^2 = (1 - kappa) I`` on L (the ``spectrum`` check).  It is the
+    f-analogue of the curvature of a contact (kappa, mu)-space (Blair,
+    Koufogiorgos and Papantoniou, Israel J. Math. 91, 1995).  At n = 1,
+    ``t = 0``; for n > 1, ``t`` takes every value in [0, 1], so H is constant
+    exactly when ``mu = kappa + 1``.
+    """
+    g, h, f = fr.g[points], fr.h[points], fr.f[points]
+    s, kappa, mu = fr.model.s, fit.kappa, fit.mu_effective
+    gx = X @ g  # g(X, .) per row
+    t = 1.0 - (np.einsum("pni,pni->pn", gx, X @ h.swapaxes(-1, -2)) ** 2
+               + np.einsum("pni,pni->pn", gx, X @ (f @ h).swapaxes(-1, -2)) ** 2) / fit.lam**2
+    return -s * (kappa + mu) - s * (mu - kappa - 1.0) * t
 
 
 def sample_H_constancy(
-    model: ManifoldModel, points, sections_per_point: int = 100, rng=0
+    model: ManifoldModel, points, sections_per_point: int = 100, rng=0, fit: NullityFit | None = None
 ) -> SpaceFormReport:
-    """Sample H over random f-sections; report mean and spread.
+    """Sample H over random f-sections; report mean and spread, and with a
+    ``fit`` whose kappa is below 1 the residual of the splitting formula.
 
     H(X) is not multilinear in X, so it is sampled.  The points draw their
     sections in order, each all of its own before the next, from the one
     stream ``rng``: the grouping below does not change which sections a seed
     gives.  The sections are evaluated a group at a time, once the group is
     drawn: as many whole points as have at most ``_SECTION_BLOCK`` rows in
-    all, or one point, in row blocks, when it alone has more.
+    all, or one point, in row blocks, when it alone has more.  The splitting
+    formula (``_splitting_rows``) is evaluated on the same rows.
     """
-    _check_count("sections_per_point", sections_per_point)
+    if sections_per_point < 1:
+        raise InsufficientSampleError(f"sections_per_point must be at least 1, got {sections_per_point}")
     fr, rng = as_frames(model, points), np.random.default_rng(rng)
+    lam = None if fit is None else fit.lam
     count, group = len(fr.point), max(1, _SECTION_BLOCK // sections_per_point)
-    values = []
+    values, pairs = [], []
     for start in range(0, count, group):
         # dropped before the next group draws: memory holds one group's sections
-        members = range(start, min(start + group, count))
+        members, at = range(start, min(start + group, count)), slice(start, start + group)
         X = np.stack([_unit_sections(rng, fr.proj_L[i], fr.g[i], sections_per_point) for i in members])
-        values.append(_f_sectional_rows(fr, X, slice(start, start + group)).ravel())
+        values.append(_f_sectional_rows(fr, X, at))
+        if lam is not None:
+            pairs.append((values[-1], _splitting_rows(fr, X, fit, at)))
         del X
-    arr = np.concatenate(values)
+    arr = np.concatenate(values, axis=None)
     return SpaceFormReport(
         h_mean=float(arr.mean()),
         h_spread=float(arr.max() - arr.min()),
+        relative_spread=relative_residual([(arr.max(), arr.min())]),
+        splitting_residual=None if lam is None else relative_residual(pairs),
     )
 
 
@@ -475,70 +506,15 @@ def check_curvature_model(model: ManifoldModel, fit: NullityFit, H: float, point
     return relative_residual(map(sides, _blocks(as_frames(model, points))))
 
 
-@dataclass(frozen=True)
-class SpaceFormVerdict:
-    """Space-form diagnostics for a fitted (kappa, mu) manifold."""
-
-    applicable: bool                        # kappa < 1
-    n_is_one: bool                          # the iff criterion assumes n > 1
-    mu_condition_residual: float | None     # |mu - (kappa + 1)|
-    h_prediction_residual: float | None     # |H_mean + s(2 kappa + 1)|
-    h_trace_identity_residual: float | None  # |(n+1) H - s(n - 1 - 2 mu n - 2 kappa)|
-    is_space_form: bool | None              # constant H measured
-
-
-def space_form_criterion(
-    model: ManifoldModel, fit: NullityFit, report: SpaceFormReport
-) -> SpaceFormVerdict:
-    """Evaluate the constant-H criterion ``mu = kappa + 1`` (n > 1, kappa < 1)."""
-    if fit.lam is None:
-        return SpaceFormVerdict(
-            applicable=False,
-            n_is_one=model.n == 1,
-            mu_condition_residual=None,
-            h_prediction_residual=None,
-            h_trace_identity_residual=None,
-            is_space_form=None,
-        )
-    n, s = model.n, model.s
-    mu = fit.mu_effective
-    h_mean = report.h_mean
-    return SpaceFormVerdict(
-        applicable=True,
-        n_is_one=n == 1,
-        mu_condition_residual=abs(mu - (fit.kappa + 1.0)),
-        h_prediction_residual=abs(h_mean + s * (2.0 * fit.kappa + 1.0)),
-        h_trace_identity_residual=abs((n + 1) * h_mean - s * (n - 1 - 2.0 * mu * n - 2.0 * fit.kappa)),
-        is_space_form=report.h_spread < FIT_TOL,
-    )
-
-
 def check_splitting_lemma(
-    model: ManifoldModel, fit: NullityFit, p: Point | PointFrame, section_samples: int = 100, rng=0
+    model: ManifoldModel, fit: NullityFit, points, section_samples: int = 100, rng=0
 ) -> float:
-    """Relative residual of the L_+/L_- splitting formula for H(X), kappa < 1.
-
-    ``H(X) = -s(kappa + mu) + 4 s (kappa - mu + 1)
-    (g(X_+, X_+) g(X_-, X_-) - g(X_+, f X_-)^2)`` with ``X_+- = P_+- X``,
-    over random unit sections X (the formula is not multilinear in X).
-    """
-    _check_count("section_samples", section_samples)
+    """Relative residual of the splitting formula for H(X) (kappa < 1) over
+    ``section_samples`` random unit sections at each of ``points``: the
+    ``splitting_residual`` of :func:`sample_H_constancy`."""
     if fit.lam is None:
         raise NotApplicableError("the splitting formula requires kappa < 1")
-    rng = np.random.default_rng(rng)
-    fr = as_frame(model, p)
-    p_plus, p_minus = _split_projectors(fr, fit.lam)
-    s, mu = model.s, fit.mu_effective
-    X = _unit_sections(rng, fr.proj_L, fr.g, section_samples)
-    xp, xm = X @ p_plus.T, X @ p_minus.T
-
-    def ip(u, v):
-        return np.einsum("ni,ij,nj->n", u, fr.g, v)
-
-    formula = -s * (fit.kappa + mu) + 4.0 * s * (fit.kappa - mu + 1.0) * (
-        ip(xp, xp) * ip(xm, xm) - ip(xp, xm @ fr.f.T) ** 2
-    )
-    return relative_residual([(_f_sectional_rows(fr, X[None])[0], formula)])
+    return sample_H_constancy(model, points, section_samples, rng, fit).splitting_residual
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,11 @@ def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
 
     Each identity is evaluated on the tensors of all points stacked along a
     leading axis, as the two sides of one :func:`relative_residual`, so a NaN
-    at any point propagates into its residual.  The rank residual is the
-    (2n+1)-th singular value of ``f`` relative to its largest.
+    at any point propagates into its residual.  The identities that set a
+    product to zero (``f xi``, ``eta o f``, ``tr h``, ``h xi``, ``eta o h``)
+    are judged against the product of their factors' largest components as
+    well.  The rank residual is the (2n+1)-th singular value of ``f``
+    relative to its largest.
     """
     frame = as_frames(model, points)
     dim, s, two_n = model.dim, model.s, 2 * model.n
@@ -133,10 +136,11 @@ def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
     sv = np.linalg.svd(f, compute_uv=False)
     ranks = np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)
     gh = g[:, None] @ h
+    f_size, xi_size, eta_size, h_size = (float(np.max(np.abs(t))) for t in (f, xi, eta, h))
     return AxiomReport(
         r_eta_xi=relative_residual([(eta @ xi_t, np.eye(s))]),
-        r_f_xi=relative_residual([(f @ xi_t, 0.0)]),
-        r_eta_f=relative_residual([(eta @ f, 0.0)]),
+        r_f_xi=relative_residual([(f @ xi_t, 0.0)], f_size * xi_size),
+        r_eta_f=relative_residual([(eta @ f, 0.0)], eta_size * f_size),
         r_f_squared=relative_residual([(f2, np.einsum("pai,paj->pij", xi, eta) - np.eye(dim))]),
         r_compat=relative_residual([(np.swapaxes(f, 1, 2) @ g @ f, g - eta_t @ eta)]),
         r_contact=check_contact(model, frame),
@@ -144,10 +148,10 @@ def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
         rank_detected=int(ranks[np.argmax(np.abs(ranks - two_n))]),  # the point furthest from 2n
         expected_rank=two_n,
         h_symmetry=relative_residual([(gh, np.swapaxes(gh, 2, 3))]),
-        h_trace=relative_residual([(np.trace(h, axis1=2, axis2=3), 0.0)]),
+        h_trace=relative_residual([(np.trace(h, axis1=2, axis2=3), 0.0)], h_size),
         h_anticommute=relative_residual([(f[:, None] @ h, -(h @ f[:, None]))]),
-        h_xi=relative_residual([(h @ xi_t[:, None], 0.0)]),
-        eta_h=relative_residual([(eta[:, None] @ h, 0.0)]),
+        h_xi=relative_residual([(h @ xi_t[:, None], 0.0)], h_size * xi_size),
+        eta_h=relative_residual([(eta[:, None] @ h, 0.0)], eta_size * h_size),
     )
 
 

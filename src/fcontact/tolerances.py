@@ -2,7 +2,11 @@
 
 Residuals of identities are :func:`relative_residual`: the largest
 component of ``lhs - rhs`` over ``max(RESIDUAL_FLOOR, largest component of
-either side)``.  Two tolerances judge them:
+either side)``.  An identity that sets a product to zero, such as
+``h xi = 0``, is judged against the product of its factors' largest
+components as well (``|h| |xi|``, the ``scale`` of ``relative_residual``):
+its result is roundoff on that size, not on the size of the result.  Two
+tolerances judge them:
 
 * ``IDENTITY_TOL`` -- identities that hold exactly by construction: the
   axiom battery, the contact condition, the h properties, Killing fields and
@@ -29,8 +33,6 @@ The cutoffs, each relative to the scale named:
 * ``SECTION_TOL`` -- a vector handed to ``H(X)`` must be a g-unit vector in
   L to within this: ``|eta_alpha(X)|`` and ``|g(X, X) - 1|`` for ``X`` and
   ``fX``, relative to the unit length.
-* ``CONSTANT_TOL`` -- a deformation constant within this of ``1/2`` is the
-  constant-H case; the constant is a pure number, so the cutoff is absolute.
 """
 
 import numpy as np
@@ -43,22 +45,22 @@ RANK_THRESHOLD = 1e-6
 COLUMN_CUTOFF = 1e-8
 SECTION_CUTOFF = 1e-3
 SECTION_TOL = 1e-6
-CONSTANT_TOL = 1e-12
 
 
-def relative_residual(pairs) -> float:
+def relative_residual(pairs, scale: float = RESIDUAL_FLOOR) -> float:
     """Residual of an identity ``lhs = rhs`` over every component of every pair.
 
     ``pairs`` yields ``(lhs, rhs)`` arrays, usually one pair per point; a side
     may be a scalar, such as 0 for an identity ``lhs = 0``.  The residual is
     the largest ``|lhs - rhs|`` divided by the largest ``|lhs|`` or ``|rhs|``
-    component, but never by less than ``RESIDUAL_FLOOR = 1``: sides of size 1
-    or more are judged relatively, smaller ones absolutely, so identities
-    whose sides vanish (flat curvature, Killing fields) do not divide roundoff
-    by roundoff.  A NaN anywhere gives NaN, which fails every tolerance; no
+    component, but never by less than ``RESIDUAL_FLOOR = 1`` or ``scale``:
+    sides of size 1 or more are judged relatively, smaller ones absolutely, so
+    identities whose sides vanish (flat curvature, Killing fields) do not
+    divide roundoff by roundoff.  ``scale`` is the size of the factors of a
+    product identity; it can only raise the divisor.  A NaN anywhere gives NaN, which fails every tolerance; no
     pairs at all give 0.
     """
-    diff, size = 0.0, RESIDUAL_FLOOR
+    diff, size = 0.0, max(RESIDUAL_FLOOR, scale)
     for lhs, rhs in pairs:
         d = float(np.abs(lhs - rhs).max())
         if d > diff or d != d:  # a NaN is taken, and then nothing is greater

@@ -78,3 +78,13 @@ def unit_section(model, p, seed=0):
     """A random g-unit vector in L at p."""
     fr = PointFrame(model, p)
     return nl._unit_sections(np.random.default_rng(seed), fr.proj_L, fr.g, 1)[0]
+
+
+def section_defect(frame, size):
+    """A ``riemann40`` defect over the points of ``frame`` that adds
+    ``size (1 + 0.01 (a.X)^2 (a.fX)^2)`` to H(X): ``size`` times the Gauss
+    tensor of g (the same on every section) plus a small part that depends on
+    the section.  Only R(X, fX, fX, X) sees it."""
+    g, a = frame.g, np.array([0.3, -0.5, 0.8])
+    gauss = np.einsum("pil,pjk->pijkl", g, g) - np.einsum("pik,pjl->pijkl", g, g)
+    return size * (gauss + 0.01 * np.einsum("i,j,k,l->ijkl", a, a, a, a))

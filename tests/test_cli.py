@@ -16,6 +16,8 @@ from fcontact.catalog import catalog_get
 from fcontact.cli import CHECK_NAMES, CHECKS, ConfigError, RunConfig, _resolve_entry, main, run
 from fcontact.report import REPORT_SCHEMA, emit_report, parse_report
 
+from .conftest import section_defect
+
 
 @pytest.fixture(scope="module")
 def deformed_report():
@@ -107,7 +109,7 @@ def test_unknown_format_rejected(deformed_report):
 def test_pass_flags_recomputable(deformed_report):
     # checks whose pass flag is purely residual-vs-tolerance
     pure = {"contact", "h-properties", "spectrum", "r-xi", "rf", "ricci",
-            "curvature-model", "splitting", "normality", "gssf", "trans-s"}
+            "curvature-model", "normality", "gssf", "trans-s"}
     data = json.loads(emit_report(deformed_report, "json"))
     for c in data["checks"]:
         if c["name"] in pure and not c["note"].startswith(("skipped", "error")):
@@ -288,7 +290,7 @@ def test_run_computes_the_h_spectrum_once(monkeypatch):
     monkeypatch.setattr(nullity, "h_spectrum", counting)
     report = run(RunConfig("flat-contact-r3:deformed:0.5"))
     assert report.passed
-    assert {c.name for c in report.checks} >= {"spectrum", "splitting"}
+    assert {c.name for c in report.checks} >= {"spectrum", "H"}
     assert len(calls) == 1
 
 
@@ -314,7 +316,7 @@ def test_run_streams_are_the_children_of_the_seed(seed):
     entry = catalog_get("flat-contact-r3:deformed:0.5")
     ctx = cli.RunContext(RunConfig(entry.key, seed=seed, points=2, samples=20), entry)
     children = np.random.SeedSequence(seed).spawn(len(CHECKS) + 1)
-    assert len(children) == 16
+    assert len(children) == 15
     points = geom.sample_points(entry.model, 2, seed=np.random.default_rng(children[0]))
     assert np.array_equal(ctx.frame.point, np.stack(points))
     for i, name in enumerate(CHECK_NAMES):
@@ -366,16 +368,25 @@ def test_a_parse_error_leaves_the_next_call_working(capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "key", ["flat-contact-r3:deformed:1e3", "flat-contact-r3:deformed:1e4", "s-space-form:2,2:deformed:1e4"]
-)
+# key -> bound on the spectrum's eigenvalue residual.  On the last key
+# |h| = |xi| = 1e5, so h xi = 0 is judged against 1e10, and the fitted
+# kappa = 1 - 1e10 carries a relative error of about 1.5e-12.
+EXTREME_DEFORMATIONS = {
+    "flat-contact-r3:deformed:1e3": 1e-12,
+    "flat-contact-r3:deformed:1e4": 1e-12,
+    "s-space-form:2,2:deformed:1e4": 1e-12,
+    "flat-contact-r3:deformed:1e-5": 1e-11,
+}
+
+
+@pytest.mark.parametrize("key", list(EXTREME_DEFORMATIONS))
 def test_extreme_deformations_pass_on_relative_residuals(key, tmp_path, capsys):
     # roundoff on a metric of size a^2 and |h| = sqrt(1 - kappa) are what the theory predicts
     path = tmp_path / "report.json"
     assert main(["check", "--manifold", key, "--json", str(path)]) == 0
     capsys.readouterr()
     report = json.loads(path.read_text())
-    assert report["spectrum"]["eigenvalue_residual"] <= 1e-12
+    assert report["spectrum"]["eigenvalue_residual"] <= EXTREME_DEFORMATIONS[key]
     assert {c["name"]: c for c in report["checks"]}["spectrum"]["passed"]
 
 
@@ -411,3 +422,27 @@ def test_a_fit_against_the_spectrum_fails_its_row(monkeypatch, key, kappa):
     nullity_row, spectrum_row = run(config).checks
     assert nullity_row.passed
     assert spectrum_row.residual > 1e-3 and not spectrum_row.passed and spectrum_row.gating
+
+
+def test_the_splitting_row_is_gone(capsys):
+    # the splitting formula is the H row's residual for kappa < 1
+    assert "splitting" not in CHECK_NAMES
+    assert main(["check", "--manifold", "flat-contact-r3:deformed:2", "--checks", "splitting"]) == 2
+    assert "unknown checks" in capsys.readouterr().err
+
+
+def test_a_section_dependent_defect_fails_the_H_row(monkeypatch):
+    # the sampled H stays within --tol of constant, but not on the splitting formula
+    stacked = cli.as_frames
+
+    def planted(model, points):
+        frame = stacked(model, points)
+        frame.riemann40 = frame.riemann40 + section_defect(frame, 3e-5)
+        return frame
+
+    monkeypatch.setattr(cli, "as_frames", planted)
+    report = run(RunConfig("flat-contact-r3:deformed:0.5", points=4, samples=200))
+    records = {c.name: c for c in report.checks}
+    assert report.verdicts["is_space_form_candidate"] is True
+    assert records["H"].residual > 1e-6 and not records["H"].passed and records["H"].gating
+    assert not report.passed

@@ -57,12 +57,11 @@ def test_deformed_duality_consistency(flat):
 def test_prediction_values():
     pred = predict_deformed_nullity(2.0, s=1)
     assert (pred.kappa, pred.mu, pred.h_sectional) == pytest.approx((0.75, 1.0, -1.75))
-    assert not pred.is_space_form_case
+    assert pred.mu != pytest.approx(pred.kappa + 1.0)
 
     pred = predict_deformed_nullity(0.5, s=1)
     assert (pred.kappa, pred.mu, pred.h_sectional) == pytest.approx((-3.0, -2.0, 5.0))
-    assert pred.is_space_form_case
-    assert pred.mu == pytest.approx(pred.kappa + 1.0)
+    assert pred.mu == pytest.approx(pred.kappa + 1.0)  # the constant-H case, H = -s(2 kappa + 1)
 
     pred = predict_deformed_nullity(1.0, s=1)
     assert (pred.kappa, pred.mu, pred.h_sectional) == pytest.approx((0.0, 0.0, 0.0))
@@ -119,9 +118,10 @@ def test_deformed_catalog_models_follow_the_closed_forms(a, seed):
     model = catalog_get(f"flat-contact-r3:deformed:{format_constant(a)}").model
     points = sample_points(model, 4, seed=seed)
     pred, fit = predict_deformed_nullity(a, s=1), fit_nullity(model, points)
-    rep = sample_H_constancy(model, points, 20, rng=seed)
+    rep = sample_H_constancy(model, points, 20, rng=seed, fit=fit)
     for got, want in ((fit.kappa, pred.kappa), (fit.mu, pred.mu), (rep.h_mean, pred.h_sectional)):
         assert abs(got - want) <= FIT_TOL * max(1.0, abs(want)), (got, want)
+    assert rep.splitting_residual <= FIT_TOL
 
 
 def test_deformation_preserves_convention_and_labels(flat):

@@ -311,7 +311,6 @@ def test_one_point_operations_reject_a_batch_frame():
         lambda: riemann(model, batch),
         lambda: structure_at(model, batch),
         lambda: h_spectrum(model, fit, batch),
-        lambda: check_splitting_lemma(model, fit, batch),
     ):
         with pytest.raises(ValueError, match="one-point frame"):
             op()
@@ -342,6 +341,7 @@ POINT_FUNCTIONS = {
     "check_rf_identity": lambda model, fit, pts: check_rf_identity(model, fit, pts),
     "check_ricci_model": lambda model, fit, pts: check_ricci_model(model, fit, pts),
     "sample_H_constancy": lambda model, fit, pts: sample_H_constancy(model, pts),
+    "check_splitting_lemma": lambda model, fit, pts: check_splitting_lemma(model, fit, pts),
     "check_curvature_model": lambda model, fit, pts: check_curvature_model(model, fit, 0.0, pts),
     "fit_gssf": lambda model, fit, pts: fit_gssf(model, pts),
     "fit_trans_s": lambda model, fit, pts: fit_trans_s(model, pts),

@@ -17,12 +17,11 @@ from fcontact import (
     h_spectrum,
     predict_deformed_nullity,
     sample_H_constancy,
-    space_form_criterion,
     verify_r_xi,
 )
 from fcontact.errors import InsufficientSampleError, InvalidSectionError
 
-from .conftest import unit_section as section
+from .conftest import section_defect, unit_section as section
 
 FIT_TOL = 1e-6
 
@@ -251,33 +250,42 @@ def test_curvature_model_deformed_half_recorded(deformed, deformed_fits, flat_po
     assert r < FIT_TOL
 
 
-# -- space-form criterion -----------------------------------------------------------
+# -- the H sample against the theorem ------------------------------------------------
 
 
 def test_space_form_verdict_a_half(deformed, deformed_fits, flat_points):
-    rep = sample_H_constancy(deformed[0.5], flat_points[:4], 20, rng=0)
-    v = space_form_criterion(deformed[0.5], deformed_fits[0.5], rep)
-    assert v.applicable and v.n_is_one
-    assert v.mu_condition_residual < FIT_TOL
-    assert v.h_prediction_residual < FIT_TOL  # H = -s(2 kappa + 1) = 5
-    assert v.h_trace_identity_residual < FIT_TOL
-    assert v.is_space_form
+    # mu = kappa + 1: the splitting formula is constant, H = -s(2 kappa + 1) = 5
+    fit = deformed_fits[0.5]
+    rep = sample_H_constancy(deformed[0.5], flat_points[:4], 20, rng=0, fit=fit)
+    assert fit.mu == pytest.approx(fit.kappa + 1.0, abs=FIT_TOL)
+    assert rep.splitting_residual < FIT_TOL
+    assert rep.relative_spread < FIT_TOL
+    assert rep.h_mean == pytest.approx(-(2.0 * fit.kappa + 1.0), abs=FIT_TOL)
+    assert rep.h_mean == pytest.approx(5.0, abs=FIT_TOL)
 
 
 def test_space_form_verdict_a2_mu_not_kappa_plus_one(deformed, deformed_fits, flat_points):
-    rep = sample_H_constancy(deformed[2.0], flat_points[:4], 20, rng=0)
-    v = space_form_criterion(deformed[2.0], deformed_fits[2.0], rep)
-    assert v.applicable
-    assert v.mu_condition_residual == pytest.approx(0.75, abs=FIT_TOL)  # mu=1, kappa+1=1.75
-    # for n = 1 the manifold is a space form anyway
-    assert v.is_space_form and v.n_is_one
+    # mu = 1, kappa + 1 = 1.75; at n = 1 H is constant anyway, at -s(kappa + mu)
+    fit = deformed_fits[2.0]
+    rep = sample_H_constancy(deformed[2.0], flat_points[:4], 20, rng=0, fit=fit)
+    assert fit.mu - (fit.kappa + 1.0) == pytest.approx(-0.75, abs=FIT_TOL)
+    assert rep.splitting_residual < FIT_TOL
+    assert rep.relative_spread < FIT_TOL
+    assert rep.h_mean == pytest.approx(-(fit.kappa + fit.mu), abs=FIT_TOL)
 
 
 def test_space_form_verdict_not_applicable_for_s_manifold(s22, s22_fit, s22_points):
-    rep = sample_H_constancy(s22, s22_points[:2], 10, rng=0)
-    v = space_form_criterion(s22, s22_fit, rep)
-    assert not v.applicable
-    assert v.mu_condition_residual is None
+    # kappa = 1: no splitting formula; constancy is the relative spread alone
+    rep = sample_H_constancy(s22, s22_points[:2], 10, rng=0, fit=s22_fit)
+    assert s22_fit.lam is None
+    assert rep.splitting_residual is None
+    assert rep.relative_spread < FIT_TOL
+    assert rep.relative_spread == pytest.approx(rep.h_spread / 6.0, rel=1e-3, abs=1e-15)  # |H| = 6
+
+
+def test_the_sample_without_a_fit_has_no_splitting_residual(deformed, flat_points):
+    rep = sample_H_constancy(deformed[2.0], flat_points[:4], 20, rng=0)
+    assert rep.splitting_residual is None
 
 
 # -- splitting formula ----------------------------------------------------------------
@@ -285,22 +293,33 @@ def test_space_form_verdict_not_applicable_for_s_manifold(s22, s22_fit, s22_poin
 
 @pytest.mark.parametrize("a", [0.75, 2.0, 3.0])
 def test_splitting_lemma_deformed(a, deformed, deformed_fits, flat_points):
-    r = check_splitting_lemma(deformed[a], deformed_fits[a], flat_points[0], 100, rng=0)
-    assert r < FIT_TOL
+    rep = sample_H_constancy(deformed[a], flat_points[:4], 100, rng=0, fit=deformed_fits[a])
+    assert rep.splitting_residual < FIT_TOL
+    # the benchmark's traced name for the same residual
+    assert check_splitting_lemma(deformed[a], deformed_fits[a], flat_points[:4], 100, rng=0) == rep.splitting_residual
 
 
 def test_splitting_constant_when_mu_is_kappa_plus_one(deformed, deformed_fits, flat_points):
-    # coefficient 4s(kappa - mu + 1) vanishes: H(X) = -s(2 kappa + 1) for all X
-    r = check_splitting_lemma(deformed[0.5], deformed_fits[0.5], flat_points[0], 100, rng=0)
-    assert r < FIT_TOL
+    # coefficient s(mu - kappa - 1) vanishes: H(X) = -s(2 kappa + 1) for all X
+    rep = sample_H_constancy(deformed[0.5], flat_points, 100, rng=0, fit=deformed_fits[0.5])
+    assert rep.splitting_residual < FIT_TOL
+    assert rep.relative_spread < FIT_TOL
 
 
 def test_splitting_rejects_kappa_one(s22, s22_fit, s22_points):
     with pytest.raises(NotApplicableError):
-        check_splitting_lemma(s22, s22_fit, s22_points[0])
+        check_splitting_lemma(s22, s22_fit, s22_points[:1])
+    assert sample_H_constancy(s22, s22_points[:1], 10, fit=s22_fit).splitting_residual is None
 
 
-# -- seven-function ansatz ---------------------------------------------------------------
+def test_a_section_dependent_defect_fails_the_splitting_formula_within_the_spread(deformed, deformed_fits, flat_points):
+    model, fit = deformed[0.5], deformed_fits[0.5]
+    frame = PointFrame(model, np.stack(flat_points[:4]))
+    clean = sample_H_constancy(model, frame, 50, rng=0, fit=fit)
+    frame.riemann40 = frame.riemann40 + section_defect(frame, 3e-5)
+    rep = sample_H_constancy(model, frame, 50, rng=0, fit=fit)
+    assert clean.splitting_residual < 1e-12
+    assert rep.relative_spread < FIT_TOL < rep.splitting_residual
 
 
 def test_gssf_fit_s22(s22, s22_points):
@@ -464,8 +483,8 @@ def test_section_counts_below_one_raise_typed_errors(count, deformed, deformed_f
     model, fit = deformed[0.5], deformed_fits[0.5]
     with pytest.raises(InsufficientSampleError, match="sections_per_point"):
         sample_H_constancy(model, flat_points[:2], count)
-    with pytest.raises(InsufficientSampleError, match="section_samples"):
-        check_splitting_lemma(model, fit, flat_points[0], count)
+    with pytest.raises(InsufficientSampleError, match="sections_per_point"):
+        check_splitting_lemma(model, fit, flat_points[:2], count)
 
 
 def test_checks_over_blocks_of_points_match_one_block(

@@ -125,6 +125,18 @@ def test_h_operator_properties(flat, flat_points, deformed):
                 assert np.max(np.abs(st.eta_mat @ h)) < IDT
 
 
+def test_product_identities_are_judged_against_their_factors(flat, flat_points):
+    # |h| and |xi| are 1e5: roundoff of h xi is about 1e-6, on products of size 1e10
+    model = d_deform(flat, 1e-5)
+    frame = PointFrame(model, np.stack(flat_points))
+    report = check_f_axioms(model, frame)
+    h_xi = np.abs(frame.h_all @ frame.xi.swapaxes(1, 2)[:, None]).max()
+    scale = np.abs(frame.h_all).max() * np.abs(frame.xi).max()
+    assert scale > 1e9
+    assert report.h_xi == pytest.approx(h_xi / scale, rel=1e-12)
+    assert report.r_h_properties < 1e-14
+
+
 def test_killing_iff_h_zero(flat, s11, s22, flat_points, s11_points, s22_points):
     cases = [(flat, flat_points), (s11, s11_points), (s22, s22_points)]
     for model, points in cases:

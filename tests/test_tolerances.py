@@ -35,3 +35,12 @@ def test_relative_residual_is_unchanged_by_scaling_sides_of_size_one_or_more(lhs
     lhs, rhs = np.array(lhs[:n]), np.array(rhs[:n])
     base = relative_residual([(lhs, rhs)])
     assert np.isclose(relative_residual([(c * lhs, c * rhs)]), base, rtol=1e-12, atol=1e-15)
+
+
+@given(sides, sides, st.floats(min_value=0.0, max_value=1e8))
+def test_a_scale_only_raises_the_divisor(lhs, rhs, scale):
+    n = min(len(lhs), len(rhs))
+    lhs, rhs = np.array(lhs[:n]), np.array(rhs[:n])
+    size = max(1.0, scale, np.abs(lhs).max(), np.abs(rhs).max())
+    assert relative_residual([(lhs, rhs)], scale) <= relative_residual([(lhs, rhs)])
+    assert relative_residual([(lhs, rhs)], scale) == np.abs(lhs - rhs).max() / size
