@@ -18,7 +18,6 @@ from .catalog import (
     catalog_list,
 )
 from .deform import (
-    DeformedNullityPrediction,
     convention_normalize,
     d_deform,
     predict_deformed_nullity,
@@ -79,7 +78,6 @@ __all__ = [
     "CheckReport",
     "Convention",
     "CurvatureData",
-    "DeformedNullityPrediction",
     "DegenerateMetricError",
     "EmptyPointSetError",
     "ExpectedFit",

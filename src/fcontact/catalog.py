@@ -36,18 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .deform import check_constant, d_deform, predict_deformed_nullity
+from .deform import ExpectedFit, check_constant, d_deform, predict_deformed_nullity
 from .errors import UnknownManifoldError
 from .geom import Convention, ManifoldModel
 
-
-@dataclass(frozen=True)
-class ExpectedFit:
-    """Known (kappa, mu, H) of a catalog entry; None marks 'unconstrained/measured'."""
-
-    kappa: float | None
-    mu: float | None
-    h_sectional: float | None
+# Largest dimension of a catalog key: a run holds several (points, dim^4)
+# arrays, so its memory grows about as dim^4.  At dim 9, `fcontact check
+# --points 1000 --samples 200` peaks at 282-300 MB of RSS (s-space-form:3,3,
+# 4,1 and 1,7 on x86-64 Linux, numpy 2.4).
+MAX_DIM = 9
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class CatalogEntry:
 
     key: str
     model: ManifoldModel
-    expected: ExpectedFit | None
+    expected: ExpectedFit
 
 
 def _default_box(dim: int) -> np.ndarray:
@@ -176,6 +173,8 @@ def _base_entry(key: str) -> CatalogEntry:
             raise UnknownManifoldError(key) from exc
         if n < 1 or s < 1:
             raise UnknownManifoldError(key)
+        if 2 * n + s > MAX_DIM:
+            raise UnknownManifoldError(f"{key}: dimension {2 * n + s} is above the largest, {MAX_DIM}")
         return CatalogEntry(
             key=key,
             model=build_s_space_form(n, s),
@@ -194,11 +193,12 @@ def catalog_get(key: str) -> CatalogEntry:
             raise UnknownManifoldError(f"{key}: {exc}") from exc
         base = _base_entry(base_key)
         if base_key == "flat-contact-r3":
-            pred = predict_deformed_nullity(a, base.model.s)
-            expected = ExpectedFit(pred.kappa, pred.mu, pred.h_sectional)
+            expected = predict_deformed_nullity(a, base.model.s)
         else:
-            # the deformation keeps the normal structure; H is measured
-            expected = ExpectedFit(1.0, None, None)
+            # the deformation keeps the normal structure (kappa = 1, mu free) and
+            # H = -3s: for s = 1, -3 is the fixed point of Tanno's law
+            # c' = (c + 3)/a - 3; for s > 1 the sampled H matches -3s to roundoff
+            expected = base.expected
         return CatalogEntry(key=key, model=d_deform(base.model, a), expected=expected)
     return _base_entry(key)
 

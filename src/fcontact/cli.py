@@ -1,9 +1,10 @@
 """Batch runner: catalog models + check suites -> machine-readable reports.
 
-Subcommands: ``check``, ``catalog list``, and the presets of ``check``:
-``fit-nullity``, ``fit-gssf``, ``fit-trans-s`` and ``deform``.  Exit codes:
-0 all requested checks pass, 1 at least one gating check failed, 2 usage or
-configuration error.
+Subcommands: ``check --manifold KEY``, which runs the checks on one catalog
+key (a deformed model is the key ``BASE:deformed:A``), and ``catalog list``.
+Exit codes: 0 all requested checks pass, 1 at least one gating check failed,
+2 usage or configuration error.  ``RunConfig`` holds the one copy of the
+run's defaults; a flag that is not given leaves its field at that default.
 
 A run reads the table ``CHECKS`` in order.  Each row names a check, says
 whether it gates the exit status, which tolerance judges it and whether it
@@ -29,9 +30,8 @@ import numpy as np
 from . import nullity as nl
 from . import structure as stc
 from .catalog import CatalogEntry, catalog_get, catalog_list
-from .deform import check_constant, format_constant
 from .errors import FContactError, NotApplicableError, UnknownManifoldError
-from .geom import Convention, as_frames, sample_points
+from .geom import as_frames, sample_points
 from .report import CheckRecord, CheckReport, emit_report
 from .tolerances import FIT_TOL, IDENTITY_TOL, relative_residual
 
@@ -57,14 +57,12 @@ def _is_real(value) -> bool:
 @dataclasses.dataclass
 class RunConfig:
     manifold_key: str
-    deform_a: float | None = None
     seed: int = 0
     points: int = 20
     samples: int = 200
     tolerance: float = FIT_TOL
     checks: list[str] | str = "all"
     output_path: str | None = None
-    convention: str = "auto"
 
     def validate(self) -> None:
         if not isinstance(self.manifold_key, str):
@@ -76,15 +74,6 @@ class RunConfig:
             raise ConfigError("seed must be an integer >= 0")
         if not (_is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ConfigError("tolerance must be positive and finite")
-        if self.deform_a is not None:
-            if not _is_real(self.deform_a):
-                raise ConfigError("deformation constant must be a number")
-            try:
-                check_constant(self.deform_a)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        if self.convention not in ("auto", "half", "plain"):
-            raise ConfigError(f"unknown convention {self.convention!r}")
         if self.checks != "all":
             if not isinstance(self.checks, (list, tuple)) or not self.checks:
                 raise ConfigError('checks must be "all" or a non-empty list of check names')
@@ -103,17 +92,6 @@ class RunConfig:
         if "manifold_key" not in data:
             raise ConfigError("config needs a manifold_key")
         return cls(**data)
-
-
-def _resolve_entry(config: RunConfig) -> CatalogEntry:
-    key = config.manifold_key
-    if config.deform_a is not None:
-        key = f"{key}:deformed:{format_constant(config.deform_a)}"
-    entry = catalog_get(key)
-    if config.convention != "auto":
-        model = dataclasses.replace(entry.model, d_convention=Convention(config.convention))
-        entry = dataclasses.replace(entry, model=model)
-    return entry
 
 
 def _attempt(fn, *args):
@@ -166,7 +144,7 @@ class RunContext:
             self.spectrum = _attempt(nl.h_spectrum, model, fit, self.frame[0])
             sections = max(10, config.samples // config.points)
             self.h = _attempt(nl.sample_H_constancy, model, self.frame[:10], sections, self.rng("H"), fit)
-            self.predicted = None if entry.expected is None else entry.expected.h_sectional
+            self.predicted = entry.expected.h_sectional
         self.normality = stc.check_normality(model, self.frame)
 
     @property
@@ -217,12 +195,9 @@ def _h_sectional(ctx: RunContext):
     formula, which holds for every n and (kappa, mu); for kappa = 1, where no
     formula is known, the spread of H relative to its size.  The mean is
     compared with the catalog's H."""
-    h, predicted = _value(ctx.h), ctx.predicted
-    note = f"mean = {h.h_mean:.9g}"
-    ok = True
-    if predicted is not None:
-        note += f", predicted = {predicted:.9g}"
-        ok = relative_residual([(h.h_mean, predicted)]) <= ctx.fit_tol
+    h = _value(ctx.h)
+    note = f"mean = {h.h_mean:.9g}, predicted = {ctx.predicted:.9g}"
+    ok = relative_residual([(h.h_mean, ctx.predicted)]) <= ctx.fit_tol
     if ctx.fit.lam is None:
         return h.relative_spread, ok, note + "; residual: relative spread"
     return h.splitting_residual, ok, note + "; residual: splitting formula"
@@ -307,7 +282,7 @@ def run(config: RunConfig) -> CheckReport:
     """Run the requested rows of ``CHECKS`` in table order; deterministic per seed."""
     config.validate()
     t0 = time.perf_counter()
-    entry = _resolve_entry(config)
+    entry = catalog_get(config.manifold_key)
     model = entry.model
     requested = CHECK_NAMES if config.checks == "all" else config.checks
     for row in CHECKS:
@@ -360,44 +335,23 @@ def run(config: RunConfig) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--manifold", help="catalog key")
-    p.add_argument("--a", type=float, default=None, help="D-homothetic deformation constant")
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0, help="random seed, >= 0")
-    p.add_argument("--tol", type=float, default=FIT_TOL)
-    p.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
-    p.add_argument(
-        "--convention",
-        choices=["half", "plain", "auto"],
-        default="auto",
-        help="override the contact-condition convention (auto = entry's declared)",
-    )
-    p.add_argument("--config", default=None, help="read the run config from a JSON file")
-
-
 def _config_from_args(args) -> RunConfig:
-    if args.config:
-        with open(args.config) as fh:
+    """The run config of ``check``: from ``--config`` alone, else from the
+    flags given, each named after its ``RunConfig`` field."""
+    given = {k: v for k, v in vars(args).items() if k != "command"}
+    if "config" in given:
+        path = given.pop("config")
+        if given:
+            raise ConfigError("--config takes no other flags")
+        with open(path) as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not JSON: {exc}") from exc
         return RunConfig.from_dict(data)
-    if args.manifold is None:
+    if "manifold_key" not in given:
         raise ConfigError("either --manifold or --config is required")
-    return RunConfig(
-        manifold_key=args.manifold,
-        deform_a=args.a,
-        seed=args.seed,
-        points=args.points,
-        samples=args.samples,
-        tolerance=args.tol,
-        checks=args.checks,
-        output_path=args.json_path,
-        convention=args.convention,
-    )
+    return RunConfig(**given)
 
 
 def _write_report(path: str, data: bytes) -> None:
@@ -419,15 +373,6 @@ def _emit(report: CheckReport, config: RunConfig) -> None:
     sys.stdout.write(emit_report(report, "text").decode())
 
 
-# Subcommands that run ``check`` on a fixed set of checks.
-PRESETS = {
-    "fit-nullity": (["nullity", "spectrum", "r-xi"], "run the nullity, spectrum and r-xi checks"),
-    "fit-gssf": (["gssf"], "run the gssf check"),
-    "fit-trans-s": (["trans-s"], "run the trans-s check"),
-    "deform": ("all", "check a deformed model against its closed-form prediction"),
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The ``fcontact`` argument parser, built on first use and then kept:
@@ -439,18 +384,24 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="run the full check battery on a catalog model")
-    _add_common(p_check)
-    p_check.add_argument(
+    # a flag that is not given stays out of the namespace, so RunConfig supplies its default
+    p = sub.add_parser("check", help="run the check battery on a catalog model",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--manifold", dest="manifold_key", metavar="KEY",
+                   help="catalog key, e.g. flat-contact-r3:deformed:0.5")
+    p.add_argument("--points", type=int, metavar="N", help=f"in [1, {MAX_POINTS}] (default: {RunConfig.points})")
+    p.add_argument("--samples", type=int, metavar="N", help=f"in [1, {MAX_SAMPLES}] (default: {RunConfig.samples})")
+    p.add_argument("--seed", type=int, metavar="N", help=f"random seed, >= 0 (default: {RunConfig.seed})")
+    p.add_argument("--tol", dest="tolerance", type=float, metavar="X",
+                   help=f"fit tolerance (default: {RunConfig.tolerance:g})")
+    p.add_argument(
         "--checks",
-        default="all",
+        metavar="NAMES",
         type=lambda v: "all" if v == "all" else [c.strip() for c in v.split(",")],
-        help=f"comma-separated subset of {', '.join(CHECK_NAMES)} (default: all)",
+        help=f"comma-separated subset of {', '.join(CHECK_NAMES)} (default: {RunConfig.checks})",
     )
-    for name, (checks, help_text) in PRESETS.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        p.set_defaults(checks=checks)
+    p.add_argument("--json", dest="output_path", metavar="PATH", help="write the JSON report here")
+    p.add_argument("--config", metavar="FILE", help="read the run config from a JSON file")
 
     p_catalog = sub.add_parser("catalog", help="catalog utilities")
     catalog_sub = p_catalog.add_subparsers(dest="catalog_command", required=True)
@@ -465,21 +416,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "catalog":
             for entry in catalog_list():
-                exp = entry.expected
-                known = (
-                    f"kappa={exp.kappa:g}, mu={'free' if exp.mu is None else f'{exp.mu:g}'}"
-                    f", H={'measured' if exp.h_sectional is None else f'{exp.h_sectional:g}'}"
-                    if exp
-                    else "no expected record"
-                )
-                m = entry.model
-                print(f"{entry.key:<22} n={m.n} s={m.s} dim={m.dim} "
-                      f"convention={m.d_convention.value}  [{known}]")
+                exp, m = entry.expected, entry.model
+                mu = "free" if exp.mu is None else f"{exp.mu:g}"
+                print(f"{entry.key:<22} n={m.n} s={m.s} dim={m.dim} convention={m.d_convention.value}  "
+                      f"[kappa={exp.kappa:g}, mu={mu}, H={exp.h_sectional:g}]")
             return 0
 
         config = _config_from_args(args)
-        if args.command == "deform" and config.deform_a is None:
-            raise ConfigError("deform requires a deformation constant (--a)")
         report = run(config)
         _emit(report, config)
         return 0 if report.passed else 1

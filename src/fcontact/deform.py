@@ -80,21 +80,21 @@ def d_deform(model: ManifoldModel, a: float) -> ManifoldModel:
 
 
 @dataclass(frozen=True)
-class DeformedNullityPrediction:
-    """Closed-form (kappa, mu, H) of a deformed flat-structure model."""
+class ExpectedFit:
+    """Known (kappa, mu, H) of a model; ``mu`` is None where the fit leaves it free (h = 0)."""
 
     kappa: float
-    mu: float
+    mu: float | None
     h_sectional: float
 
 
-def predict_deformed_nullity(a: float, s: int) -> DeformedNullityPrediction:
+def predict_deformed_nullity(a: float, s: int) -> ExpectedFit:
     """Predicted (kappa, mu, H) when the base model satisfies R(X, Y)xi = 0."""
     a = check_constant(a)
     kappa = (a**2 - 1.0) / a**2
     mu = 2.0 * (a - 1.0) / a
     h = -s * (3.0 * a**2 - 2.0 * a - 1.0) / a**2
-    return DeformedNullityPrediction(kappa=kappa, mu=mu, h_sectional=h)
+    return ExpectedFit(kappa=kappa, mu=mu, h_sectional=h)
 
 
 def convention_normalize(model: ManifoldModel) -> ManifoldModel:

@@ -441,7 +441,8 @@ def as_frames(model: ManifoldModel, points) -> PointFrame:
     ``points`` is a frame of ``model`` over a batch of points, returned as it
     is, or a sequence of points and one-point frames, whose points are
     stacked into a new frame.  No points at all raise
-    :class:`EmptyPointSetError`.
+    :class:`EmptyPointSetError`, and one raw point, a 1-D array, raises
+    ``ValueError``: pass ``[p]``.
     """
     if isinstance(points, PointFrame):
         _check_model(points, model)
@@ -454,7 +455,10 @@ def as_frames(model: ManifoldModel, points) -> PointFrame:
     for p in items:
         if isinstance(p, PointFrame):
             _check_model(p, model)
-    return PointFrame(model, np.stack([p.point if isinstance(p, PointFrame) else p for p in items]))
+    stacked = np.stack([p.point if isinstance(p, PointFrame) else p for p in items])
+    if stacked.ndim != 2:
+        raise ValueError(f"expected points (P, {model.dim}), got {stacked.shape}; pass [p] for one point")
+    return PointFrame(model, stacked)
 
 
 # ---------------------------------------------------------------------------

@@ -191,9 +191,7 @@ def test_criterion_8_killing_iff_h_zero(suite):
 
 def test_criterion_9_determinism():
     def body():
-        config = RunConfig(
-            manifold_key="flat-contact-r3", deform_a=2.0, seed=123, points=5, samples=100
-        )
+        config = RunConfig(manifold_key="flat-contact-r3:deformed:2", seed=123, points=5, samples=100)
         first = json.loads(emit_report(run(config), "json"))
         second = json.loads(emit_report(run(config), "json"))
         first.pop("wall_time")

@@ -44,13 +44,17 @@ def test_deformed_s_structure_key():
     entry = catalog_get("s-space-form:1,1:deformed:3")
     assert entry.expected.kappa == pytest.approx(1.0)
     assert entry.expected.mu is None
+    # H = -3s is kept by the deformation (for s = 1, the fixed point of Tanno's law)
+    for n, s in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 3)):
+        assert catalog_get(f"s-space-form:{n},{s}:deformed:0.5").expected.h_sectional == -3.0 * s
 
 
 @pytest.mark.parametrize(
     "key",
     ["nope", "s-space-form:abc", "s-space-form:0,1", "flat-contact-r3:deformed:x",
      "flat-contact-r3:deformed:-1", "flat-contact-r3:deformed:inf", "flat-contact-r3:deformed:nan",
-     "flat-contact-r3:deformed:1e-300", "flat-contact-r3:deformed:1e300", "flat-contact-r3:deformed:5e-324"],
+     "flat-contact-r3:deformed:1e-300", "flat-contact-r3:deformed:1e300", "flat-contact-r3:deformed:5e-324",
+     "s-space-form:4,2", "s-space-form:10,10:deformed:2"],
 )
 def test_unknown_keys_raise(key):
     with pytest.raises(UnknownManifoldError):
@@ -58,7 +62,8 @@ def test_unknown_keys_raise(key):
 
 
 def test_expected_records_reproduced_by_fits():
-    for key in ("flat-contact-r3", "s-space-form:2,2", "flat-contact-r3:deformed:2"):
+    for key in ("flat-contact-r3", "s-space-form:2,2", "flat-contact-r3:deformed:2",
+                "s-space-form:2,2:deformed:0.5", "s-space-form:1,1:deformed:10"):
         entry = catalog_get(key)
         points = sample_points(entry.model, 6, seed=3)
         fit = fit_nullity(entry.model, points)
@@ -68,9 +73,8 @@ def test_expected_records_reproduced_by_fits():
             assert not fit.mu_determined, key
         else:
             assert fit.mu == pytest.approx(exp.mu, abs=FIT_TOL), key
-        if exp.h_sectional is not None:
-            rep = sample_H_constancy(entry.model, points[:3], 20, rng=0)
-            assert rep.h_mean == pytest.approx(exp.h_sectional, abs=FIT_TOL), key
+        rep = sample_H_constancy(entry.model, points[:3], 20, rng=0)
+        assert rep.h_mean == pytest.approx(exp.h_sectional, abs=FIT_TOL), key
 
 
 def test_f_squared_identity_on_s_structure():

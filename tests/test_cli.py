@@ -11,9 +11,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fcontact import cli, geom, nullity
+from fcontact import UnknownManifoldError, cli, d_deform, geom, nullity
 from fcontact.catalog import catalog_get
-from fcontact.cli import CHECK_NAMES, CHECKS, ConfigError, RunConfig, _resolve_entry, main, run
+from fcontact.cli import CHECK_NAMES, CHECKS, ConfigError, RunConfig, _config_from_args, _parser, main, run
 from fcontact.report import REPORT_SCHEMA, emit_report, parse_report
 
 from .conftest import section_defect
@@ -21,7 +21,7 @@ from .conftest import section_defect
 
 @pytest.fixture(scope="module")
 def deformed_report():
-    config = RunConfig(manifold_key="flat-contact-r3", deform_a=2.0, points=6, samples=120)
+    config = RunConfig(manifold_key="flat-contact-r3:deformed:2", points=6, samples=120)
     return run(config)
 
 
@@ -50,8 +50,6 @@ def test_run_s_structure_verdicts():
 
 
 def test_unknown_manifold_raises():
-    from fcontact import UnknownManifoldError
-
     with pytest.raises(UnknownManifoldError):
         run(RunConfig(manifold_key="nope"))
 
@@ -69,15 +67,20 @@ def test_invalid_config_rejected(monkeypatch):
         run(RunConfig(manifold_key="flat-contact-r3", tolerance=-1.0))
     with pytest.raises(ConfigError):
         run(RunConfig(manifold_key="flat-contact-r3", checks=["bogus"]))
-    for a in (float("inf"), float("nan"), 1e300, 1e-300):
-        with pytest.raises(ConfigError):
-            run(RunConfig(manifold_key="flat-contact-r3", deform_a=a))
+    for a in ("inf", "nan", "1e300", "1e-300"):
+        with pytest.raises(UnknownManifoldError):
+            run(RunConfig(manifold_key=f"flat-contact-r3:deformed:{a}"))
+    # a key above the largest dimension is rejected before its model is built
+    monkeypatch.setattr("fcontact.catalog.build_s_space_form", _no_sampling)
+    for key in ("s-space-form:10,10", "s-space-form:4,2", "s-space-form:1,8:deformed:2"):
+        with pytest.raises(UnknownManifoldError, match="above the largest"):
+            run(RunConfig(manifold_key=key))
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"manifold_key": "flat-contact-r3", "what": 1})
     # wrong types, a negative seed and an empty check list never reach a run
     for bad in ({"seed": -1}, {"points": "3"}, {"points": 2.5}, {"points": True},
                 {"samples": "200"}, {"seed": 1.0}, {"checks": []}, {"checks": "nullity"},
-                {"tolerance": float("inf")}, {"tolerance": "1e-6"}, {"deform_a": "2"},
+                {"tolerance": float("inf")}, {"tolerance": "1e-6"},
                 {"points": 1001}, {"points": 10**11}, {"samples": 1_000_001}, {"samples": 10**11}):
         with pytest.raises(ConfigError):
             run(RunConfig.from_dict({"manifold_key": "flat-contact-r3", **bad}))
@@ -158,8 +161,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["check", "--manifold", "nope"]) == 2
     capsys.readouterr()
     for a in ("inf", "1e300"):
-        assert main(["check", "--manifold", "flat-contact-r3", "--a", a]) == 2
+        assert main(["check", "--manifold", f"flat-contact-r3:deformed:{a}"]) == 2
         assert "finite" in capsys.readouterr().err
+    assert main(["check", "--manifold", "s-space-form:10,10"]) == 2
+    assert "above the largest" in capsys.readouterr().err
     with monkeypatch.context() as m:
         m.setattr("fcontact.cli.sample_points", _no_sampling)
         for sizes in (["--points", "100000000000"], ["--samples", "100000000000", "--checks", "axioms"]):
@@ -172,6 +177,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         path.write_text(json.dumps({"manifold_key": "flat-contact-r3", **bad}))
         assert main(["check", "--config", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+    path.write_text(json.dumps({"manifold_key": "flat-contact-r3", "points": 3}))
+    assert main(["check", "--config", str(path), "--points", "7", "--json", str(tmp_path / "r.json")]) == 2
+    assert "--config takes no other flags" in capsys.readouterr().err
     for text in ('["flat-contact-r3"]', "{manifold_key"):
         path.write_text(text)
         assert main(["check", "--config", str(path)]) == 2
@@ -195,31 +203,63 @@ def test_nan_killing_residual_fails(monkeypatch, key):
 
 
 def test_cli_subcommands_run(capsys):
-    assert main(["fit-nullity", "--manifold", "flat-contact-r3", "--a", "2",
+    # what the removed subcommands ran, spelled as check on a key
+    assert main(["check", "--checks", "nullity,spectrum,r-xi", "--manifold", "flat-contact-r3:deformed:2",
                  "--points", "4", "--samples", "80"]) == 0
     out = capsys.readouterr().out
     assert "kappa=0.75" in out
-    assert main(["fit-gssf", "--manifold", "s-space-form:2,2", "--points", "3",
+    assert main(["check", "--checks", "gssf", "--manifold", "s-space-form:2,2", "--points", "3",
                  "--samples", "90"]) == 0
     capsys.readouterr()
-    assert main(["fit-trans-s", "--manifold", "s-space-form:1,1", "--points", "4",
+    assert main(["check", "--checks", "trans-s", "--manifold", "s-space-form:1,1", "--points", "4",
                  "--samples", "80"]) == 0
     capsys.readouterr()
-    assert main(["deform", "--manifold", "flat-contact-r3", "--a", "0.5",
-                 "--points", "4", "--samples", "80"]) == 0
+    assert main(["check", "--manifold", "flat-contact-r3:deformed:0.5", "--points", "4", "--samples", "80"]) == 0
     out = capsys.readouterr().out
     assert "predicted=5" in out
 
 
-def test_deform_requires_a(capsys):
-    assert main(["deform", "--manifold", "flat-contact-r3"]) == 2
+def test_help_lists_check_and_catalog(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{check,catalog}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-nullity", "--manifold", "flat-contact-r3"],
+    ["fit-gssf", "--manifold", "s-space-form:2,2"],
+    ["fit-trans-s", "--manifold", "s-space-form:1,1"],
+    ["deform", "--manifold", "flat-contact-r3"],
+    ["check", "--manifold", "flat-contact-r3", "--a", "2"],
+    ["check", "--manifold", "flat-contact-r3", "--convention", "plain"],
+])
+def test_removed_cli_names_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_removed_config_keys_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    for key, value in (("deform_a", 2.0), ("convention", "plain")):
+        path.write_text(json.dumps({"manifold_key": "flat-contact-r3", key: value}))
+        assert main(["check", "--config", str(path)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["flat-contact-r3", "s-space-form:2,2:deformed:0.5"])
+def test_run_config_holds_the_only_defaults(key):
+    assert _config_from_args(_parser().parse_args(["check", "--manifold", key])) == RunConfig(key)
+    given = ["--points", "3", "--samples", "7", "--seed", "5", "--tol", "1e-4", "--checks", "H,rf", "--json", "r.json"]
+    assert _config_from_args(_parser().parse_args(["check", "--manifold", key, *given])) == RunConfig(
+        key, seed=5, points=3, samples=7, tolerance=1e-4, checks=["H", "rf"], output_path="r.json")
 
 
 def test_config_file_input(tmp_path, capsys):
     cfg = {
-        "manifold_key": "flat-contact-r3",
-        "deform_a": 2.0,
+        "manifold_key": "flat-contact-r3:deformed:2",
         "points": 4,
         "samples": 80,
         "seed": 7,
@@ -232,25 +272,22 @@ def test_config_file_input(tmp_path, capsys):
     assert "nullity" in out and "rf" not in out
 
 
-def test_convention_override_fails_wrong_convention():
-    config = RunConfig(manifold_key="flat-contact-r3", points=3, samples=60,
-                       convention="plain", checks=["contact"])
-    report = run(config)
-    assert not report.passed
-
-
 def test_gssf_requested_on_wrong_s_is_config_error():
     with pytest.raises(ConfigError):
         run(RunConfig(manifold_key="flat-contact-r3", points=3, checks=["gssf"]))
 
 
 def test_deformation_constant_passed_through_exactly():
-    entry = _resolve_entry(RunConfig(manifold_key="flat-contact-r3", deform_a=0.1234567))
-    assert entry.key == "flat-contact-r3:deformed:0.1234567"
-    assert float(entry.key.rsplit(":", 1)[1]) == 0.1234567
-    # constants that ":g" already writes exactly keep their short keys
-    for a, suffix in ((2.0, "2"), (0.5, "0.5"), (1e-7, "1e-07")):
-        assert _resolve_entry(RunConfig(manifold_key="flat-contact-r3", deform_a=a)).key.endswith(":" + suffix)
+    key = "flat-contact-r3:deformed:0.1234567"
+    report = run(RunConfig(key, points=2, samples=20, checks=["axioms"]))
+    assert report.manifold["key"] == report.manifold["label"] == key
+    # the label is written back from the float, exactly; constants that ":g"
+    # already writes exactly keep their short form
+    base = catalog_get("flat-contact-r3").model
+    for a, suffix in ((0.1234567, "0.1234567"), (0.1 + 0.2, "0.30000000000000004"),
+                      (2.0, "2"), (0.5, "0.5"), (1e-7, "1e-07")):
+        label = d_deform(base, a).label
+        assert label == f"flat-contact-r3:deformed:{suffix}" and float(label.rsplit(":", 1)[1]) == a
 
 
 def test_run_builds_one_frame_over_all_points(monkeypatch):
@@ -350,7 +387,7 @@ def test_main_calls_in_one_process_share_no_state(capsys):
         [sys.executable, "-c", "import sys; from fcontact.cli import main; sys.exit(main(sys.argv[1:]))", "check", *args],
         capture_output=True, text=True, env=env, check=False,
     )
-    assert main(["fit-gssf", *args]) == 0
+    assert main(["check", "--checks", "gssf", *args]) == 0
     assert main(["check", "--checks", "r-xi", *args]) == 0
     capsys.readouterr()
     assert main(["check", *args]) == fresh.returncode == 0
@@ -415,7 +452,7 @@ def test_an_h_sample_error_is_an_error_record(monkeypatch):
 def test_a_fit_against_the_spectrum_fails_its_row(monkeypatch, key, kappa):
     # h^2 = (kappa - 1) f^2: kappa = 1 with h != 0, and kappa > 1, fail the spectrum row
     config = RunConfig(key, points=3, samples=30, checks=["nullity", "spectrum"])
-    model = _resolve_entry(config).model
+    model = catalog_get(key).model
     fit = nullity.fit_nullity(model, geom.sample_points(model, 3, seed=0))
     bogus = dataclasses.replace(fit, kappa=kappa, lam=None)
     monkeypatch.setattr(nullity, "fit_nullity", lambda *args, **kwargs: bogus)

@@ -319,6 +319,40 @@ def test_one_point_operations_reject_a_batch_frame():
     assert riemann(model, batch[1]).riemann31.shape == (3, 3, 3, 3)
 
 
+# every operation that takes points, given a model, its nullity fit and the points
+POINT_OPERATIONS = {
+    "check_f_axioms": lambda m, fit, p: check_f_axioms(m, p),
+    "check_contact": lambda m, fit, p: check_contact(m, p),
+    "check_normality": lambda m, fit, p: check_normality(m, p),
+    "killing_check": lambda m, fit, p: killing_check(m, 0, p),
+    "fit_nullity": lambda m, fit, p: fit_nullity(m, p),
+    "verify_r_xi": lambda m, fit, p: verify_r_xi(m, fit, p),
+    "check_rf_identity": lambda m, fit, p: check_rf_identity(m, fit, p),
+    "check_ricci_model": lambda m, fit, p: check_ricci_model(m, fit, p),
+    "sample_H_constancy": lambda m, fit, p: sample_H_constancy(m, p, 5),
+    "check_splitting_lemma": lambda m, fit, p: check_splitting_lemma(m, fit, p),
+    "check_curvature_model": lambda m, fit, p: check_curvature_model(m, fit, -1.75, p),
+    "fit_gssf": lambda m, fit, p: fit_gssf(m, p),
+    "fit_trans_s": lambda m, fit, p: fit_trans_s(m, p),
+}
+
+
+@pytest.mark.parametrize("name", list(POINT_OPERATIONS))
+def test_operations_on_points_reject_one_raw_point(name):
+    key = "s-space-form:1,2:deformed:2" if name == "fit_gssf" else "flat-contact-r3:deformed:2"
+    model = catalog_get(key).model
+    fit = fit_nullity(model, sample_points(model, 3, seed=0))
+
+    def unevaluated(x):
+        raise AssertionError("a field was evaluated")
+
+    model = dataclasses.replace(model, metric_field=unevaluated, f_field=unevaluated,
+                                xi_fields=(unevaluated,) * model.s, eta_fields=(unevaluated,) * model.s)
+    point = np.array([0.1, -0.2, 0.3, 0.4])[:model.dim]
+    with pytest.raises(ValueError, match=rf"expected points \(P, {model.dim}\)"):
+        POINT_OPERATIONS[name](model, fit, point)
+
+
 def test_degenerate_metric_error_names_the_first_bad_point():
     flat = catalog_get("flat-contact-r3").model
     # the metric diag(1, 1, x^2) is singular where x = 0
