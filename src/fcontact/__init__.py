@@ -56,9 +56,10 @@ from .nullity import (
     fit_trans_s,
     h_spectrum,
     sample_H_constancy,
+    spectrum_residuals,
     verify_r_xi,
 )
-from .report import CheckRecord, CheckReport, REPORT_SCHEMA, emit_report, parse_report
+from .report import CheckRecord, CheckReport, REPORT_SCHEMA, emit_report
 from .structure import (
     AxiomReport,
     StructureTensors,
@@ -117,11 +118,11 @@ __all__ = [
     "fit_trans_s",
     "h_spectrum",
     "killing_check",
-    "parse_report",
     "predict_deformed_nullity",
     "riemann",
     "sample_H_constancy",
     "sample_points",
+    "spectrum_residuals",
     "structure_at",
     "verify_r_xi",
 ]

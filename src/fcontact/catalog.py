@@ -27,10 +27,14 @@ catalog entry.
 
 Deformed entries use keys like ``flat-contact-r3:deformed:0.5``; the constant
 must lie in ``[1e-10, 1e10]`` (see :func:`fcontact.deform.check_constant`).
+Keys are read strictly: ``n`` and ``s`` are ASCII ``[1-9][0-9]*``, and the
+constant is ASCII, without ``_`` (``float`` reads ``0_5`` as 5) or
+surrounding whitespace.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,13 +170,10 @@ def _base_entry(key: str) -> CatalogEntry:
             expected=ExpectedFit(0.0, 0.0, 0.0),  # curvature vanishes identically
         )
     if key.startswith("s-space-form:"):
-        try:
-            n_str, s_str = key.split(":", 1)[1].split(",")
-            n, s = int(n_str), int(s_str)
-        except ValueError as exc:
-            raise UnknownManifoldError(key) from exc
-        if n < 1 or s < 1:
+        match = re.fullmatch(r"([1-9][0-9]*),([1-9][0-9]*)", key.split(":", 1)[1])
+        if match is None:
             raise UnknownManifoldError(key)
+        n, s = int(match[1]), int(match[2])
         if 2 * n + s > MAX_DIM:
             raise UnknownManifoldError(f"{key}: dimension {2 * n + s} is above the largest, {MAX_DIM}")
         return CatalogEntry(
@@ -188,6 +189,8 @@ def catalog_get(key: str) -> CatalogEntry:
     if ":deformed:" in key:
         base_key, a_str = key.rsplit(":deformed:", 1)
         try:
+            if not a_str.isascii() or "_" in a_str or a_str != a_str.strip():
+                raise ValueError("the constant must be ASCII, without '_' or surrounding whitespace")
             a = check_constant(float(a_str))
         except ValueError as exc:
             raise UnknownManifoldError(f"{key}: {exc}") from exc

@@ -7,9 +7,11 @@ Exit codes: 0 all requested checks pass, 1 at least one gating check failed,
 run's defaults; a flag that is not given leaves its field at that default.
 
 A run reads the table ``CHECKS`` in order.  Each row names a check, says
-whether it gates the exit status, which tolerance judges it and whether it
-needs the nullity fit, and measures it from the run's ``RunContext``.  A new
-check is one row here plus its library function.
+whether it gates the exit status and which tolerance judges it, and measures
+it over every point of the run's ``RunContext``.  A row whose precondition
+does not hold (kappa < 1, s = 2, a nullity fit) raises
+``NotApplicableError`` and is reported ``skipped``.  A new check is one row
+here plus its library function.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ class RunConfig:
             raise ConfigError("seed must be an integer >= 0")
         if not (_is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ConfigError("tolerance must be positive and finite")
+        if not (self.output_path is None or (isinstance(self.output_path, str) and self.output_path)):
+            raise ConfigError("output_path must be null or a non-empty string")
         if self.checks != "all":
             if not isinstance(self.checks, (list, tuple)) or not self.checks:
                 raise ConfigError('checks must be "all" or a non-empty list of check names')
@@ -113,11 +117,11 @@ def _value(result):
 class RunContext:
     """What every run computes once, whatever checks it reports.
 
-    The report's ``fits.nullity``, ``spectrum``, ``h_sectional`` and verdicts
-    read these values on every run.  ``fit``, ``spectrum`` and ``h`` hold the
-    library error instead of a value when computing them raised one; ``h``
-    (the one H sample, judged with the fit) and ``predicted`` (the catalog's
-    H) are ``None`` without a fit.
+    The report's ``fits.nullity``, ``h_sectional`` and verdicts read these
+    values on every run.  ``fit`` and ``h`` hold the library error instead of
+    a value when computing them raised one; ``h`` (the one H sample, judged
+    with the fit: ``ceil(samples / points)`` sections at every point) and
+    ``predicted`` (the catalog's H) are ``None`` without a fit.
     """
 
     def __init__(self, config: RunConfig, entry: CatalogEntry):
@@ -130,7 +134,7 @@ class RunContext:
         self.axioms = stc.check_f_axioms(model, self.frame)
         self.fit = _attempt(nl.fit_nullity, model, self.frame)
         self.fits = {"nullity": None, "gssf": None, "trans_s": None}
-        self.spectrum = self.h = self.predicted = None
+        self.h = self.predicted = None
         if self.has_fit:
             fit = self.fit
             self.fits["nullity"] = {
@@ -141,15 +145,20 @@ class RunContext:
                 "condition": fit.condition,
                 "lambda": fit.lam,
             }
-            self.spectrum = _attempt(nl.h_spectrum, model, fit, self.frame[0])
-            sections = max(10, config.samples // config.points)
-            self.h = _attempt(nl.sample_H_constancy, model, self.frame[:10], sections, self.rng("H"), fit)
+            sections = -(-config.samples // config.points)
+            self.h = _attempt(nl.sample_H_constancy, model, self.frame, sections, self.rng("H"), fit)
             self.predicted = entry.expected.h_sectional
         self.normality = stc.check_normality(model, self.frame)
 
     @property
     def has_fit(self) -> bool:
         return not isinstance(self.fit, FContactError)
+
+    def fitted(self) -> nl.NullityFit:
+        """The nullity fit; a row that reads it does not apply when it failed."""
+        if not self.has_fit:
+            raise NotApplicableError("needs the nullity fit, which failed")
+        return self.fit
 
     def _stream(self, index: int) -> np.random.Generator:
         """Child ``index`` of the run's seed: the stream of
@@ -186,8 +195,8 @@ def _killing(ctx: RunContext):
 
 
 def _spectrum(ctx: RunContext):
-    spec = _value(ctx.spectrum)
-    return max(spec.eigenvalue_residual, spec.h_equal_residual, spec.f_swap_residual or 0.0)
+    eigen, equal = nl.spectrum_residuals(ctx.fitted(), ctx.frame)
+    return np.max([eigen, equal]), True, f"h^2 = (kappa - 1) f^2: {eigen:.2e}, h_alpha = h_1: {equal:.2e}"
 
 
 def _h_sectional(ctx: RunContext):
@@ -195,19 +204,19 @@ def _h_sectional(ctx: RunContext):
     formula, which holds for every n and (kappa, mu); for kappa = 1, where no
     formula is known, the spread of H relative to its size.  The mean is
     compared with the catalog's H."""
-    h = _value(ctx.h)
+    fit, h = ctx.fitted(), _value(ctx.h)
     note = f"mean = {h.h_mean:.9g}, predicted = {ctx.predicted:.9g}"
     ok = relative_residual([(h.h_mean, ctx.predicted)]) <= ctx.fit_tol
-    if ctx.fit.lam is None:
+    if fit.lam is None:
         return h.relative_spread, ok, note + "; residual: relative spread"
     return h.splitting_residual, ok, note + "; residual: splitting formula"
 
 
 def _curvature_model(ctx: RunContext):
-    h = _value(ctx.h)
+    fit, h = ctx.fitted(), _value(ctx.h)
     if not h.relative_spread <= ctx.fit_tol:
         raise NotApplicableError("f-sectional curvature is not constant")
-    return nl.check_curvature_model(ctx.model, ctx.fit, h.h_mean, ctx.frame)
+    return nl.check_curvature_model(ctx.model, fit, h.h_mean, ctx.frame)
 
 
 def _gssf(ctx: RunContext):
@@ -239,28 +248,26 @@ class Check(NamedTuple):
     name: str
     gating: bool                # decides the exit status; else a diagnostic
     fit_tol: bool               # judged by the run's tolerance, else by IDENTITY_TOL
-    needs_fit: bool             # left out when the nullity fit failed
     measure: Callable[[RunContext], float | tuple]
-    only_s: int | None = None   # defined only for models with this s
 
 
 # Report order.  A row's index also picks its random stream (RunContext.rng).
 CHECKS = (
-    #     name               gating fit_tol needs_fit measure
-    Check("axioms",          True,  False,  False,    _axioms),
-    Check("contact",         True,  False,  False,    lambda ctx: float(np.max(ctx.axioms.r_contact))),
-    Check("h-properties",    True,  False,  False,    lambda ctx: ctx.axioms.r_h_properties),
-    Check("killing",         True,  False,  False,    _killing),
-    Check("nullity",         True,  True,   False,    lambda ctx: _value(ctx.fit).residual),
-    Check("spectrum",        True,  True,   True,     _spectrum),
-    Check("r-xi",            True,  True,   True,     lambda ctx: nl.verify_r_xi(ctx.model, ctx.fit, ctx.frame)),
-    Check("rf",              True,  True,   True,     lambda ctx: nl.check_rf_identity(ctx.model, ctx.fit, ctx.frame)),
-    Check("ricci",           True,  True,   True,     lambda ctx: nl.check_ricci_model(ctx.model, ctx.fit, ctx.frame)),
-    Check("H",               True,  True,   True,     _h_sectional),
-    Check("curvature-model", True,  True,   True,     _curvature_model),
-    Check("normality",       False, False,  False,    lambda ctx: (ctx.normality, True, "classification, not a failure mode")),
-    Check("gssf",            False, True,   False,    _gssf, only_s=2),
-    Check("trans-s",         False, True,   False,    _trans_s),
+    #     name               gating fit_tol measure
+    Check("axioms",          True,  False,  _axioms),
+    Check("contact",         True,  False,  lambda ctx: float(np.max(ctx.axioms.r_contact))),
+    Check("h-properties",    True,  False,  lambda ctx: ctx.axioms.r_h_properties),
+    Check("killing",         True,  False,  _killing),
+    Check("nullity",         True,  True,   lambda ctx: _value(ctx.fit).residual),
+    Check("spectrum",        True,  True,   _spectrum),
+    Check("r-xi",            True,  True,   lambda ctx: nl.verify_r_xi(ctx.model, ctx.fitted(), ctx.frame)),
+    Check("rf",              True,  True,   lambda ctx: nl.check_rf_identity(ctx.model, ctx.fitted(), ctx.frame)),
+    Check("ricci",           True,  True,   lambda ctx: nl.check_ricci_model(ctx.model, ctx.fitted(), ctx.frame)),
+    Check("H",               True,  True,   _h_sectional),
+    Check("curvature-model", True,  True,   _curvature_model),
+    Check("normality",       False, False,  lambda ctx: (ctx.normality, True, "classification, not a failure mode")),
+    Check("gssf",            False, True,   _gssf),
+    Check("trans-s",         False, True,   _trans_s),
 )
 CHECK_NAMES = [row.name for row in CHECKS]
 
@@ -285,17 +292,9 @@ def run(config: RunConfig) -> CheckReport:
     entry = catalog_get(config.manifold_key)
     model = entry.model
     requested = CHECK_NAMES if config.checks == "all" else config.checks
-    for row in CHECKS:
-        if config.checks != "all" and row.name in requested and row.only_s not in (None, model.s):
-            raise ConfigError(f"{row.name} check requires a model with s = {row.only_s}")
-
     ctx = RunContext(config, entry)
-    checks = [
-        _record(row, ctx)
-        for row in CHECKS
-        if row.name in requested and row.only_s in (None, model.s) and (ctx.has_fit or not row.needs_fit)
-    ]
-    spec, h = (None if isinstance(v, FContactError) else v for v in (ctx.spectrum, ctx.h))
+    checks = [_record(row, ctx) for row in CHECKS if row.name in requested]
+    h = None if isinstance(ctx.h, FContactError) else ctx.h
     is_mfc = ctx.axioms.max_residual <= IDENTITY_TOL
     is_normal = ctx.normality <= IDENTITY_TOL
     return CheckReport(
@@ -309,13 +308,6 @@ def run(config: RunConfig) -> CheckReport:
         },
         checks=checks,
         fits=ctx.fits,
-        spectrum=None if spec is None else {
-            "lambda": spec.lam,
-            "eigenvalue_residual": spec.eigenvalue_residual,
-            "h_equal_residual": spec.h_equal_residual,
-            "f_swap_residual": spec.f_swap_residual,
-            "h_zero": spec.h_zero,
-        },
         h_sectional=None if h is None else {
             "mean": h.h_mean, "spread": h.h_spread, "predicted": ctx.predicted,
         },
@@ -368,7 +360,7 @@ def _write_report(path: str, data: bytes) -> None:
 
 
 def _emit(report: CheckReport, config: RunConfig) -> None:
-    if config.output_path:
+    if config.output_path is not None:
         _write_report(config.output_path, emit_report(report, "json"))
     sys.stdout.write(emit_report(report, "text").decode())
 

@@ -12,12 +12,14 @@ Equivalently, by the pair symmetry of R and the g-symmetry of f^2 and h,
                        + mu (g(X, h Y) xib - etab(Y) h X).
 
 Both are fitted/verified here, together with: the spectrum of h on the
-distribution L orthogonal to the structure fields, through the identity
+distribution L orthogonal to the structure fields, through the identities
 ``h_alpha^2 = (kappa - 1) f^2`` (eigenvalues ``+-sqrt(1 - kappa)`` on L
-when kappa < 1, ``h = 0`` when kappa = 1), the R(X, Y)fZ expansion, the Ricci
-operator model, the f-sectional curvature ``H(X) = K(X, fX)``, the
-constant-H curvature model, the seven-function curvature ansatz for s = 2,
-and the characteristic-function fit of ``(nabla_X f) Y``.
+when kappa < 1, ``h = 0`` when kappa = 1) and ``h_alpha = h_1``, written
+once in :func:`spectrum_residuals` for one point or many, the R(X, Y)fZ
+expansion, the Ricci operator model, the f-sectional curvature
+``H(X) = K(X, fX)``, the constant-H curvature model, the seven-function
+curvature ansatz for s = 2, and the characteristic-function fit of
+``(nabla_X f) Y``.
 
 Every identity above except H(X) itself is multilinear in its vector
 arguments, so it holds for all vectors exactly when it holds on the
@@ -239,50 +241,42 @@ def verify_r_xi(model: ManifoldModel, fit: NullityFit, points) -> float:
 # ---------------------------------------------------------------------------
 
 
+def spectrum_residuals(fit: NullityFit, frame: PointFrame) -> tuple[float, float]:
+    """Relative residuals of ``h_alpha^2 = (kappa - 1) f^2`` and of
+    ``h_alpha = h_1``, for every alpha at every point of ``frame`` (one point
+    or a batch).
+
+    As h is g-self-adjoint and ``f^2 = -I`` on L, the first says that the
+    eigenvalues of every ``h_alpha`` on L are ``+-sqrt(1 - kappa)``; with
+    kappa = 1 it says ``h = 0``, and with kappa > 1 it cannot hold.
+    """
+    h = frame.h_all
+    return (
+        relative_residual([(h @ h, (fit.kappa - 1.0) * _per_alpha(frame.f2))]),
+        relative_residual([(h, _per_alpha(frame.h))]),
+    )
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenstructure of h restricted to L at a point.
-
-    ``lam``, ``p_plus``, ``p_minus`` and ``f_swap_residual`` are set only
-    when the fit has kappa < 1 (``fit.lam``); ``h_zero`` marks the kappa = 1
-    branch, where the residual holds h^2 to 0.
-    """
+    """Eigenvalues of h on L at a point, and the residuals of :func:`spectrum_residuals`."""
 
     eigenvalues: np.ndarray            # 2n values on L
     lam: float | None                  # sqrt(1 - kappa), None when kappa = 1
-    p_l: np.ndarray                    # projector onto L
-    p_plus: np.ndarray | None
-    p_minus: np.ndarray | None
-    h_equal_residual: float            # h_alpha = h_1 for every alpha
-    f_swap_residual: float | None      # f P_+ = P_- f
     eigenvalue_residual: float         # h_alpha^2 = (kappa - 1) f^2 for every alpha
-    h_zero: bool                       # the kappa = 1 branch: no L_+/L_- split
+    h_equal_residual: float            # h_alpha = h_1 for every alpha
 
 
 def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point | PointFrame) -> SpectrumReport:
-    """Spectral data of h on L, and the residual of ``h_alpha^2 = (kappa - 1) f^2``.
-
-    As h is g-self-adjoint and ``f^2 = -I`` on L, the identity says that the
-    eigenvalues of every ``h_alpha`` on L are ``+-sqrt(1 - kappa)``; with
-    kappa = 1 it says ``h = 0``, and with kappa > 1 it cannot hold.  The
-    ``L_+-`` split is formed only when ``fit.lam`` is set.
-    """
+    """Eigenvalues of h on L at ``p``, and the residuals of the spectrum identities there."""
     fr = as_frame(model, p)
     eigs = np.sort(np.linalg.eigvals(fr.h).real)  # real, as h is g-self-adjoint
-    lam = fit.lam
-    p_plus = p_minus = None
-    if lam is not None:  # the projectors 1/2 (P_L +- h / lam) onto L_+ and L_-
-        p_plus, p_minus = 0.5 * (fr.proj_L + fr.h / lam), 0.5 * (fr.proj_L - fr.h / lam)
+    eigenvalue_residual, h_equal_residual = spectrum_residuals(fit, fr)
     return SpectrumReport(
         eigenvalues=eigs[np.sort(np.argsort(np.abs(eigs))[model.s:])],  # less the s of h xi_alpha = 0
-        lam=lam,
-        p_l=fr.proj_L,
-        p_plus=p_plus,
-        p_minus=p_minus,
-        h_equal_residual=relative_residual([(fr.h_all, fr.h)]),
-        f_swap_residual=None if lam is None else relative_residual([(fr.f @ p_plus, p_minus @ fr.f)]),
-        eigenvalue_residual=relative_residual([(fr.h_all @ fr.h_all, (fit.kappa - 1.0) * fr.f2)]),
-        h_zero=lam is None,
+        lam=fit.lam,
+        eigenvalue_residual=eigenvalue_residual,
+        h_equal_residual=h_equal_residual,
     )
 
 

@@ -1,17 +1,20 @@
-"""Machine-readable check reports: structure, JSON schema, (de)serialization.
+"""Machine-readable check reports: structure, JSON schema, serialization.
 
 Reports always carry raw residuals next to the tolerance that judged them, so
 pass/fail flags are recomputable from the report alone.  JSON serialization
 is canonical (sorted keys) and byte-identical across runs with the same
-config and seed, except for ``wall_time``.
+config and seed, except for ``wall_time``.  It is strict JSON (RFC 8259): a
+non-finite number, such as the ``inf`` residual of an errored check, is
+written as ``null``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-__all__ = ["CheckRecord", "CheckReport", "REPORT_SCHEMA", "emit_report", "parse_report"]
+__all__ = ["CheckRecord", "CheckReport", "REPORT_SCHEMA", "emit_report"]
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,6 @@ class CheckReport:
     manifold: dict
     checks: list[CheckRecord]
     fits: dict
-    spectrum: dict | None
     h_sectional: dict | None
     verdicts: dict
     seed: int
@@ -53,25 +55,11 @@ class CheckReport:
             "manifold": self.manifold,
             "checks": [dict(vars(c)) for c in self.checks],
             "fits": self.fits,
-            "spectrum": self.spectrum,
             "h_sectional": self.h_sectional,
             "verdicts": self.verdicts,
             "seed": self.seed,
             "wall_time": self.wall_time,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckReport":
-        return cls(
-            manifold=data["manifold"],
-            checks=[CheckRecord(**c) for c in data["checks"]],
-            fits=data["fits"],
-            spectrum=data["spectrum"],
-            h_sectional=data["h_sectional"],
-            verdicts=data["verdicts"],
-            seed=data["seed"],
-            wall_time=data["wall_time"],
-        )
 
 
 _NUMBER_OR_NULL = {"type": ["number", "null"]}
@@ -79,7 +67,7 @@ _NUMBER_OR_NULL = {"type": ["number", "null"]}
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
-    "required": ["manifold", "checks", "fits", "spectrum", "h_sectional", "verdicts", "seed", "wall_time"],
+    "required": ["manifold", "checks", "fits", "h_sectional", "verdicts", "seed", "wall_time"],
     "properties": {
         "manifold": {
             "type": "object",
@@ -100,7 +88,7 @@ REPORT_SCHEMA = {
                 "required": ["name", "residual", "tolerance", "passed", "gating"],
                 "properties": {
                     "name": {"type": "string"},
-                    "residual": {"type": "number"},
+                    "residual": _NUMBER_OR_NULL,
                     "tolerance": {"type": "number"},
                     "passed": {"type": "boolean"},
                     "gating": {"type": "boolean"},
@@ -118,23 +106,13 @@ REPORT_SCHEMA = {
                         "kappa": {"type": "number"},
                         "mu": _NUMBER_OR_NULL,
                         "mu_determined": {"type": "boolean"},
-                        "residual": {"type": "number"},
-                        "condition": {"type": "number"},
+                        "residual": _NUMBER_OR_NULL,
+                        "condition": _NUMBER_OR_NULL,
                         "lambda": _NUMBER_OR_NULL,
                     },
                 },
-                "gssf": {"type": ["object", "null"], "properties": {"condition": {"type": "number"}}},
-                "trans_s": {"type": ["object", "null"], "properties": {"condition": {"type": "number"}}},
-            },
-        },
-        "spectrum": {
-            "type": ["object", "null"],
-            "properties": {
-                "lambda": _NUMBER_OR_NULL,
-                "eigenvalue_residual": {"type": "number"},
-                "h_equal_residual": {"type": "number"},
-                "f_swap_residual": _NUMBER_OR_NULL,
-                "h_zero": {"type": "boolean"},
+                "gssf": {"type": ["object", "null"], "properties": {"condition": _NUMBER_OR_NULL}},
+                "trans_s": {"type": ["object", "null"], "properties": {"condition": _NUMBER_OR_NULL}},
             },
         },
         "h_sectional": {
@@ -161,10 +139,22 @@ REPORT_SCHEMA = {
 }
 
 
+def _finite(value):
+    """``value`` with every non-finite float, at any depth, replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    return value
+
+
 def emit_report(report: CheckReport, format: str = "json") -> bytes:
-    """Serialize a report as canonical JSON or a human-readable table."""
+    """Serialize a report as canonical, strict JSON or a human-readable table
+    (which writes non-finite residuals as ``inf`` and ``nan``)."""
     if format == "json":
-        return (json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+        return (json.dumps(_finite(report.to_dict()), indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
     if format == "text":
         lines = []
         m = report.manifold
@@ -189,10 +179,3 @@ def emit_report(report: CheckReport, format: str = "json") -> bytes:
         lines.append(f"  overall: {'PASS' if report.passed else 'FAIL'}")
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown report format {format!r}")
-
-
-def parse_report(data: bytes | str) -> CheckReport:
-    """Inverse of ``emit_report(..., 'json')``."""
-    if isinstance(data, bytes):
-        data = data.decode()
-    return CheckReport.from_dict(json.loads(data))

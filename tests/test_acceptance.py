@@ -111,7 +111,7 @@ def test_criterion_4_spectrum(suite):
             spec = h_spectrum(entry.model, fit, points[0])
             lam = np.sqrt(1.0 - fit.kappa)
             assert np.max(np.abs(np.abs(spec.eigenvalues) - lam)) < FIT, key
-            assert spec.f_swap_residual < IDT, key
+            # f P+ = P- f, with P+- = 1/2 (P_L +- h / lam), is fh + hf = 0
             report = check_f_axioms(entry.model, points)
             assert report.h_xi < IDT and report.h_anticommute < IDT, key
         # named values: flat +-1, a = 2 +-1/2

@@ -54,7 +54,11 @@ def test_deformed_s_structure_key():
     ["nope", "s-space-form:abc", "s-space-form:0,1", "flat-contact-r3:deformed:x",
      "flat-contact-r3:deformed:-1", "flat-contact-r3:deformed:inf", "flat-contact-r3:deformed:nan",
      "flat-contact-r3:deformed:1e-300", "flat-contact-r3:deformed:1e300", "flat-contact-r3:deformed:5e-324",
-     "s-space-form:4,2", "s-space-form:10,10:deformed:2"],
+     "s-space-form:4,2", "s-space-form:10,10:deformed:2",
+     # read strictly: each of these once resolved to a key unlike its label
+     "s-space-form:01,1", "s-space-form: 1,1", "s-space-form:+1,1", "s-space-form:1,1 ",
+     "s-space-form:\u0661,1", "flat-contact-r3:deformed: 0.5", "flat-contact-r3:deformed:0_5",
+     "flat-contact-r3:deformed:\u0660.5"],
 )
 def test_unknown_keys_raise(key):
     with pytest.raises(UnknownManifoldError):

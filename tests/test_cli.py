@@ -14,7 +14,7 @@ import pytest
 from fcontact import UnknownManifoldError, cli, d_deform, geom, nullity
 from fcontact.catalog import catalog_get
 from fcontact.cli import CHECK_NAMES, CHECKS, ConfigError, RunConfig, _config_from_args, _parser, main, run
-from fcontact.report import REPORT_SCHEMA, emit_report, parse_report
+from fcontact.report import REPORT_SCHEMA, emit_report
 
 from .conftest import section_defect
 
@@ -81,15 +81,14 @@ def test_invalid_config_rejected(monkeypatch):
     for bad in ({"seed": -1}, {"points": "3"}, {"points": 2.5}, {"points": True},
                 {"samples": "200"}, {"seed": 1.0}, {"checks": []}, {"checks": "nullity"},
                 {"tolerance": float("inf")}, {"tolerance": "1e-6"},
-                {"points": 1001}, {"points": 10**11}, {"samples": 1_000_001}, {"samples": 10**11}):
+                {"points": 1001}, {"points": 10**11}, {"samples": 1_000_001}, {"samples": 10**11},
+                {"output_path": 5}, {"output_path": ""}):
         with pytest.raises(ConfigError):
             run(RunConfig.from_dict({"manifold_key": "flat-contact-r3", **bad}))
 
 
 def test_json_round_trip(deformed_report):
-    blob = emit_report(deformed_report, "json")
-    parsed = parse_report(blob)
-    assert parsed == deformed_report
+    assert json.loads(emit_report(deformed_report, "json")) == deformed_report.to_dict()
 
 
 def test_json_validates_against_schema(deformed_report):
@@ -137,8 +136,7 @@ def test_report_file_is_replaced_whole(tmp_path, capsys):
     assert main(args + ["--json", str(path)]) == 0
     assert main(args + ["--json", "/dev/null"]) == 0
     capsys.readouterr()
-    report = parse_report(path.read_bytes())
-    assert path.read_bytes() == emit_report(report, "json")
+    json.loads(path.read_bytes())  # any byte of the old file left over is extra data
 
 
 def test_bad_deformation_key_reports_the_range(capsys):
@@ -170,6 +168,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         for sizes in (["--points", "100000000000"], ["--samples", "100000000000", "--checks", "axioms"]):
             assert main(["check", "--manifold", "flat-contact-r3", *sizes]) == 2
             assert sizes[0][2:] in capsys.readouterr().err
+        assert main(["check", "--manifold", "flat-contact-r3", "--json", ""]) == 2
+        assert "output_path" in capsys.readouterr().err
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"manifold_key": "flat-contact-r3", "output_path": 5}))
+        assert main(["check", "--config", str(path)]) == 2
+        assert "output_path" in capsys.readouterr().err
     assert main(["check", "--manifold", "flat-contact-r3", "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
     path = tmp_path / "bad.json"
@@ -272,9 +276,11 @@ def test_config_file_input(tmp_path, capsys):
     assert "nullity" in out and "rf" not in out
 
 
-def test_gssf_requested_on_wrong_s_is_config_error():
-    with pytest.raises(ConfigError):
-        run(RunConfig(manifold_key="flat-contact-r3", points=3, checks=["gssf"]))
+def test_gssf_on_wrong_s_is_skipped(capsys):
+    assert main(["check", "--manifold", "flat-contact-r3", "--points", "3", "--samples", "30", "--checks", "gssf"]) == 0
+    assert "skipped: the seven-function ansatz is defined for s = 2" in capsys.readouterr().out
+    (record,) = run(RunConfig("flat-contact-r3", points=3, samples=30, checks=["gssf"])).checks
+    assert record.note.startswith("skipped:") and record.passed and not record.gating
 
 
 def test_deformation_constant_passed_through_exactly():
@@ -316,34 +322,37 @@ def test_run_builds_one_frame_over_all_points(monkeypatch):
     assert len(metric_calls) == 1
 
 
-def test_run_computes_the_h_spectrum_once(monkeypatch):
-    calls = []
-    spectrum = nullity.h_spectrum
+def test_the_spectrum_identities_are_written_once(monkeypatch):
+    # the spectrum row reads them over the run's frame, h_spectrum at its one point
+    frames = []
+    residuals = nullity.spectrum_residuals
 
-    def counting(*args):
-        calls.append(args)
-        return spectrum(*args)
+    def counting(fit, frame):
+        frames.append(frame)
+        return residuals(fit, frame)
 
-    monkeypatch.setattr(nullity, "h_spectrum", counting)
-    report = run(RunConfig("flat-contact-r3:deformed:0.5"))
-    assert report.passed
-    assert {c.name for c in report.checks} >= {"spectrum", "H"}
-    assert len(calls) == 1
+    monkeypatch.setattr(nullity, "spectrum_residuals", counting)
+    report = run(RunConfig("flat-contact-r3:deformed:0.5", points=5, samples=50))
+    assert report.passed and "spectrum" in [c.name for c in report.checks]
+    assert [fr.point.shape for fr in frames] == [(5, 3)]
+    model = frames[0].model
+    spec = nullity.h_spectrum(model, nullity.fit_nullity(model, frames[0]), frames[0][2])
+    assert [fr.point.shape for fr in frames[1:]] == [(3,)]
+    assert spec.eigenvalue_residual < 1e-12 and spec.h_equal_residual == 0.0
 
 
 @pytest.mark.parametrize("key", ["s-space-form:2,2", "flat-contact-r3:deformed:0.5"])
 def test_check_subset_equals_filtered_full_run(key):
+    # every row is reported on every key: gssf on s != 2 as skipped
     def run_checks(checks):
         return run(RunConfig(key, points=3, samples=40, seed=3, checks=checks))
 
     full = run_checks("all")
-    names = [n for n in CHECK_NAMES if n != "gssf" or full.manifold["s"] == 2]
-    assert [c.name for c in full.checks] == names
-    for name in names:
+    assert [c.name for c in full.checks] == CHECK_NAMES
+    for name in CHECK_NAMES:
         single = run_checks([name])
         assert single.checks == [c for c in full.checks if c.name == name], name
         assert single.fits["nullity"] == full.fits["nullity"], name
-        assert single.spectrum == full.spectrum, name
         assert single.h_sectional == full.h_sectional, name
         assert single.verdicts == full.verdicts, name
 
@@ -405,7 +414,7 @@ def test_a_parse_error_leaves_the_next_call_working(capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
-# key -> bound on the spectrum's eigenvalue residual.  On the last key
+# key -> bound on the spectrum row's residual, over every point.  On the last key
 # |h| = |xi| = 1e5, so h xi = 0 is judged against 1e10, and the fitted
 # kappa = 1 - 1e10 carries a relative error of about 1.5e-12.
 EXTREME_DEFORMATIONS = {
@@ -422,9 +431,8 @@ def test_extreme_deformations_pass_on_relative_residuals(key, tmp_path, capsys):
     path = tmp_path / "report.json"
     assert main(["check", "--manifold", key, "--json", str(path)]) == 0
     capsys.readouterr()
-    report = json.loads(path.read_text())
-    assert report["spectrum"]["eigenvalue_residual"] <= EXTREME_DEFORMATIONS[key]
-    assert {c["name"]: c for c in report["checks"]}["spectrum"]["passed"]
+    spectrum = {c["name"]: c for c in json.loads(path.read_text())["checks"]}["spectrum"]
+    assert spectrum["residual"] <= EXTREME_DEFORMATIONS[key] and spectrum["passed"]
 
 
 def test_a_small_deformation_draws_its_sections(capsys):
@@ -483,3 +491,67 @@ def test_a_section_dependent_defect_fails_the_H_row(monkeypatch):
     assert report.verdicts["is_space_form_candidate"] is True
     assert records["H"].residual > 1e-6 and not records["H"].passed and records["H"].gating
     assert not report.passed
+
+
+def test_a_defect_past_the_first_point_fails_the_spectrum_row(monkeypatch):
+    # h scaled at one point keeps every h property but breaks h^2 = (kappa - 1) f^2 there
+    key = "flat-contact-r3:deformed:2"
+    model = catalog_get(key).model
+    fit = nullity.fit_nullity(model, geom.sample_points(model, 3, seed=0))
+    monkeypatch.setattr(nullity, "fit_nullity", lambda *args, **kwargs: fit)
+    stacked = cli.as_frames
+
+    def planted(model, points):
+        frame = stacked(model, points)
+        h = frame.h_all.copy()
+        h[5] *= 1.01
+        frame.h_all = h
+        return frame
+
+    monkeypatch.setattr(cli, "as_frames", planted)
+    report = run(RunConfig(key, points=6, samples=60, checks=["h-properties", "spectrum"]))
+    h_properties, spectrum = report.checks
+    assert h_properties.passed and h_properties.residual < 1e-12
+    assert spectrum.residual > 1e-3 and not spectrum.passed and spectrum.gating
+
+
+def test_a_defect_past_the_first_ten_points_fails_the_H_row(monkeypatch):
+    stacked = cli.as_frames
+
+    def planted(model, points):
+        frame = stacked(model, points)
+        defect = section_defect(frame, 3e-5)
+        defect[:10] = 0.0
+        frame.riemann40 = frame.riemann40 + defect
+        return frame
+
+    monkeypatch.setattr(cli, "as_frames", planted)
+    report = run(RunConfig("flat-contact-r3:deformed:0.5", points=20, samples=200))
+    records = {c.name: c for c in report.checks}
+    assert records["H"].residual > 1e-6 and not records["H"].passed and not report.passed
+
+
+def test_a_failed_fit_skips_the_rows_that_read_it(monkeypatch, tmp_path, capsys):
+    def fails(*args, **kwargs):
+        raise nullity.InsufficientSampleError("planted")
+
+    monkeypatch.setattr(nullity, "fit_nullity", fails)
+    monkeypatch.setattr("fcontact.structure.killing_check", lambda *args: float("nan"))
+    path = tmp_path / "r.json"
+    assert main(["check", "--manifold", "flat-contact-r3:deformed:0.5", "--points", "3", "--samples", "30",
+                 "--json", str(path)]) == 1
+    assert "inf" in capsys.readouterr().out  # the text format keeps non-finite residuals
+
+    def no_constant(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    report = json.loads(path.read_text(), parse_constant=no_constant)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    records = {c["name"]: c for c in report["checks"]}
+    assert list(records) == CHECK_NAMES
+    assert records["nullity"]["note"] == "error: planted" and records["nullity"]["residual"] is None
+    assert records["killing"]["residual"] is None and not records["killing"]["passed"]
+    for name in ("spectrum", "r-xi", "rf", "ricci", "H", "curvature-model"):
+        assert records[name]["note"] == "skipped: needs the nullity fit, which failed", name
+        assert not records[name]["gating"], name
+    assert report["fits"]["nullity"] is None and report["h_sectional"] is None

@@ -7,6 +7,7 @@ from fcontact import (
     NotApplicableError,
     PointFrame,
     check_curvature_model,
+    check_f_axioms,
     check_rf_identity,
     check_ricci_model,
     check_splitting_lemma,
@@ -17,6 +18,7 @@ from fcontact import (
     h_spectrum,
     predict_deformed_nullity,
     sample_H_constancy,
+    spectrum_residuals,
     verify_r_xi,
 )
 from fcontact.errors import InsufficientSampleError, InvalidSectionError
@@ -90,12 +92,19 @@ def test_r_xi_identity_detects_wrong_kappa(deformed, deformed_fits, flat_points)
 # -- h spectrum ---------------------------------------------------------------
 
 
+def plus_projector(model, fit, p):
+    """``P+ = 1/2 (P_L + h / lam)``, the projector onto ``L_+`` at ``p``."""
+    fr = PointFrame(model, p)
+    return 0.5 * (fr.proj_L + fr.h / fit.lam)
+
+
 def test_spectrum_flat(flat, flat_fit, flat_points):
     spec = h_spectrum(flat, flat_fit, flat_points[0])
     assert spec.lam == pytest.approx(1.0, abs=FIT_TOL)
     assert np.allclose(np.sort(spec.eigenvalues), [-1.0, 1.0], atol=FIT_TOL)
-    assert spec.f_swap_residual < 1e-8
-    assert np.max(np.abs(spec.p_plus + spec.p_minus - spec.p_l)) < 1e-8
+    assert spec.eigenvalue_residual < 1e-8
+    p_plus = plus_projector(flat, flat_fit, flat_points[0])
+    assert np.max(np.abs(p_plus @ p_plus - p_plus)) < 1e-8
 
 
 def test_spectrum_deformed_a2(deformed, deformed_fits, flat_points):
@@ -108,9 +117,21 @@ def test_spectrum_deformed_a2(deformed, deformed_fits, flat_points):
         assert np.array_equal(getattr(spec, field.name), getattr(from_frame, field.name)), field.name
 
 
+def test_spectrum_residuals_over_a_batch_are_the_worst_point(deformed, deformed_fits, s22, s22_fit,
+                                                              flat_points, s22_points):
+    # on these models both sides stay below 1, so each point is judged on the same scale
+    for model, fit, points in ((deformed[2.0], deformed_fits[2.0], flat_points), (s22, s22_fit, s22_points)):
+        bogus = dataclasses.replace(fit, kappa=fit.kappa - 0.01)
+        for f in (fit, bogus):
+            per_point = [h_spectrum(model, f, p) for p in points]
+            assert spectrum_residuals(f, PointFrame(model, np.stack(points))) == (
+                max(spec.eigenvalue_residual for spec in per_point),
+                max(spec.h_equal_residual for spec in per_point),
+            )
+
+
 def test_spectrum_s_case(s22, s22_fit, s22_points):
     spec = h_spectrum(s22, s22_fit, s22_points[0])
-    assert spec.h_zero
     assert spec.lam is None
     assert spec.eigenvalue_residual < 1e-8
     assert spec.h_equal_residual < 1e-8
@@ -121,7 +142,7 @@ def test_spectrum_inconsistency_error(flat, flat_fit, s22, s22_fit, flat_points,
     # flat structure) and for kappa > 1 with h = 0
     bogus = dataclasses.replace(flat_fit, kappa=1.0, lam=None)
     spec = h_spectrum(flat, bogus, flat_points[0])
-    assert spec.h_zero and spec.lam is None
+    assert spec.lam is None
     assert spec.eigenvalue_residual == pytest.approx(1.0)
     above = dataclasses.replace(s22_fit, kappa=1.01)
     assert h_spectrum(s22, above, s22_points[0]).eigenvalue_residual > 1e-3
@@ -216,10 +237,10 @@ def test_H_pure_plus_sections_give_minus_s_kappa_plus_mu(deformed, deformed_fits
     # X in L_+: H(X) = -s (kappa + mu)
     model, fit = deformed[2.0], deformed_fits[2.0]
     rng = np.random.default_rng(0)
-    spec = h_spectrum(model, fit, flat_points[0])
+    p_plus = plus_projector(model, fit, flat_points[0])
     fr = PointFrame(model, flat_points[0])
     for _ in range(10):
-        v = spec.p_plus @ rng.standard_normal(3)
+        v = p_plus @ rng.standard_normal(3)
         norm = np.sqrt(v @ fr.g @ v)
         if norm < 1e-6:
             continue
@@ -370,7 +391,7 @@ def test_spectral_law_all_kappa_less_one_entries(flat, flat_fit, deformed, defor
         lam = np.sqrt(1.0 - fit.kappa)
         assert np.max(np.abs(np.abs(spec.eigenvalues) - lam)) < FIT_TOL
         assert spec.h_equal_residual < 1e-8
-        assert spec.f_swap_residual < 1e-8
+        assert check_f_axioms(model, flat_points).h_anticommute < 1e-8  # f P+ = P- f
 
 
 # -- perturbed models ------------------------------------------------------------------------
