@@ -70,50 +70,27 @@ def build_s_space_form(n: int, s: int) -> ManifoldModel:
     if n < 1 or s < 1:
         raise ValueError("need n >= 1 and s >= 1")
     dim = 2 * n + s
-
-    def eta_alpha(alpha):
-        def eta(x):
-            out = np.zeros(dim, dtype=object)
-            for i in range(n):
-                out[i] = -0.5 * x[n + i]
-            out[2 * n + alpha] = 0.5
-            return out
-
-        return eta
-
-    def xi_alpha(alpha):
-        def xi(x):
-            out = np.zeros(dim, dtype=object)
-            out[2 * n + alpha] = 2.0
-            return out
-
-        return xi
-
-    etas = tuple(eta_alpha(a) for a in range(s))
-    xis = tuple(xi_alpha(a) for a in range(s))
-
+    xi = np.zeros((s, dim))
+    xi[:, 2 * n:] = 2.0 * np.eye(s)                 # xi_alpha = 2 d/dz_alpha
     base_diag = np.diag([0.25] * (2 * n) + [0.0] * s)
 
-    def metric(x):
-        out = sum(np.outer(e(x), e(x)) for e in etas)
-        return out + base_diag
-
-    def f_field(x):
-        out = np.zeros((dim, dim), dtype=object)
+    def fields(x):
+        eta = np.zeros((s, dim), dtype=object)
+        f = np.zeros((dim, dim), dtype=object)
         for i in range(n):
-            out[n + i, i] = -1.0             # f(dx_i) = -dy_i
-            out[i, n + i] = 1.0              # f(dy_i) = dx_i + y_i sum_a dz_a
-            for a in range(s):
-                out[2 * n + a, n + i] = x[n + i]
-        return out
+            eta[:, i] = -0.5 * x[n + i]
+            f[n + i, i] = -1.0                      # f(dx_i) = -dy_i
+            f[i, n + i] = 1.0                       # f(dy_i) = dx_i + y_i sum_a dz_a
+            f[2 * n:, n + i] = x[n + i]
+        for a in range(s):
+            eta[a, 2 * n + a] = 0.5
+        g = sum(np.outer(e, e) for e in eta) + base_diag
+        return g, f, xi, eta
 
     return ManifoldModel(
         n=n,
         s=s,
-        metric_field=metric,
-        f_field=f_field,
-        xi_fields=xis,
-        eta_fields=etas,
+        fields=fields,
         domain_box=_default_box(dim),
         d_convention=Convention.HALF,
         label=f"s-space-form:{n},{s}",
@@ -121,31 +98,20 @@ def build_s_space_form(n: int, s: int) -> ManifoldModel:
 
 
 def _flat_contact_r3(rate: float, convention: Convention, label: str) -> ManifoldModel:
-    def eta(x):
-        return np.array([jets.cos(rate * x[2]), jets.sin(rate * x[2]), 0.0], dtype=object)
-
-    def xi(x):
-        return np.array([jets.cos(rate * x[2]), jets.sin(rate * x[2]), 0.0], dtype=object)
-
-    def metric(x):
-        return np.eye(3)
-
-    def f_field(x):
+    def fields(x):
         c, s_ = jets.cos(rate * x[2]), jets.sin(rate * x[2])
-        out = np.zeros((3, 3), dtype=object)
-        out[2, 0] = -s_       # f(dx) = -sin(rz) dz
-        out[2, 1] = c         # f(dy) =  cos(rz) dz
-        out[0, 2] = s_        # f(dz) = sin(rz) dx - cos(rz) dy
-        out[1, 2] = -c
-        return out
+        eta = np.array([[c, s_, 0.0]], dtype=object)
+        f = np.zeros((3, 3), dtype=object)
+        f[2, 0] = -s_         # f(dx) = -sin(rz) dz
+        f[2, 1] = c           # f(dy) =  cos(rz) dz
+        f[0, 2] = s_          # f(dz) = sin(rz) dx - cos(rz) dy
+        f[1, 2] = -c
+        return np.eye(3), f, eta, eta  # g = I, so xi has the components of eta
 
     return ManifoldModel(
         n=1,
         s=1,
-        metric_field=metric,
-        f_field=f_field,
-        xi_fields=(xi,),
-        eta_fields=(eta,),
+        fields=fields,
         domain_box=_default_box(3),
         d_convention=convention,
         label=label,

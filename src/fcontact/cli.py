@@ -277,7 +277,7 @@ def _record(row: Check, ctx: RunContext) -> CheckRecord:
     try:
         out = row.measure(ctx)
     except NotApplicableError as exc:
-        return CheckRecord(row.name, 0.0, tol, True, False, f"skipped: {exc}")
+        return CheckRecord(row.name, None, tol, False, False, f"skipped: {exc}")
     except FContactError as exc:
         return CheckRecord(row.name, float("inf"), tol, False, row.gating, f"error: {exc}")
     residual, ok, note = out if isinstance(out, tuple) else (out, True, "")

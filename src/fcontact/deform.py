@@ -14,9 +14,9 @@ kappa = mu = 0) yields a (kappa, mu)-nullity structure with
 
 and ``mu = kappa + 1`` exactly when ``a = 1/2``.
 
-Deformed models are lazy wrappers around the base model's field evaluators,
-so jet payloads (hence exact second derivatives of the deformed metric) flow
-through unchanged.
+A deformed model's field evaluator is a lazy wrapper that runs the base
+model's evaluator once per call, so jet payloads (hence exact second
+derivatives of the deformed metric) flow through unchanged.
 """
 
 from __future__ import annotations
@@ -55,20 +55,15 @@ def format_constant(a: float) -> str:
 
 def _rescale(model: ManifoldModel, g_scale, c, xi_scale, eta_scale, **changes) -> ManifoldModel:
     """``g -> g_scale g + c sum eta (x) eta``, ``xi -> xi_scale xi``, ``eta -> eta_scale eta``."""
-    base_metric, base_etas = model.metric_field, model.eta_fields
+    base = model.fields
 
-    def metric(x):
-        g = base_metric(x)
-        extra = sum(np.outer(e, e) for e in (np.asarray(eta(x)) for eta in base_etas))
-        return g_scale * np.asarray(g) + c * extra
+    def fields(x):
+        g, f, xi, eta = base(x)
+        eta = np.asarray(eta)
+        extra = sum(np.outer(e, e) for e in eta)
+        return g_scale * np.asarray(g) + c * extra, f, xi_scale * np.asarray(xi), eta_scale * eta
 
-    return replace(
-        model,
-        metric_field=metric,
-        xi_fields=tuple((lambda x, xi=xi: xi_scale * np.asarray(xi(x))) for xi in model.xi_fields),
-        eta_fields=tuple((lambda x, eta=eta: eta_scale * np.asarray(eta(x))) for eta in base_etas),
-        **changes,
-    )
+    return replace(model, fields=fields, **changes)
 
 
 def d_deform(model: ManifoldModel, a: float) -> ManifoldModel:

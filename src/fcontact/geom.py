@@ -1,15 +1,17 @@
 """Coordinate-chart manifold models and Levi-Civita / curvature machinery.
 
-A :class:`ManifoldModel` bundles the metric, the rank-``2n`` structure tensor
-``f``, the ``s`` structure vector fields ``xi_alpha`` and dual one-forms
-``eta_alpha`` as *field evaluators*: callables mapping a coordinate array to
-componentwise values.  Evaluators must accept coordinates that are
-:class:`~fcontact.jets.Jet` scalars, which is how every derivative in this
-package is obtained.  Those jets may carry a whole batch of points, so an
-evaluator must not branch on coordinate values.
+A :class:`ManifoldModel` describes the metric, the rank-``2n`` structure
+tensor ``f``, the ``s`` structure vector fields ``xi_alpha`` and dual
+one-forms ``eta_alpha`` by one *field evaluator*, ``fields(x) -> (g, f, xi,
+eta)``: a callable mapping a coordinate array to the componentwise values of
+all four, so that subexpressions they share are built once.  It must accept
+coordinates that are :class:`~fcontact.jets.Jet` scalars, which is how every
+derivative in this package is obtained.  Those jets may carry a whole batch
+of points, so the evaluator must not branch on coordinate values.
 
-A :class:`PointFrame` evaluates a model at one point or at a batch of points
-in one pass and keeps every array it computes, batch axis first, read-only.
+A :class:`PointFrame` runs a model's evaluator once, at one point or at a
+batch of points, and keeps every array it computes, batch axis first,
+read-only.
 Every operation that takes points turns them into one such frame with
 :func:`as_frames`; an operation that takes one point uses :func:`as_frame`,
 which hands one-point calls made one after another at the same raw point the
@@ -40,7 +42,10 @@ from .errors import DegenerateMetricError, EmptyPointSetError
 from .tolerances import METRIC_CONDITION_MAX
 
 Point = np.ndarray
-FieldEvaluator = Callable[[np.ndarray], np.ndarray]
+# ``fields(x) -> (g, f, xi, eta)``, shaped (dim, dim), (dim, dim), (s, dim) and
+# (s, dim): ``g[i, j]``, ``f[i, j] = f^i_j``, ``xi[a, i] = xi_a^i`` and
+# ``eta[a, i] = eta_a(e_i)``.  Entries are jets or plain numbers.
+FieldEvaluator = Callable[[np.ndarray], tuple]
 
 
 # Contractions with an operand above this many entries go through
@@ -79,17 +84,14 @@ class ManifoldModel:
     are ordered and deterministic for a fixed seed.  Wherever an operation
     takes points it also accepts a :class:`PointFrame` of the same model,
     which lets a caller evaluate its points once and share them between
-    operations.  The field evaluators must be pure functions of their
-    coordinates: one-point operations repeated at the same point reuse the
-    first evaluation (:func:`as_frame`).
+    operations.  ``fields`` (a :data:`FieldEvaluator`) must be a pure
+    function of its coordinates: one-point operations repeated at the same
+    point reuse the first evaluation (:func:`as_frame`).
     """
 
     n: int
     s: int
-    metric_field: FieldEvaluator
-    f_field: FieldEvaluator
-    xi_fields: tuple[FieldEvaluator, ...]
-    eta_fields: tuple[FieldEvaluator, ...]
+    fields: FieldEvaluator
     domain_box: np.ndarray = field(repr=False)  # (dim, 2) sampling intervals
     d_convention: Convention = Convention.HALF
     label: str = ""
@@ -97,6 +99,11 @@ class ManifoldModel:
     @property
     def dim(self) -> int:
         return 2 * self.n + self.s
+
+    def metric_field(self, x):
+        """``g`` alone, ``fields(x)[0]``.  The stage replay of ``perfbench/tracing.py``
+        times the metric through it and requires ``PointFrame.g`` to equal it bit for bit."""
+        return self.fields(x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +139,10 @@ class PointFrame:
     """All field values, derivatives, curvature and structure tensors of a model
     at one point or at a batch of points, each computed on first use and then kept.
 
-    ``point`` is one point ``(dim,)`` or a batch ``(P, dim)``.  Every field is
-    evaluated once on jet-seeded coordinates, for the whole batch in one pass,
-    and exposed as float arrays whose leading axes are the batch shape:
+    ``point`` is one point ``(dim,)`` or a batch ``(P, dim)``.  The model's
+    evaluator runs once on jet-seeded coordinates, for the whole batch in one
+    pass, on first use of any field, and every field is exposed as float
+    arrays whose leading axes are the batch shape:
     ``g`` is ``(dim, dim)`` at one point and ``(P, dim, dim)`` over a batch.
     Derivative indices always come last: ``dg[..., i, j, k] = d_k g_ij``,
     ``d2g[..., i, j, k, l] = d_k d_l g_ij``, ``df[..., i, j, k] = d_k f^i_j``.
@@ -143,8 +151,8 @@ class PointFrame:
     field again.  The kept arrays, ``point`` among them, are shared with every
     caller and read-only: writing into one raises ``ValueError``.  A caller
     may still set a whole new array on a frame it built itself
-    (``frame.riemann31 = r``).  The model's field evaluators must be pure
-    functions of their coordinates, as a frame may serve many calls.
+    (``frame.riemann31 = r``).  The model's evaluator must be a pure
+    function of its coordinates, as a frame may serve many calls.
     """
 
     def __init__(self, model: ManifoldModel, point: Point):
@@ -172,34 +180,20 @@ class PointFrame:
         return int(np.argmax(flags)) if self.point.ndim == 2 else ()
 
     # -- field data ----------------------------------------------------------
-    #
-    # Each field is evaluated once, on the frame's jets; the jets are dropped
-    # once their parts are extracted.
-
-    def _parts(self, field, order: int):
-        """Values and partials up to ``order`` of ``field`` on the frame's jets."""
-        return jets.tensor_parts(field(self._x), self.model.dim, order, self.point.shape[:-1])
-
-    def _stacked(self, fields):
-        """Values and first partials of vector or one-form ``fields``, stacked after the batch axes."""
-        parts = zip(*(self._parts(field, 1) for field in fields))
-        return tuple(np.stack(p, axis=self.point.ndim - 1) for p in parts)
 
     @_kept
-    def _metric(self):
-        return self._parts(self.model.metric_field, 2)
+    def _fields(self):
+        """The nine ``_FIELDS`` arrays, from one run of the model's evaluator on
+        the frame's jets: ``g`` to second order, ``f``, ``xi`` and ``eta`` to first."""
+        g, *rest = self.model.fields(self._x)
+        dim, batch = self.model.dim, self.point.shape[:-1]
+        parts = jets.tensor_parts(g, dim, 2, batch)
+        for tensor in rest:
+            parts += jets.tensor_parts(tensor, dim, 1, batch)
+        return parts
 
-    @_kept
-    def g(self):
-        return self._metric[0]
-
-    @_kept
-    def dg(self):
-        return self._metric[1]
-
-    @_kept
-    def d2g(self):
-        return self._metric[2]
+    # one kept property per part of ``_fields``, named as in ``_FIELDS``
+    g, dg, d2g, f, df, xi, dxi, eta, deta = (_kept(lambda self, i=i: self._fields[i]) for i in range(len(_FIELDS)))
 
     @_kept
     def ginv(self):
@@ -216,42 +210,6 @@ class PointFrame:
             i = self._first(~(cond <= METRIC_CONDITION_MAX))
             raise DegenerateMetricError(self.point[i], f"metric condition number {cond[i]:.3g} is too large")
         return ginv
-
-    @_kept
-    def _f(self):
-        return self._parts(self.model.f_field, 1)
-
-    @_kept
-    def f(self):
-        return self._f[0]
-
-    @_kept
-    def df(self):
-        return self._f[1]
-
-    @_kept
-    def _xi(self):
-        return self._stacked(self.model.xi_fields)
-
-    @_kept
-    def xi(self):
-        return self._xi[0]
-
-    @_kept
-    def dxi(self):
-        return self._xi[1]
-
-    @_kept
-    def _eta(self):
-        return self._stacked(self.model.eta_fields)
-
-    @_kept
-    def eta(self):
-        return self._eta[0]
-
-    @_kept
-    def deta(self):
-        return self._eta[1]
 
     # -- connection and curvature ------------------------------------------
 
@@ -414,7 +372,7 @@ def as_frame(model: ManifoldModel, p: Point | PointFrame) -> PointFrame:
     shape and float64 bytes, so one-point operations called one after
     another at one point (``riemann``, ``structure_at``, ``h_spectrum``,
     ...) evaluate its fields and derived arrays once.  This relies on the
-    model's field evaluators being pure functions of their coordinates.
+    model's field evaluator being a pure function of its coordinates.
     ``-0.0`` and ``0.0`` are different points here.  Frames built with
     ``PointFrame`` itself, and frames passed in, are never kept.
     """

@@ -14,10 +14,12 @@ all ``P`` points at once.  Tests that a value is zero or non-positive
 (reciprocal, fractional powers, ``log``) are made point by point and raise
 if any point fails.
 
-Field evaluators written against this module must use the math functions
-exported here (``sin``, ``cos``, ...) instead of ``numpy``'s, so that plain
-floats and jets evaluate through the same code path.  An evaluator may
-receive a batch of points, so it must not branch on coordinate values.
+A model's field evaluator (``ManifoldModel.fields``, which returns ``g``,
+``f``, ``xi`` and ``eta`` from one call) written against this module must
+use the math functions exported here (``sin``, ``cos``, ...) instead of
+``numpy``'s, so that plain floats and jets evaluate through the same code
+path.  An evaluator may receive a batch of points, so it must not branch on
+coordinate values.
 """
 
 from __future__ import annotations

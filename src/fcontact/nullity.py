@@ -55,7 +55,6 @@ from .tolerances import (
     COLUMN_CUTOFF,
     FIT_TOL,
     IDENTITY_TOL,
-    RESIDUAL_FLOOR,
     SECTION_CUTOFF,
     SECTION_TOL,
     relative_residual,
@@ -201,12 +200,13 @@ def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) 
     for compatibility and unused.  Here, and only here, kappa counts as below
     1 when ``1 - kappa > FIT_TOL``; ``lam`` records the outcome.
     """
-    r, c, (a_norm, b_norm), residual = _systems(as_frames(model, points), _nullity_block)
-    cutoff = COLUMN_CUTOFF * max(RESIDUAL_FLOOR, a_norm)
-    if a_norm < cutoff:
+    frame = as_frames(model, points)
+    r, c, (a_norm, b_norm), residual = _systems(frame, _nullity_block)
+    # the kappa column is judged against the size of its factors, the mu column against it
+    if not a_norm > COLUMN_CUTOFF * np.abs(frame.eta_bar).max() * np.abs(frame.f2).max():
         raise InsufficientSampleError("all eta-bar terms of the nullity system vanish")
 
-    mu_determined = bool(b_norm >= cutoff)
+    mu_determined = bool(b_norm >= COLUMN_CUTOFF * a_norm)
     columns = slice(None) if mu_determined else slice(1)
     sol, cond = _lstsq_reduced(r, c, columns)
     kappa = float(sol[0])

@@ -1,11 +1,11 @@
 """Machine-readable check reports: structure, JSON schema, serialization.
 
 Reports always carry raw residuals next to the tolerance that judged them, so
-pass/fail flags are recomputable from the report alone.  JSON serialization
-is canonical (sorted keys) and byte-identical across runs with the same
-config and seed, except for ``wall_time``.  It is strict JSON (RFC 8259): a
-non-finite number, such as the ``inf`` residual of an errored check, is
-written as ``null``.
+pass/fail flags are recomputable from the report alone.  A skipped check has
+no residual and has not passed.  JSON serialization is canonical (sorted
+keys) and byte-identical across runs with the same config and seed, except
+for ``wall_time``.  It is strict JSON (RFC 8259): a non-finite number, such
+as the ``inf`` residual of an errored check, is written as ``null``.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ class CheckRecord:
 
     ``gating`` checks decide the run's exit status; non-gating ones are
     classification measurements (e.g. normality on a model that is simply not
-    normal) feeding the verdicts.
+    normal) feeding the verdicts.  A check whose precondition does not hold
+    is skipped: it has no residual (``None``), has not passed, and does not gate.
     """
 
     name: str
-    residual: float
+    residual: float | None
     tolerance: float
     passed: bool
     gating: bool
@@ -163,10 +164,13 @@ def emit_report(report: CheckReport, format: str = "json") -> bytes:
             f"convention={m['convention']})"
         )
         for c in report.checks:
-            verdict = "PASS" if c.passed else "FAIL"
+            if c.residual is None:
+                residual, verdict = "", "SKIP"
+            else:
+                residual, verdict = f"{c.residual:.3e}", "PASS" if c.passed else "FAIL"
             tag = "" if c.gating else "  [diagnostic]"
             note = f"  ({c.note})" if c.note else ""
-            lines.append(f"  {c.name:<18} {c.residual:12.3e}  tol {c.tolerance:.0e}  {verdict}{tag}{note}")
+            lines.append(f"  {c.name:<18} {residual:>12}  tol {c.tolerance:.0e}  {verdict}{tag}{note}")
         nf = report.fits.get("nullity")
         if nf:
             mu = "free" if nf["mu"] is None else f"{nf['mu']:.9g}"

@@ -25,9 +25,11 @@ The cutoffs, each relative to the scale named:
   may have before its metric counts as degenerate.
 * ``RANK_THRESHOLD`` -- a singular value of ``f`` counts towards its rank
   when it is at least this fraction of the largest one.
-* ``COLUMN_CUTOFF`` -- a column of the nullity design vanishes when its
-  largest entry is below this times ``max(RESIDUAL_FLOOR, largest entry of
-  the kappa column)``.
+* ``COLUMN_CUTOFF`` -- the kappa column of the nullity design vanishes when
+  its largest entry is at most this times the size of its factors,
+  ``max |eta_bar| max |f^2|``, and the mu column when its largest entry is
+  below this times the kappa column's: both tests are free of scale, so a
+  strongly deformed model, whose ``eta`` is small, is fitted as any other.
 * ``SECTION_CUTOFF`` -- a Gaussian draw gives a section of L when its
   projection onto L keeps at least this fraction of its Euclidean norm.
 * ``SECTION_TOL`` -- a vector handed to ``H(X)`` must be a g-unit vector in

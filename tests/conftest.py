@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,20 @@ def section_defect(frame, size):
     g, a = frame.g, np.array([0.3, -0.5, 0.8])
     gauss = np.einsum("pil,pjk->pijkl", g, g) - np.einsum("pik,pjl->pijkl", g, g)
     return size * (gauss + 0.01 * np.einsum("i,j,k,l->ijkl", a, a, a, a))
+
+
+PARTS = ("g", "f", "xi", "eta")
+
+
+def with_field(model, part, change):
+    """``model`` with a defect planted in one part of its fields: ``part``
+    (``"g"``, ``"f"``, ``"xi"`` or ``"eta"``, as ``model.fields`` returns them)
+    becomes ``change(value, x)`` of its value and the coordinates."""
+    index, base = PARTS.index(part), model.fields
+
+    def fields(x):
+        out = list(base(x))
+        out[index] = change(out[index], x)
+        return tuple(out)
+
+    return dataclasses.replace(model, fields=fields)

@@ -12,7 +12,7 @@ from fcontact import jets
 
 
 def metric_values(model, p):
-    return jets.tensor_value(model.metric_field(np.asarray(p, dtype=float)))
+    return jets.tensor_value(model.fields(np.asarray(p, dtype=float))[0])
 
 
 def fd_metric_jacobian(model, p, step=1e-5):

@@ -100,7 +100,7 @@ def test_text_format_has_pass_fail_lines(deformed_report):
     text = emit_report(deformed_report, "text").decode()
     for check in deformed_report.checks:
         line = next(l for l in text.splitlines() if l.strip().startswith(check.name))
-        assert ("PASS" in line) or ("FAIL" in line)
+        assert ("SKIP" in line) if check.residual is None else ("PASS" in line) or ("FAIL" in line)
 
 
 def test_unknown_format_rejected(deformed_report):
@@ -109,13 +109,15 @@ def test_unknown_format_rejected(deformed_report):
 
 
 def test_pass_flags_recomputable(deformed_report):
-    # checks whose pass flag is purely residual-vs-tolerance
+    # checks whose pass flag is purely residual-vs-tolerance; a skipped or
+    # errored check has a null residual and has not passed
     pure = {"contact", "h-properties", "spectrum", "r-xi", "rf", "ricci",
             "curvature-model", "normality", "gssf", "trans-s"}
     data = json.loads(emit_report(deformed_report, "json"))
+    assert any(c["note"].startswith("skipped") for c in data["checks"])
     for c in data["checks"]:
-        if c["name"] in pure and not c["note"].startswith(("skipped", "error")):
-            assert (c["residual"] <= c["tolerance"]) == c["passed"], c
+        if c["name"] in pure:
+            assert (c["residual"] is not None and c["residual"] <= c["tolerance"]) == c["passed"], c
 
 
 def test_determinism_identical_seeds(tmp_path):
@@ -278,9 +280,13 @@ def test_config_file_input(tmp_path, capsys):
 
 def test_gssf_on_wrong_s_is_skipped(capsys):
     assert main(["check", "--manifold", "flat-contact-r3", "--points", "3", "--samples", "30", "--checks", "gssf"]) == 0
-    assert "skipped: the seven-function ansatz is defined for s = 2" in capsys.readouterr().out
+    (line,) = [l for l in capsys.readouterr().out.splitlines() if l.strip().startswith("gssf")]
+    assert "skipped: the seven-function ansatz is defined for s = 2" in line
+    # a check that never ran prints SKIP and no residual
+    assert line.split()[1:4] == ["tol", "1e-06", "SKIP"] and "PASS" not in line
     (record,) = run(RunConfig("flat-contact-r3", points=3, samples=30, checks=["gssf"])).checks
-    assert record.note.startswith("skipped:") and record.passed and not record.gating
+    assert record.note.startswith("skipped:") and not record.passed and not record.gating
+    assert record.residual is None
 
 
 def test_deformation_constant_passed_through_exactly():
@@ -297,7 +303,7 @@ def test_deformation_constant_passed_through_exactly():
 
 
 def test_run_builds_one_frame_over_all_points(monkeypatch):
-    built, metric_calls = [], []
+    built, field_calls = [], []
     init = geom.PointFrame.__init__
 
     def counting_init(frame, model, point):
@@ -306,20 +312,23 @@ def test_run_builds_one_frame_over_all_points(monkeypatch):
 
     def counting_get(key):
         entry = catalog_get(key)
-        metric = entry.model.metric_field
+        fields = entry.model.fields
 
         def counted(x):
-            metric_calls.append(x)
-            return metric(x)
+            field_calls.append(x)
+            return fields(x)
 
-        return dataclasses.replace(entry, model=dataclasses.replace(entry.model, metric_field=counted))
+        return dataclasses.replace(entry, model=dataclasses.replace(entry.model, fields=counted))
 
     monkeypatch.setattr(geom.PointFrame, "__init__", counting_init)
     monkeypatch.setattr(cli, "catalog_get", counting_get)
-    report = run(RunConfig("s-space-form:2,2", points=5, samples=50))
-    assert report.passed
-    assert [fr.point.shape for fr in built] == [(5, 6)]
-    assert len(metric_calls) == 1
+    for key in ("s-space-form:2,2", "s-space-form:2,2:deformed:3"):
+        built.clear()
+        field_calls.clear()
+        report = run(RunConfig(key, points=5, samples=50))
+        assert report.passed, key
+        assert [fr.point.shape for fr in built] == [(5, 6)], key
+        assert len(field_calls) == 1, key
 
 
 def test_the_spectrum_identities_are_written_once(monkeypatch):
@@ -540,7 +549,8 @@ def test_a_failed_fit_skips_the_rows_that_read_it(monkeypatch, tmp_path, capsys)
     path = tmp_path / "r.json"
     assert main(["check", "--manifold", "flat-contact-r3:deformed:0.5", "--points", "3", "--samples", "30",
                  "--json", str(path)]) == 1
-    assert "inf" in capsys.readouterr().out  # the text format keeps non-finite residuals
+    text = capsys.readouterr().out
+    assert "inf" in text  # the text format keeps non-finite residuals
 
     def no_constant(name):
         raise ValueError(f"not strict JSON: {name}")
@@ -554,4 +564,7 @@ def test_a_failed_fit_skips_the_rows_that_read_it(monkeypatch, tmp_path, capsys)
     for name in ("spectrum", "r-xi", "rf", "ricci", "H", "curvature-model"):
         assert records[name]["note"] == "skipped: needs the nullity fit, which failed", name
         assert not records[name]["gating"], name
+        assert records[name]["residual"] is None and not records[name]["passed"], name
+        (line,) = [l for l in text.splitlines() if l.split()[0] == name]
+        assert line.split()[1:4] == ["tol", "1e-06", "SKIP"], line
     assert report["fits"]["nullity"] is None and report["h_sectional"] is None

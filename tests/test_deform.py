@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fcontact import (
     Convention,
     NotApplicableError,
+    PointFrame,
     check_contact,
     check_f_axioms,
     convention_normalize,
@@ -23,11 +26,8 @@ FIT_TOL = 1e-6
 
 
 def fields_at(model, p):
-    x = np.asarray(p, dtype=float)
-    out = [tensor_value(model.metric_field(x)), tensor_value(model.f_field(x))]
-    out += [tensor_value(xi(x)) for xi in model.xi_fields]
-    out += [tensor_value(eta(x)) for eta in model.eta_fields]
-    return out
+    """Values of ``g``, ``f``, ``xi`` and ``eta`` at ``p``."""
+    return [tensor_value(part) for part in model.fields(np.asarray(p, dtype=float))]
 
 
 def test_identity_deformation(flat, flat_points):
@@ -47,9 +47,7 @@ def test_deformed_duality_consistency(flat):
     # g~(xi~_a, xi~_b) = eta~_a(xi~_b) = delta_ab
     deformed = d_deform(flat, 3.0)
     for p in sample_points(flat, 5, seed=4):
-        g = tensor_value(deformed.metric_field(p))
-        xi = np.stack([tensor_value(f(p)) for f in deformed.xi_fields])
-        eta = np.stack([tensor_value(f(p)) for f in deformed.eta_fields])
+        g, _, xi, eta = fields_at(deformed, p)
         assert np.allclose(xi @ g @ xi.T, np.eye(1), atol=IDT)
         assert np.allclose(eta @ xi.T, np.eye(1), atol=IDT)
 
@@ -161,3 +159,26 @@ def test_normalized_fit_matches_induced_deformation(flat_plain, flat_points):
     rep = sample_H_constancy(norm, flat_points[:4], 20, rng=0)
     assert rep.h_mean == pytest.approx(pred.h_sectional, abs=FIT_TOL)
     assert rep.h_spread < FIT_TOL
+
+
+# -- one base evaluation per frame ----------------------------------------------
+
+
+def test_a_wrapped_model_runs_its_base_once_per_frame(flat, flat_plain, flat_points):
+    twice = lambda m: d_deform(d_deform(m, 2.0), 0.5)
+    for base, wrap in ((flat, twice), (flat_plain, convention_normalize)):
+        calls = []
+
+        def counted(x, fields=base.fields):
+            calls.append(x)
+            return fields(x)
+
+        model = wrap(dataclasses.replace(base, fields=counted))
+        batch, one = PointFrame(model, np.stack(flat_points)), PointFrame(model, flat_points[0])
+        for frame in (batch, one):
+            frame.g, frame.f, frame.xi, frame.eta, frame.riemann31, frame.h_all, frame.d_eta()
+        assert len(calls) == 2, model.label
+        # the counted base gives the same fields as the base itself
+        plain = PointFrame(wrap(base), np.stack(flat_points))
+        for name in ("g", "dg", "d2g", "f", "df", "xi", "dxi", "eta", "deta"):
+            assert np.array_equal(getattr(batch, name), getattr(plain, name)), (model.label, name)

@@ -31,6 +31,7 @@ from fcontact.errors import DegenerateMetricError
 from fcontact.geom import ManifoldModel, Point, PointFrame, as_frame
 from fcontact.structure import structure_at
 
+from .conftest import with_field
 from .oracles import fd_christoffel, fd_dgamma, sympy_riemann31
 
 
@@ -185,11 +186,7 @@ def test_lie_bracket_structure_fields_commute(s22, s22_points):
 
 
 def test_exterior_derivative_constant_form(flat):
-    model = flat
-    const_eta = lambda x: np.array([0.25, -1.0, 3.0], dtype=object)
-    import dataclasses
-
-    m = dataclasses.replace(model, eta_fields=(const_eta,))
+    m = with_field(flat, "eta", lambda eta, x: np.array([[0.25, -1.0, 3.0]], dtype=object))
     d = PointFrame(m, np.array([0.1, 0.2, 0.3])).d_eta(Convention.PLAIN)[0]
     assert np.allclose(d, 0)
 
@@ -240,19 +237,17 @@ def test_malformed_domain_box_raises(flat):
 
 
 def test_degenerate_metric_error():
-    import dataclasses
-
     from fcontact.errors import DegenerateMetricError
 
     model = build_s_space_form(1, 1)
-    singular = dataclasses.replace(model, metric_field=lambda x: np.zeros((3, 3)))
+    singular = with_field(model, "g", lambda g, x: np.zeros((3, 3)))
     with pytest.raises(DegenerateMetricError):
         PointFrame(singular, np.zeros(3)).gamma
-    near = dataclasses.replace(model, metric_field=lambda x: np.diag([1.0, 1.0, 1e-12]))
+    near = with_field(model, "g", lambda g, x: np.diag([1.0, 1.0, 1e-12]))
     with pytest.raises(DegenerateMetricError, match="condition number"):
         PointFrame(near, np.zeros(3)).gamma
     # a small but well-conditioned metric is fine
-    scaled = dataclasses.replace(model, metric_field=lambda x: 1e-6 * np.eye(3))
+    scaled = with_field(model, "g", lambda g, x: 1e-6 * np.eye(3))
     assert np.max(np.abs(PointFrame(scaled, np.zeros(3)).gamma)) == 0.0
 
 
@@ -346,8 +341,7 @@ def test_operations_on_points_reject_one_raw_point(name):
     def unevaluated(x):
         raise AssertionError("a field was evaluated")
 
-    model = dataclasses.replace(model, metric_field=unevaluated, f_field=unevaluated,
-                                xi_fields=(unevaluated,) * model.s, eta_fields=(unevaluated,) * model.s)
+    model = dataclasses.replace(model, fields=unevaluated)
     point = np.array([0.1, -0.2, 0.3, 0.4])[:model.dim]
     with pytest.raises(ValueError, match=rf"expected points \(P, {model.dim}\)"):
         POINT_OPERATIONS[name](model, fit, point)
@@ -356,7 +350,7 @@ def test_operations_on_points_reject_one_raw_point(name):
 def test_degenerate_metric_error_names_the_first_bad_point():
     flat = catalog_get("flat-contact-r3").model
     # the metric diag(1, 1, x^2) is singular where x = 0
-    model = dataclasses.replace(flat, metric_field=lambda x: np.diag([1.0, 1.0, x[0] * x[0]]))
+    model = with_field(flat, "g", lambda g, x: np.diag([1.0, 1.0, x[0] * x[0]]))
     points = np.array([[0.5, 0.0, 0.0], [0.0, 0.1, 0.2], [0.0, 0.3, 0.4]])
     with pytest.raises(DegenerateMetricError) as err:
         PointFrame(model, points).ginv
@@ -450,7 +444,7 @@ def test_another_point_or_model_builds_another_frame(deformed_query, built_frame
 
 def test_a_degenerate_point_raises_on_every_call(built_frames):
     flat = catalog_get("flat-contact-r3").model
-    model = dataclasses.replace(flat, metric_field=lambda x: np.diag([1.0, 1.0, x[0] * x[0]]))
+    model = with_field(flat, "g", lambda g, x: np.diag([1.0, 1.0, x[0] * x[0]]))
     for _ in range(2):
         with pytest.raises(DegenerateMetricError):
             riemann(model, np.array([0.0, 0.1, 0.2]))

@@ -6,6 +6,7 @@ import pytest
 from fcontact import (
     NotApplicableError,
     PointFrame,
+    catalog_get,
     check_curvature_model,
     check_f_axioms,
     check_rf_identity,
@@ -18,12 +19,13 @@ from fcontact import (
     h_spectrum,
     predict_deformed_nullity,
     sample_H_constancy,
+    sample_points,
     spectrum_residuals,
     verify_r_xi,
 )
 from fcontact.errors import InsufficientSampleError, InvalidSectionError
 
-from .conftest import section_defect, unit_section as section
+from .conftest import section_defect, unit_section as section, with_field
 
 FIT_TOL = 1e-6
 
@@ -65,11 +67,19 @@ def test_kappa_never_exceeds_one(flat_fit, s22_fit, deformed_fits):
 
 def test_fit_requires_nonvanishing_eta_terms(flat, flat_points):
     # zero out the structure one-forms: the kappa column collapses
-    broken = dataclasses.replace(
-        flat, eta_fields=(lambda x: np.array([0.0, 0.0, 0.0], dtype=object),)
-    )
+    broken = with_field(flat, "eta", lambda eta, x: np.array([[0.0, 0.0, 0.0]], dtype=object))
     with pytest.raises(InsufficientSampleError):
         fit_nullity(broken, flat_points)
+
+
+@pytest.mark.parametrize("key", ["s-space-form:2,2:deformed:1e-10", "s-space-form:3,3:deformed:1e-10"])
+def test_column_test_is_free_of_scale(key):
+    # eta, and with it the whole nullity design, is of size 1e-10 here: the
+    # columns are judged against the size of their factors, not against 1
+    model = catalog_get(key).model
+    fit = fit_nullity(model, sample_points(model, 5, seed=0))
+    assert fit.kappa == pytest.approx(1.0, abs=1e-5)
+    assert not fit.mu_determined and fit.mu is None
 
 
 # -- the transposed identity --------------------------------------------------
@@ -402,8 +412,7 @@ def test_doubled_f_fails_every_identity(deformed, deformed_fits, flat_points):
     # refit absorbs the doubling; the model's own (kappa, mu) = (-3, -2) no
     # longer satisfy it, and the rf and curvature-model expansions fail either way
     model, fit = deformed[0.5], deformed_fits[0.5]
-    f0 = model.f_field
-    bad = dataclasses.replace(model, f_field=lambda x: 2.0 * np.asarray(f0(x)))
+    bad = with_field(model, "f", lambda f, x: 2.0 * np.asarray(f))
     refit = fit_nullity(bad, flat_points)
     assert refit.kappa == pytest.approx(fit.kappa / 4, abs=FIT_TOL)
     assert refit.mu == pytest.approx(fit.mu / 2, abs=FIT_TOL)

@@ -1,5 +1,6 @@
 """The README against the program: every ``fcontact`` command in its ``sh``
-blocks parses and names a catalog key, and its check table is ``cli.CHECKS``."""
+blocks parses and names a catalog key, every ``python`` block runs, and its
+check table is ``cli.CHECKS``."""
 
 import re
 import shlex
@@ -17,6 +18,7 @@ COMMANDS = [
     for line in block.splitlines()
     if line.strip().startswith("fcontact ")
 ]
+PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
 
 
 def test_readme_has_commands():
@@ -28,6 +30,15 @@ def test_readme_command_parses(command):
     args = _parser().parse_args(shlex.split(command)[1:])
     if hasattr(args, "manifold_key"):
         assert catalog_get(args.manifold_key).key == args.manifold_key
+
+
+def test_readme_has_python_blocks():
+    assert len(PYTHON_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(PYTHON_BLOCKS)))
+def test_readme_python_block_runs(index):
+    exec(compile(PYTHON_BLOCKS[index], f"README.md python block {index}", "exec"), {})
 
 
 def test_readme_check_table_is_the_check_table():

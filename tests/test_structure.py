@@ -16,6 +16,8 @@ from fcontact import (
     structure_at,
 )
 
+from .conftest import with_field
+
 IDT = 1e-8
 
 
@@ -42,7 +44,7 @@ def test_axiom_battery_plain_fixture(flat_plain, flat_points):
 
 
 def test_doubled_f_breaks_the_squared_axiom(flat, flat_points):
-    doubled = dataclasses.replace(flat, f_field=lambda x, base=flat.f_field: 2.0 * base(x))
+    doubled = with_field(flat, "f", lambda f, x: 2.0 * f)
     report = check_f_axioms(doubled, flat_points[:3])
     # f^2 = -I + sum xi (x) eta reads 4 f^2 against -proj: off by 3 f^2, on sides of size 4
     assert report.r_f_squared == pytest.approx(0.75)
@@ -156,9 +158,7 @@ def test_killing_values(s22, s22_points, flat, flat_points):
 
 def test_zero_eta_degenerate_input_reported_not_thrown(flat, flat_points):
     # a broken model is reported through residuals, starting with eta(xi) != 1
-    broken = dataclasses.replace(
-        flat, eta_fields=(lambda x: np.array([0.0, 0.0, 0.0], dtype=object),)
-    )
+    broken = with_field(flat, "eta", lambda eta, x: np.array([[0.0, 0.0, 0.0]], dtype=object))
     report = check_f_axioms(broken, flat_points[:3])
     assert report.r_eta_xi == pytest.approx(1.0)
     assert not report.pass_flags()["eta_xi"]
@@ -166,7 +166,7 @@ def test_zero_eta_degenerate_input_reported_not_thrown(flat, flat_points):
 
 def test_rank_check_detects_excess_rank(flat, flat_points):
     # replace f by a full-rank matrix: rank residual must trip
-    full = dataclasses.replace(flat, f_field=lambda x: np.eye(3))
+    full = with_field(flat, "f", lambda f, x: np.eye(3))
     report = check_f_axioms(full, flat_points[:2])
     assert report.rank_detected == 3
     assert not report.pass_flags()["rank"]
@@ -178,12 +178,11 @@ def test_rank_detected_reports_the_worst_point(flat, flat_points):
     # evaluator may receive every point at once.
     first = flat_points[0]
 
-    def f_field(x, base=flat.f_field):
-        out = base(x)
-        out[2, :] = out[2, :] * (x[0] - first[0])
-        return out
+    def drop_row(f, x):
+        f[2, :] = f[2, :] * (x[0] - first[0])
+        return f
 
-    report = check_f_axioms(dataclasses.replace(flat, f_field=f_field), flat_points[:3])
+    report = check_f_axioms(with_field(flat, "f", drop_row), flat_points[:3])
     assert report.rank_detected == 1
     assert not report.pass_flags()["rank"]
 
