@@ -9,8 +9,6 @@ from the closed forms.  a = 1/2 is the special value where mu = kappa + 1.
 
 from fcontact import (
     build_flat_contact_r3,
-    build_flat_contact_r3_plain,
-    convention_normalize,
     d_deform,
     fit_nullity,
     h_spectrum,
@@ -35,14 +33,3 @@ for a in (0.5, 0.75, 1.0, 2.0, 3.0, 4.0):
     star = "  <- space form with mu = kappa + 1" if abs(pred.mu - (pred.kappa + 1.0)) <= FIT_TOL else ""
     print(f"{a:5.2f} | {fit.kappa:12.8f} {pred.kappa:12.8f} | {fit.mu:12.8f} {pred.mu:12.8f} "
           f"| {rep.h_mean:10.6f} {pred.h_sectional:10.6f} | {lam}{star}")
-
-print()
-print("Convention normalization: the PLAIN-convention flat structure, rescaled")
-print("to HALF (eta' = 2 eta, xi' = xi/2, g' = g + 3 eta x eta), lands on the")
-print("same (kappa, mu, H) as the closed-form deformation law at a = 4:")
-norm = convention_normalize(build_flat_contact_r3_plain())
-fit = fit_nullity(norm, points)
-rep = sample_H_constancy(norm, points[:4], 25, rng=0)
-pred = predict_deformed_nullity(4.0, s=1)
-print(f"   normalized fit: kappa={fit.kappa:.8f}, mu={fit.mu:.8f}, H={rep.h_mean:.6f}")
-print(f"   a = 4 law:      kappa={pred.kappa:.8f}, mu={pred.mu:.8f}, H={pred.h_sectional:.6f}")

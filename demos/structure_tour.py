@@ -1,16 +1,13 @@
 """Tour of the built-in structures and the axiom battery.
 
-Builds both catalog families, checks every metric f-manifold axiom, shows
-which exterior-derivative convention each structure satisfies the contact
-condition under, and inspects the h-operators.
+Builds both catalog families, checks every metric f-manifold axiom and the
+contact condition, and inspects the h-operators.
 """
 
 import numpy as np
 
 from fcontact import (
-    Convention,
     build_flat_contact_r3,
-    build_flat_contact_r3_plain,
     build_s_space_form,
     check_contact,
     check_f_axioms,
@@ -28,10 +25,8 @@ for model in (build_flat_contact_r3(), build_s_space_form(2, 2)):
     print(f"   worst axiom residual over 20 points: {report.max_residual:.2e}")
     print(f"   pass flags: {report.pass_flags()}")
 
-    # The contact condition F = d eta picks out exactly one convention.
-    half = np.max(check_contact(model, points, Convention.HALF))
-    plain = np.max(check_contact(model, points, Convention.PLAIN))
-    print(f"   relative residual of F = d_eta under HALF: {half:.2e}   under PLAIN: {plain:.2e}")
+    # The contact condition, with d eta(X, Y) = 1/2 (X eta(Y) - Y eta(X) - eta([X, Y])).
+    print(f"   relative residual of F = d_eta: {np.max(check_contact(model, points)):.2e}")
 
     # Normality separates S-manifolds from merely metric f-contact ones.
     print(f"   relative residual of normality: {check_normality(model, points):.2e}")
@@ -42,12 +37,3 @@ for model in (build_flat_contact_r3(), build_s_space_form(2, 2)):
     print(f"   h_1 eigenvalues: {np.round(eigs, 10)}")
     print(f"   Killing residual for xi_1: {killing_check(model, 0, points):.2e}")
     print()
-
-# The rotation-rate-1 sibling satisfies the contact condition under PLAIN;
-# it is the input for convention_normalize (see the deformation demo).
-plain_model = build_flat_contact_r3_plain()
-points = sample_points(plain_model, 10, seed=0)
-half = np.max(check_contact(plain_model, points, Convention.HALF))
-plain = np.max(check_contact(plain_model, points, Convention.PLAIN))
-print(f"== {plain_model.label}")
-print(f"   relative residual of F = d_eta under HALF: {half:.2e}   under PLAIN: {plain:.2e}")

@@ -12,13 +12,11 @@ from .catalog import (
     CatalogEntry,
     ExpectedFit,
     build_flat_contact_r3,
-    build_flat_contact_r3_plain,
     build_s_space_form,
     catalog_get,
     catalog_list,
 )
 from .deform import (
-    convention_normalize,
     d_deform,
     predict_deformed_nullity,
 )
@@ -33,7 +31,6 @@ from .errors import (
     UnknownManifoldError,
 )
 from .geom import (
-    Convention,
     CurvatureData,
     ManifoldModel,
     PointFrame,
@@ -77,7 +74,6 @@ __all__ = [
     "CatalogEntry",
     "CheckRecord",
     "CheckReport",
-    "Convention",
     "CurvatureData",
     "DegenerateMetricError",
     "EmptyPointSetError",
@@ -98,7 +94,6 @@ __all__ = [
     "TransSFit",
     "UnknownManifoldError",
     "build_flat_contact_r3",
-    "build_flat_contact_r3_plain",
     "build_s_space_form",
     "catalog_get",
     "catalog_list",
@@ -109,7 +104,6 @@ __all__ = [
     "check_rf_identity",
     "check_ricci_model",
     "check_splitting_lemma",
-    "convention_normalize",
     "d_deform",
     "emit_report",
     "f_sectional",

@@ -8,22 +8,18 @@ Two base families:
   ``g = sum eta_alpha (x) eta_alpha + 1/4 sum_i (dx_i^2 + dy_i^2)``,
   ``f(dx_i) = -dy_i``, ``f(dy_i) = dx_i + y_i sum_alpha dz_alpha``,
   ``f(dz_alpha) = 0``.  Normal, h = 0, kappa = 1, constant f-sectional
-  curvature -3s.  Convention: HALF.
+  curvature -3s.
 
 * ``flat-contact-r3`` -- the flat structure on Euclidean R^3 with
   ``eta = cos(2z) dx + sin(2z) dy``, ``xi`` its metric dual, and f mapping the
   orthonormal frame {xi, e, d/dz} by ``f xi = 0``, ``f e = d/dz``,
   ``f d/dz = -e`` where ``e = -sin(2z) dx + cos(2z) dy``.  Curvature vanishes
-  identically, so kappa = mu = 0; h has eigenvalues {0, +1, -1}.  Convention:
-  HALF (the rotation rate 2 is what makes the h-eigenvalues +-sqrt(1 - kappa)
-  and the deformation laws come out exactly).
+  identically, so kappa = mu = 0; h has eigenvalues {0, +1, -1}.  With
+  rotation rate 2, ``F = d eta`` holds, h has the eigenvalues
+  +-sqrt(1 - kappa), and the deformation laws come out exactly.
 
-``build_flat_contact_r3_plain`` provides the rotation-rate-1 sibling, which
-satisfies ``F = d eta`` under the PLAIN convention instead.  It is a valid
-metric f-contact model and the natural input for
-:func:`fcontact.deform.convention_normalize`, but it is not normalized the
-way the nullity theory expects (its h-eigenvalues are +-1/2), so it is not a
-catalog entry.
+Both satisfy ``F = d eta_alpha`` with Blair's exterior derivative
+(:mod:`fcontact.geom`).
 
 Deformed entries use keys like ``flat-contact-r3:deformed:0.5``; the constant
 must lie in ``[1e-10, 1e10]`` (see :func:`fcontact.deform.check_constant`).
@@ -42,7 +38,7 @@ import numpy as np
 from . import jets
 from .deform import ExpectedFit, check_constant, d_deform, predict_deformed_nullity
 from .errors import UnknownManifoldError
-from .geom import Convention, ManifoldModel
+from .geom import ManifoldModel
 
 # Largest dimension of a catalog key: a run holds several (points, dim^4)
 # arrays, so its memory grows about as dim^4.  At dim 9, `fcontact check
@@ -53,8 +49,8 @@ MAX_DIM = 9
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A catalog key, its model (which carries ``n``, ``s`` and the convention)
-    and the values a fit should reproduce."""
+    """A catalog key, its model (which carries ``n`` and ``s``) and the values a
+    fit should reproduce."""
 
     key: str
     model: ManifoldModel
@@ -92,19 +88,19 @@ def build_s_space_form(n: int, s: int) -> ManifoldModel:
         s=s,
         fields=fields,
         domain_box=_default_box(dim),
-        d_convention=Convention.HALF,
         label=f"s-space-form:{n},{s}",
     )
 
 
-def _flat_contact_r3(rate: float, convention: Convention, label: str) -> ManifoldModel:
+def build_flat_contact_r3() -> ManifoldModel:
+    """Flat metric f-contact structure on R^3 (kappa = mu = 0)."""
     def fields(x):
-        c, s_ = jets.cos(rate * x[2]), jets.sin(rate * x[2])
+        c, s_ = jets.cos(2.0 * x[2]), jets.sin(2.0 * x[2])
         eta = np.array([[c, s_, 0.0]], dtype=object)
         f = np.zeros((3, 3), dtype=object)
-        f[2, 0] = -s_         # f(dx) = -sin(rz) dz
-        f[2, 1] = c           # f(dy) =  cos(rz) dz
-        f[0, 2] = s_          # f(dz) = sin(rz) dx - cos(rz) dy
+        f[2, 0] = -s_         # f(dx) = -sin(2z) dz
+        f[2, 1] = c           # f(dy) =  cos(2z) dz
+        f[0, 2] = s_          # f(dz) = sin(2z) dx - cos(2z) dy
         f[1, 2] = -c
         return np.eye(3), f, eta, eta  # g = I, so xi has the components of eta
 
@@ -113,19 +109,8 @@ def _flat_contact_r3(rate: float, convention: Convention, label: str) -> Manifol
         s=1,
         fields=fields,
         domain_box=_default_box(3),
-        d_convention=convention,
-        label=label,
+        label="flat-contact-r3",
     )
-
-
-def build_flat_contact_r3() -> ManifoldModel:
-    """Flat metric f-contact structure on R^3 (kappa = mu = 0, HALF)."""
-    return _flat_contact_r3(2.0, Convention.HALF, "flat-contact-r3")
-
-
-def build_flat_contact_r3_plain() -> ManifoldModel:
-    """Rotation-rate-1 flat structure satisfying F = d eta under PLAIN."""
-    return _flat_contact_r3(1.0, Convention.PLAIN, "flat-contact-r3-plain")
 
 
 def _base_entry(key: str) -> CatalogEntry:

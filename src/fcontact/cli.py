@@ -277,7 +277,7 @@ def _record(row: Check, ctx: RunContext) -> CheckRecord:
     try:
         out = row.measure(ctx)
     except NotApplicableError as exc:
-        return CheckRecord(row.name, None, tol, False, False, f"skipped: {exc}")
+        return CheckRecord(row.name, None, tol, False, row.gating, f"skipped: {exc}")
     except FContactError as exc:
         return CheckRecord(row.name, float("inf"), tol, False, row.gating, f"error: {exc}")
     residual, ok, note = out if isinstance(out, tuple) else (out, True, "")
@@ -304,7 +304,6 @@ def run(config: RunConfig) -> CheckReport:
             "n": model.n,
             "s": model.s,
             "dim": model.dim,
-            "convention": model.d_convention.value,
         },
         checks=checks,
         fits=ctx.fits,
@@ -410,7 +409,7 @@ def main(argv=None) -> int:
             for entry in catalog_list():
                 exp, m = entry.expected, entry.model
                 mu = "free" if exp.mu is None else f"{exp.mu:g}"
-                print(f"{entry.key:<22} n={m.n} s={m.s} dim={m.dim} convention={m.d_convention.value}  "
+                print(f"{entry.key:<22} n={m.n} s={m.s} dim={m.dim}  "
                       f"[kappa={exp.kappa:g}, mu={mu}, H={exp.h_sectional:g}]")
             return 0
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotApplicableError
-from .geom import Convention, ManifoldModel
+from .geom import ManifoldModel
 from .tolerances import METRIC_CONDITION_MAX
 
 
@@ -53,25 +52,19 @@ def format_constant(a: float) -> str:
     return short if float(short) == a else repr(a)
 
 
-def _rescale(model: ManifoldModel, g_scale, c, xi_scale, eta_scale, **changes) -> ManifoldModel:
-    """``g -> g_scale g + c sum eta (x) eta``, ``xi -> xi_scale xi``, ``eta -> eta_scale eta``."""
-    base = model.fields
+def d_deform(model: ManifoldModel, a: float) -> ManifoldModel:
+    """Return the D-homothetically deformed model (lazy field composition)."""
+    a = check_constant(a)
+    base, c, inv_a = model.fields, a * (a - 1.0), 1.0 / a
 
     def fields(x):
         g, f, xi, eta = base(x)
         eta = np.asarray(eta)
         extra = sum(np.outer(e, e) for e in eta)
-        return g_scale * np.asarray(g) + c * extra, f, xi_scale * np.asarray(xi), eta_scale * eta
+        return a * np.asarray(g) + c * extra, f, inv_a * np.asarray(xi), a * eta
 
-    return replace(model, fields=fields, **changes)
-
-
-def d_deform(model: ManifoldModel, a: float) -> ManifoldModel:
-    """Return the D-homothetically deformed model (lazy field composition)."""
-    a = check_constant(a)
     suffix = f"deformed:{format_constant(a)}"
-    return _rescale(model, a, a * (a - 1.0), 1.0 / a, a,
-                    label=f"{model.label}:{suffix}" if model.label else suffix)
+    return replace(model, fields=fields, label=f"{model.label}:{suffix}" if model.label else suffix)
 
 
 @dataclass(frozen=True)
@@ -91,15 +84,3 @@ def predict_deformed_nullity(a: float, s: int) -> ExpectedFit:
     h = -s * (3.0 * a**2 - 2.0 * a - 1.0) / a**2
     return ExpectedFit(kappa=kappa, mu=mu, h_sectional=h)
 
-
-def convention_normalize(model: ManifoldModel) -> ManifoldModel:
-    """Rescale a PLAIN-convention model into an equivalent HALF one.
-
-    ``eta' = 2 eta``, ``xi' = xi / 2``, ``g' = g + 3 sum eta (x) eta``,
-    ``f' = f``; the result satisfies the f-manifold axioms and ``F = d eta``
-    under the HALF convention.
-    """
-    if model.d_convention is not Convention.PLAIN:
-        raise NotApplicableError("model already uses the HALF convention")
-    return _rescale(model, 1.0, 3.0, 0.5, 2.0, d_convention=Convention.HALF,
-                    label=f"{model.label}:normalized" if model.label else "normalized")

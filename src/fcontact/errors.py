@@ -30,7 +30,7 @@ class InvalidSectionError(FContactError):
 
 
 class NotApplicableError(FContactError):
-    """Operation precondition not met (wrong s, kappa >= 1, already normalized, ...)."""
+    """Operation precondition not met (wrong s, kappa >= 1, no nullity fit, ...)."""
 
 
 class UnknownManifoldError(FContactError, KeyError):

@@ -17,8 +17,11 @@ Every operation that takes points turns them into one such frame with
 which hands one-point calls made one after another at the same raw point the
 same frame.
 
-Sign conventions (pinned operationally by the test suite):
+Conventions (pinned operationally by the test suite):
 
+* the exterior derivative of a one-form is Blair's, ``2 d eta(X, Y) =
+  X eta(Y) - Y eta(X) - eta([X, Y])``, so ``(d eta)_ij = 1/2 (d_i eta_j -
+  d_j eta_i)``; the contact condition reads ``F = d eta_alpha`` under it,
 * curvature operator ``R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
   nabla_[X,Y] Z``; in coordinates ``R(e_i, e_j)e_k = R^l_kij e_l`` with
   ``R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk -
@@ -30,7 +33,6 @@ Under these choices the built-in S-structure fits ``kappa = +1``.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -65,16 +67,6 @@ def einsum(subscripts: str, *operands):
     return np.einsum(subscripts, *operands)
 
 
-class Convention(str, enum.Enum):
-    """Exterior-derivative factor a model satisfies ``F = d eta`` under.
-
-    ``PLAIN``: ``(d eta)_ij = d_i eta_j - d_j eta_i``.  ``HALF``: half of that.
-    """
-
-    HALF = "half"
-    PLAIN = "plain"
-
-
 @dataclass(frozen=True)
 class ManifoldModel:
     """Chart description of a (2n+s)-dimensional metric f-manifold.
@@ -93,7 +85,6 @@ class ManifoldModel:
     s: int
     fields: FieldEvaluator
     domain_box: np.ndarray = field(repr=False)  # (dim, 2) sampling intervals
-    d_convention: Convention = Convention.HALF
     label: str = ""
 
     @property
@@ -300,17 +291,9 @@ class PointFrame:
         return self.eta.sum(axis=-2)
 
     @_kept
-    def _d_eta_plain(self):
-        return self.deta.swapaxes(-1, -2) - self.deta  # d_i eta_j - d_j eta_i
-
-    @_kept
-    def _d_eta_half(self):
-        return 0.5 * self._d_eta_plain
-
-    def d_eta(self, convention: Convention | None = None):
-        """``d_eta[..., a, i, j] = (d eta_a)_ij`` under ``convention`` (None: the model's)."""
-        conv = self.model.d_convention if convention is None else convention
-        return self._d_eta_half if conv is Convention.HALF else self._d_eta_plain
+    def d_eta(self):
+        """``d_eta[..., a, i, j] = (d eta_a)_ij = 1/2 (d_i eta_a,j - d_j eta_a,i)``."""
+        return 0.5 * (self.deta.swapaxes(-1, -2) - self.deta)
 
     @_kept
     def h_all(self):
@@ -342,7 +325,7 @@ class PointFrame:
     @_kept
     def xi_d_eta(self):
         """``sum xi_alpha (x) d eta_alpha``, laid out like ``nijenhuis``."""
-        return einsum("...ak,...aij->...kij", self.xi, self.d_eta())
+        return einsum("...ak,...aij->...kij", self.xi, self.d_eta)
 
     @_kept
     def normality(self):

@@ -140,7 +140,9 @@ class Jet:
         return self
 
     def __pow__(self, p):
-        if isinstance(p, Integral):
+        # an integral exponent takes the integer path whatever its type, as for
+        # floats: (-0.5) ** 2.0 == 0.25
+        if isinstance(p, Integral) or (isinstance(p, Real) and float(p).is_integer()):
             p = int(p)
             if p == 0:
                 return Jet(np.ones(np.shape(self.val)), np.zeros_like(self.grad), np.zeros_like(self.hess))

@@ -24,7 +24,8 @@ class CheckRecord:
     ``gating`` checks decide the run's exit status; non-gating ones are
     classification measurements (e.g. normality on a model that is simply not
     normal) feeding the verdicts.  A check whose precondition does not hold
-    is skipped: it has no residual (``None``), has not passed, and does not gate.
+    is skipped: it has no residual (``None``) and has not passed; it keeps
+    its row's ``gating``, but only checks that ran decide the exit status.
     """
 
     name: str
@@ -49,7 +50,9 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.gating)
+        """Every gating check that ran passed; a skipped check (residual ``None``)
+        does not count, while a NaN or infinite residual fails."""
+        return all(c.passed for c in self.checks if c.gating and c.residual is not None)
 
     def to_dict(self) -> dict:
         return {
@@ -72,14 +75,14 @@ REPORT_SCHEMA = {
     "properties": {
         "manifold": {
             "type": "object",
-            "required": ["key", "label", "n", "s", "dim", "convention"],
+            "required": ["key", "label", "n", "s", "dim"],
+            "additionalProperties": False,
             "properties": {
                 "key": {"type": "string"},
                 "label": {"type": "string"},
                 "n": {"type": "integer"},
                 "s": {"type": "integer"},
                 "dim": {"type": "integer"},
-                "convention": {"enum": ["half", "plain"]},
             },
         },
         "checks": {
@@ -157,12 +160,8 @@ def emit_report(report: CheckReport, format: str = "json") -> bytes:
     if format == "json":
         return (json.dumps(_finite(report.to_dict()), indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
     if format == "text":
-        lines = []
         m = report.manifold
-        lines.append(
-            f"manifold {m['key']}  (n={m['n']}, s={m['s']}, dim={m['dim']}, "
-            f"convention={m['convention']})"
-        )
+        lines = [f"manifold {m['key']}  (n={m['n']}, s={m['s']}, dim={m['dim']})"]
         for c in report.checks:
             if c.residual is None:
                 residual, verdict = "", "SKIP"

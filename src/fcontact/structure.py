@@ -5,8 +5,8 @@ The defining identities checked here, for ``alpha, beta = 1..s``:
 * ``eta_alpha(xi_beta) = delta``, ``f xi_alpha = 0``, ``eta_alpha o f = 0``,
 * ``f^2 = -I + sum eta_alpha (x) xi_alpha``,
 * ``g(fX, fY) = g(X, Y) - sum eta_alpha(X) eta_alpha(Y)``,
-* contact condition ``F = d eta_alpha`` under the model's declared
-  exterior-derivative convention, where ``F(X, Y) = g(X, fY)``,
+* contact condition ``F = d eta_alpha``, where ``F(X, Y) = g(X, fY)`` and
+  ``d`` is Blair's exterior derivative (:mod:`fcontact.geom`),
 * normality ``[f, f] + 2 sum xi_alpha (x) d eta_alpha = 0``.
 
 The operators ``h_alpha = 1/2 L_{xi_alpha} f`` are always computed from Lie
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Convention, ManifoldModel, Point, PointFrame, as_frame, as_frames
+from .geom import ManifoldModel, Point, PointFrame, as_frame, as_frames
 from .tolerances import IDENTITY_TOL, RANK_THRESHOLD, relative_residual
 
 
@@ -29,8 +29,8 @@ class StructureTensors:
 
     ``normality`` holds the full normality tensor
     ``[f, f] + 2 sum xi_alpha (x) d eta_alpha`` with ``normality[k, i, j]``
-    the component ``k`` of its value on ``(e_i, e_j)``; ``d_eta`` is stored
-    under the model's declared convention.
+    the component ``k`` of its value on ``(e_i, e_j)``; ``d_eta[a]`` is
+    ``d eta_alpha`` (``PointFrame.d_eta``).
     """
 
     point: np.ndarray
@@ -61,7 +61,7 @@ def structure_at(model: ManifoldModel, p: Point | PointFrame, frame: PointFrame 
         g_mat=fr.g,
         f_mat=fr.f,
         F_mat=fr.F,
-        d_eta=fr.d_eta(),
+        d_eta=fr.d_eta,
         h_mat=fr.h_all,
         normality=fr.normality,
         xi_mat=fr.xi,
@@ -155,14 +155,10 @@ def check_f_axioms(model: ManifoldModel, points) -> AxiomReport:
     )
 
 
-def check_contact(model: ManifoldModel, points, convention: Convention | None = None) -> np.ndarray:
-    """Per-alpha relative residual of ``F = d eta_alpha`` under ``convention``.
-
-    ``None`` uses the model's declared convention.
-    """
+def check_contact(model: ManifoldModel, points) -> np.ndarray:
+    """Per-alpha relative residual of ``F = d eta_alpha`` over ``points``."""
     frame = as_frames(model, points)
-    d_eta = frame.d_eta(convention)
-    return np.array([relative_residual([(frame.F, d_eta[:, a])]) for a in range(model.s)])
+    return np.array([relative_residual([(frame.F, frame.d_eta[:, a])]) for a in range(model.s)])
 
 
 def check_normality(model: ManifoldModel, points) -> float:

@@ -59,8 +59,8 @@ def relative_residual(pairs, scale: float = RESIDUAL_FLOOR) -> float:
     sides of size 1 or more are judged relatively, smaller ones absolutely, so
     identities whose sides vanish (flat curvature, Killing fields) do not
     divide roundoff by roundoff.  ``scale`` is the size of the factors of a
-    product identity; it can only raise the divisor.  A NaN anywhere gives NaN, which fails every tolerance; no
-    pairs at all give 0.
+    product identity; it can only raise the divisor.  A NaN anywhere gives
+    NaN, which fails every tolerance; no pairs at all give 0.
     """
     diff, size = 0.0, max(RESIDUAL_FLOOR, scale)
     for lhs, rhs in pairs:

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from fcontact import (
+    ManifoldModel,
     PointFrame,
     build_flat_contact_r3,
-    build_flat_contact_r3_plain,
     build_s_space_form,
     d_deform,
     fit_nullity,
+    jets,
     sample_points,
 )
 from fcontact import nullity as nl
+from fcontact.tolerances import relative_residual
 
 DEFORM_AS = (0.5, 0.75, 2.0, 3.0)
 
@@ -22,9 +24,25 @@ def flat():
     return build_flat_contact_r3()
 
 
+def _flat_plain_fields(x):
+    # the flat structure of the catalog at rotation rate 1: eta = cos z dx + sin z dy,
+    # g = I and f e = d/dz, f d/dz = -e for e = -sin z dx + cos z dy
+    c, s = jets.cos(x[2]), jets.sin(x[2])
+    eta = np.array([[c, s, 0.0]], dtype=object)
+    f = np.array([[0.0, 0.0, s], [0.0, 0.0, -c], [-s, c, 0.0]], dtype=object)
+    return np.eye(3), f, eta, eta
+
+
+# A negative control for the factor 1/2 of the exterior derivative: a metric
+# f-structure whose F is twice d eta, so it satisfies F = d eta only under
+# the convention without the 1/2.
+FLAT_PLAIN = ManifoldModel(n=1, s=1, fields=_flat_plain_fields, domain_box=np.tile([-1.0, 1.0], (3, 1)),
+                           label="flat-contact-r3-plain")
+
+
 @pytest.fixture(scope="session")
 def flat_plain():
-    return build_flat_contact_r3_plain()
+    return FLAT_PLAIN
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +88,13 @@ def flat_fit(flat, flat_points):
 @pytest.fixture(scope="session")
 def s22_fit(s22, s22_points):
     return fit_nullity(s22, s22_points)
+
+
+def twice_d_eta_residual(model, points):
+    """Per-alpha residual of ``F = 2 d eta_alpha``: the contact condition without
+    the 1/2 of the exterior derivative, which no catalog model satisfies."""
+    frame = PointFrame(model, np.stack(points))
+    return np.array([relative_residual([(frame.F, 2.0 * frame.d_eta[:, a])]) for a in range(model.s)])
 
 
 def rng_points(model, count, seed):

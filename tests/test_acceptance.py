@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from fcontact import (
-    Convention,
     catalog_get,
     check_contact,
     check_curvature_model,
@@ -29,6 +28,8 @@ from fcontact import (
 )
 from fcontact.cli import RunConfig, run
 from fcontact.report import emit_report
+
+from .conftest import twice_d_eta_residual
 
 IDT = 1e-8
 FIT = 1e-6
@@ -65,10 +66,9 @@ def test_criterion_1_axiom_battery(suite):
             report = check_f_axioms(entry.model, points)
             assert report.max_residual < IDT, (key, report)
             assert all(report.pass_flags().values()), key
-            # convention pinning: exactly one of HALF/PLAIN satisfies F = d eta
-            half = float(np.max(check_contact(entry.model, points, Convention.HALF)))
-            plain = float(np.max(check_contact(entry.model, points, Convention.PLAIN)))
-            assert (half < IDT) != (plain < IDT), (key, half, plain)
+            # convention pinning: F = d eta holds with the 1/2 of the exterior derivative, not without
+            assert np.max(check_contact(entry.model, points)) < IDT, key
+            assert np.min(twice_d_eta_residual(entry.model, points)) > 0.1, key
 
     _announce(1, "axiom battery + convention pinning on base entries", body)
 

@@ -96,6 +96,14 @@ def test_json_validates_against_schema(deformed_report):
     jsonschema.validate(data, REPORT_SCHEMA)
 
 
+def test_schema_pins_the_manifold_keys(deformed_report):
+    data = json.loads(emit_report(deformed_report, "json"))
+    assert sorted(data["manifold"]) == ["dim", "key", "label", "n", "s"]
+    data["manifold"]["convention"] = "half"
+    with pytest.raises(jsonschema.ValidationError, match="convention"):
+        jsonschema.validate(data, REPORT_SCHEMA)
+
+
 def test_text_format_has_pass_fail_lines(deformed_report):
     text = emit_report(deformed_report, "text").decode()
     for check in deformed_report.checks:
@@ -285,8 +293,31 @@ def test_gssf_on_wrong_s_is_skipped(capsys):
     # a check that never ran prints SKIP and no residual
     assert line.split()[1:4] == ["tol", "1e-06", "SKIP"] and "PASS" not in line
     (record,) = run(RunConfig("flat-contact-r3", points=3, samples=30, checks=["gssf"])).checks
+    # the record keeps its row's gating: gssf is a diagnostic
     assert record.note.startswith("skipped:") and not record.passed and not record.gating
     assert record.residual is None
+
+
+def test_a_skipped_gating_row_keeps_its_gating_and_passes_the_run():
+    # ricci gates wherever it runs, and does not run on a kappa = 1 key
+    report = run(RunConfig("s-space-form:2,2", points=3, samples=30))
+    ricci = {c.name: c for c in report.checks}["ricci"]
+    assert ricci.note == "skipped: the Ricci model requires kappa < 1"
+    assert ricci.residual is None and not ricci.passed and ricci.gating
+    assert report.passed
+    (line,) = [l for l in emit_report(report, "text").decode().splitlines() if l.split()[0] == "ricci"]
+    assert line.split()[1:4] == ["tol", "1e-06", "SKIP"] and "[diagnostic]" not in line
+
+
+def test_a_nan_residual_fails_the_run(monkeypatch, tmp_path, capsys):
+    # JSON writes NaN as null, as it writes a skip, but only a skip leaves the run passing
+    monkeypatch.setattr("fcontact.structure.killing_check", lambda *args: float("nan"))
+    path = tmp_path / "r.json"
+    assert main(["check", "--manifold", "s-space-form:1,1", "--points", "3", "--samples", "30",
+                 "--json", str(path)]) == 1
+    capsys.readouterr()
+    killing = {c["name"]: c for c in json.loads(path.read_text())["checks"]}["killing"]
+    assert killing["residual"] is None and not killing["passed"] and killing["gating"]
 
 
 def test_deformation_constant_passed_through_exactly():
@@ -563,7 +594,7 @@ def test_a_failed_fit_skips_the_rows_that_read_it(monkeypatch, tmp_path, capsys)
     assert records["killing"]["residual"] is None and not records["killing"]["passed"]
     for name in ("spectrum", "r-xi", "rf", "ricci", "H", "curvature-model"):
         assert records[name]["note"] == "skipped: needs the nullity fit, which failed", name
-        assert not records[name]["gating"], name
+        assert records[name]["gating"], name
         assert records[name]["residual"] is None and not records[name]["passed"], name
         (line,) = [l for l in text.splitlines() if l.split()[0] == name]
         assert line.split()[1:4] == ["tol", "1e-06", "SKIP"], line

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcontact import (
-    Convention,
-    NotApplicableError,
     PointFrame,
     check_contact,
     check_f_axioms,
-    convention_normalize,
     d_deform,
     fit_nullity,
     predict_deformed_nullity,
@@ -122,63 +119,30 @@ def test_deformed_catalog_models_follow_the_closed_forms(a, seed):
     assert rep.splitting_residual <= FIT_TOL
 
 
-def test_deformation_preserves_convention_and_labels(flat):
-    deformed = d_deform(flat, 2.0)
-    assert deformed.d_convention is flat.d_convention
-    assert deformed.label.endswith(":deformed:2")
-
-
-# -- PLAIN -> HALF normalization ------------------------------------------------
-
-
-def test_normalize_plain_model(flat_plain, flat_points):
-    norm = convention_normalize(flat_plain)
-    assert norm.d_convention is Convention.HALF
-    assert check_f_axioms(norm, flat_points).max_residual < IDT
-    assert np.max(check_contact(norm, flat_points, Convention.HALF)) < IDT
-
-
-def test_normalize_twice_raises(flat_plain):
-    with pytest.raises(NotApplicableError):
-        convention_normalize(convention_normalize(flat_plain))
-
-
-def test_normalize_half_model_raises(flat):
-    with pytest.raises(NotApplicableError):
-        convention_normalize(flat)
-
-
-def test_normalized_fit_matches_induced_deformation(flat_plain, flat_points):
-    # Recorded behavior: normalizing the rate-1 PLAIN flat structure lands on
-    # the same (kappa, mu, H) as the closed-form deformation law at a = 4.
-    norm = convention_normalize(flat_plain)
-    fit = fit_nullity(norm, flat_points)
-    pred = predict_deformed_nullity(4.0, s=1)
-    assert fit.kappa == pytest.approx(pred.kappa, abs=FIT_TOL)
-    assert fit.mu == pytest.approx(pred.mu, abs=FIT_TOL)
-    rep = sample_H_constancy(norm, flat_points[:4], 20, rng=0)
-    assert rep.h_mean == pytest.approx(pred.h_sectional, abs=FIT_TOL)
-    assert rep.h_spread < FIT_TOL
+def test_deformation_preserves_convention_and_labels(flat, flat_points):
+    # F -> a F and d eta -> a d eta, since eta o f = 0: F = d eta holds after any deformation
+    for a in (1e-3, 0.5, 2.0, 1e3):
+        assert np.max(check_contact(d_deform(flat, a), flat_points)) < IDT, a
+    assert d_deform(flat, 2.0).label.endswith(":deformed:2")
 
 
 # -- one base evaluation per frame ----------------------------------------------
 
 
-def test_a_wrapped_model_runs_its_base_once_per_frame(flat, flat_plain, flat_points):
+def test_a_wrapped_model_runs_its_base_once_per_frame(flat, flat_points):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return flat.fields(x)
+
     twice = lambda m: d_deform(d_deform(m, 2.0), 0.5)
-    for base, wrap in ((flat, twice), (flat_plain, convention_normalize)):
-        calls = []
-
-        def counted(x, fields=base.fields):
-            calls.append(x)
-            return fields(x)
-
-        model = wrap(dataclasses.replace(base, fields=counted))
-        batch, one = PointFrame(model, np.stack(flat_points)), PointFrame(model, flat_points[0])
-        for frame in (batch, one):
-            frame.g, frame.f, frame.xi, frame.eta, frame.riemann31, frame.h_all, frame.d_eta()
-        assert len(calls) == 2, model.label
-        # the counted base gives the same fields as the base itself
-        plain = PointFrame(wrap(base), np.stack(flat_points))
-        for name in ("g", "dg", "d2g", "f", "df", "xi", "dxi", "eta", "deta"):
-            assert np.array_equal(getattr(batch, name), getattr(plain, name)), (model.label, name)
+    model = twice(dataclasses.replace(flat, fields=counted))
+    batch, one = PointFrame(model, np.stack(flat_points)), PointFrame(model, flat_points[0])
+    for frame in (batch, one):
+        frame.g, frame.f, frame.xi, frame.eta, frame.riemann31, frame.h_all, frame.d_eta
+    assert len(calls) == 2
+    # the counted base gives the same fields as the base itself
+    plain = PointFrame(twice(flat), np.stack(flat_points))
+    for name in ("g", "dg", "d2g", "f", "df", "xi", "dxi", "eta", "deta"):
+        assert np.array_equal(getattr(batch, name), getattr(plain, name)), name

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from fcontact import (
-    Convention,
     EmptyPointSetError,
-    build_flat_contact_r3_plain,
     build_s_space_form,
     catalog_get,
     check_contact,
@@ -31,7 +29,7 @@ from fcontact.errors import DegenerateMetricError
 from fcontact.geom import ManifoldModel, Point, PointFrame, as_frame
 from fcontact.structure import structure_at
 
-from .conftest import with_field
+from .conftest import FLAT_PLAIN, with_field
 from .oracles import fd_christoffel, fd_dgamma, sympy_riemann31
 
 
@@ -187,25 +185,25 @@ def test_lie_bracket_structure_fields_commute(s22, s22_points):
 
 def test_exterior_derivative_constant_form(flat):
     m = with_field(flat, "eta", lambda eta, x: np.array([[0.25, -1.0, 3.0]], dtype=object))
-    d = PointFrame(m, np.array([0.1, 0.2, 0.3])).d_eta(Convention.PLAIN)[0]
+    d = PointFrame(m, np.array([0.1, 0.2, 0.3])).d_eta[0]
     assert np.allclose(d, 0)
 
 
-def test_exterior_derivative_hand_oracle(flat_plain):
-    # eta = cos z dx + sin z dy at z = 0: (d eta)_zy = 1, (d eta)_zx = 0 (PLAIN)
+def test_exterior_derivative_hand_oracle(flat):
+    # eta = cos 2z dx + sin 2z dy at z = 0: (d eta)_zy = 1/2 (d_z eta_y - d_y eta_z) = 1, (d eta)_zx = 0
     p = np.zeros(3)
-    d = PointFrame(flat_plain, p).d_eta(Convention.PLAIN)[0]
+    d = PointFrame(flat, p).d_eta[0]
     assert d[2, 1] == pytest.approx(1.0)
     assert d[2, 0] == pytest.approx(0.0)
     assert np.max(np.abs(d + d.T)) < 1e-12
 
 
-def test_exterior_derivative_equals_F_under_declared_convention(s22, s22_points):
+def test_exterior_derivative_equals_F(s22, s22_points):
     for p in s22_points[:5]:
         frame = PointFrame(s22, p)
         F = frame.g @ frame.f
         for a in range(s22.s):
-            d = frame.d_eta(Convention.HALF)[a]
+            d = frame.d_eta[a]
             assert np.max(np.abs(F - d)) < 1e-8
 
 
@@ -257,14 +255,14 @@ def test_degenerate_metric_error():
 FIELDS = ("g", "dg", "d2g", "f", "df", "xi", "dxi", "eta", "deta")
 DERIVED = (
     "ginv", "gamma", "dgamma", "riemann31", "riemann40", "ricci", "ricci_op", "nabla_f",
-    "F", "f2", "xi_bar", "eta_bar", "h_all", "h", "nijenhuis", "xi_d_eta", "normality", "proj_L",
+    "F", "f2", "xi_bar", "eta_bar", "d_eta", "h_all", "h", "nijenhuis", "xi_d_eta", "normality", "proj_L",
 )
 
 
 @pytest.mark.parametrize(
     "model",
     [catalog_get("s-space-form:3,3").model, catalog_get("flat-contact-r3:deformed:0.5").model,
-     build_flat_contact_r3_plain()],
+     FLAT_PLAIN],
     ids=["s-space-form:3,3", "flat-contact-r3:deformed:0.5", "flat-contact-r3-plain"],
 )
 def test_batch_frame_equals_the_stacked_point_frames(model):
@@ -278,9 +276,7 @@ def test_batch_frame_equals_the_stacked_point_frames(model):
         got = getattr(batch, name)
         assert got.shape == want.shape, name
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), name
-    for convention in (None, Convention.HALF, Convention.PLAIN):
-        want = np.stack([fr.d_eta(convention) for fr in singles])
-        assert np.array_equal(batch.d_eta(convention), want), convention
+    assert np.array_equal(batch.d_eta, np.stack([fr.d_eta for fr in singles]))
     # slices share the batch's arrays and have the shapes of one-point frames
     first, middle = batch[0], batch[1:3]
     assert first.g.shape == singles[0].g.shape
@@ -456,7 +452,6 @@ def test_frame_arrays_are_read_only(deformed_query):
     returned = point_query_arrays(model, fit, p)
     frame, batch = as_frame(model, p), PointFrame(model, np.stack([p, p]))
     kept = {name: getattr(frame, name) for name in ("point", *FIELDS, *DERIVED)}
-    kept.update({f"d_eta({c})": frame.d_eta(c) for c in Convention})
     kept.update({f"batch[0].{name}": getattr(batch[0], name) for name in ("point", *FIELDS, *DERIVED)})
     # what h_spectrum computes for its caller alone is the caller's to keep
     own = {name: returned.pop(f"SpectrumReport.{name}") for name in ("eigenvalues",)}

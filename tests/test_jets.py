@@ -107,6 +107,19 @@ def test_fractional_pow_rejects_nonpositive():
         x**0.5
 
 
+@pytest.mark.parametrize("p", [2.0, -1.0, np.float64(3)], ids=["2.0", "-1.0", "float64(3)"])
+def test_integral_float_pow_takes_the_integer_path(p):
+    # floats raise a negative base to an integral float power, and so must jets
+    coords = np.array([[-0.5, 0.3], [0.7, -1.2]])
+    for point in (coords[0], coords):
+        x, y = jets.variables(point)
+        for u, u0 in ((x, point[..., 0]), (y, point[..., 1])):
+            w, want = u**p, u ** int(p)
+            assert np.array_equal(w.val, np.power(u0, float(p)))
+            for got, exact in ((w.val, want.val), (w.grad, want.grad), (w.hess, want.hess)):
+                assert np.array_equal(got, exact)
+
+
 def test_plain_floats_pass_through():
     assert jets.sin(0.5) == pytest.approx(math.sin(0.5))
     value, grad, hess = jets.tensor_parts([2.5], 3)

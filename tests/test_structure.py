@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fcontact import (
-    Convention,
     PointFrame,
     catalog_get,
     check_contact,
@@ -16,7 +15,7 @@ from fcontact import (
     structure_at,
 )
 
-from .conftest import with_field
+from .conftest import twice_d_eta_residual, with_field
 
 IDT = 1e-8
 
@@ -39,8 +38,10 @@ def test_axiom_battery_flat(flat, flat_points):
 
 
 def test_axiom_battery_plain_fixture(flat_plain, flat_points):
+    # a metric f-structure with F = 2 d eta: every axiom but the contact condition holds
     report = check_f_axioms(flat_plain, flat_points)
-    assert report.max_residual < IDT
+    assert report.r_axioms < IDT and report.r_h_properties < IDT
+    assert np.max(report.r_contact) > 0.1
 
 
 def test_doubled_f_breaks_the_squared_axiom(flat, flat_points):
@@ -56,21 +57,16 @@ def test_empty_point_list_rejected(flat):
 
 
 def test_contact_convention_pinning_s_structure(s22, s22_points):
-    assert np.max(check_contact(s22, s22_points, Convention.HALF)) < IDT
-    assert np.min(check_contact(s22, s22_points, Convention.PLAIN)) > 0.1
+    assert np.max(check_contact(s22, s22_points)) < IDT
+    assert np.min(twice_d_eta_residual(s22, s22_points)) > 0.1
 
 
 def test_contact_convention_pinning_flat(flat, flat_plain, flat_points):
-    assert np.max(check_contact(flat, flat_points, Convention.HALF)) < IDT
-    assert np.min(check_contact(flat, flat_points, Convention.PLAIN)) > 0.1
-    assert np.max(check_contact(flat_plain, flat_points, Convention.PLAIN)) < IDT
-    assert np.min(check_contact(flat_plain, flat_points, Convention.HALF)) > 0.1
-
-
-def test_contact_uses_declared_convention_by_default(s22, s22_points):
-    declared = check_contact(s22, s22_points)
-    explicit = check_contact(s22, s22_points, Convention.HALF)
-    assert np.allclose(declared, explicit)
+    assert np.max(check_contact(flat, flat_points)) < IDT
+    assert np.min(twice_d_eta_residual(flat, flat_points)) > 0.1
+    # the negative control satisfies F = 2 d eta, so the factor 1/2 is what F = d eta reads
+    assert np.max(twice_d_eta_residual(flat_plain, flat_points)) < IDT
+    assert check_contact(flat_plain, flat_points) == pytest.approx([0.5], abs=0.01)
 
 
 def test_normality_s_structure(s22, s22_points):
