@@ -42,8 +42,9 @@ from .geom import ManifoldModel
 
 # Largest dimension of a catalog key: a run holds several (points, dim^4)
 # arrays, so its memory grows about as dim^4.  At dim 9, `fcontact check
-# --points 1000 --samples 200` peaks at 282-300 MB of RSS (s-space-form:3,3,
-# 4,1 and 1,7 on x86-64 Linux, numpy 2.4).
+# --points 1000 --samples 200` peaks at 329-343 MB of RSS (s-space-form:3,3
+# 329-331, 4,1 339-340 and 1,7 335-343 MB on x86-64 Linux, Python 3.11,
+# numpy 2.4; the spread is where numpy's 2 MB pages fall).
 MAX_DIM = 9
 
 

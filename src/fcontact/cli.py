@@ -273,16 +273,19 @@ CHECK_NAMES = [row.name for row in CHECKS]
 
 
 def _record(row: Check, ctx: RunContext) -> CheckRecord:
+    """The record of one row, with the wall time of its measurement (skipped or errored too)."""
     tol = ctx.fit_tol if row.fit_tol else IDENTITY_TOL
+    t0 = time.perf_counter()
     try:
         out = row.measure(ctx)
     except NotApplicableError as exc:
-        return CheckRecord(row.name, None, tol, False, row.gating, f"skipped: {exc}")
+        return CheckRecord(row.name, None, tol, False, row.gating, f"skipped: {exc}", time.perf_counter() - t0)
     except FContactError as exc:
-        return CheckRecord(row.name, float("inf"), tol, False, row.gating, f"error: {exc}")
+        return CheckRecord(row.name, float("inf"), tol, False, row.gating, f"error: {exc}", time.perf_counter() - t0)
+    wall_time = time.perf_counter() - t0
     residual, ok, note = out if isinstance(out, tuple) else (out, True, "")
     residual = float(residual)
-    return CheckRecord(row.name, residual, tol, bool(residual <= tol and ok), row.gating, note)
+    return CheckRecord(row.name, residual, tol, bool(residual <= tol and ok), row.gating, note, wall_time)
 
 
 def run(config: RunConfig) -> CheckReport:

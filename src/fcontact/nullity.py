@@ -24,10 +24,23 @@ curvature ansatz for s = 2, and the characteristic-function fit of
 Every identity above except H(X) itself is multilinear in its vector
 arguments, so it holds for all vectors exactly when it holds on the
 coordinate basis vectors.  Those identities are therefore checked, and the
-fits solved, on every basis pair or triple at every point: each side is
-built as a tensor with ``einsum``, over all points of one stacked
-:class:`~fcontact.geom.PointFrame` at once, and compared component by
-component with ``riemann31`` or ``nabla_f``.  Only H(X), which is not
+fits solved, on every basis pair or triple at every point, over all points
+of one stacked :class:`~fcontact.geom.PointFrame` at once, block by block of
+points, and compared component by component with ``riemann31`` or
+``nabla_f``.  The identities in ``R(X, Y)`` -- the nullity condition, the
+R(X, Y)fZ expansion, the constant-H curvature model and the seven-function
+ansatz -- are compared on the pairs ``(e_i, e_j)`` with ``i < j`` alone, and
+these are exhaustive: ``R(X, Y) = -R(Y, X)``, and every other side is
+antisymmetric in X, Y by construction (a term minus its swap, or a factor
+``R(X, Y)`` or ``F(X, Y)``), so both sides at ``(e_j, e_i)`` are those at
+``(e_i, e_j)`` negated, and at ``(e_i, e_i)`` both vanish.  Their sides are
+laid out pair-major, ``[..., q, l, k]`` for component l of the vector at
+``(e_i, e_j, e_k)`` on pair q: ``R(e_i, e_j)`` is gathered from
+``riemann31`` (:func:`_curvature_pairs`) as one matrix per pair, so that
+``R f``, ``f R`` and ``R xi`` are batched matrix products, and the
+``g(MX, Z) NY`` terms are antisymmetrized on the pairs (:func:`_xz_y`).  The
+identities in ``R(xi_alpha, X)Y`` and ``nabla f`` have no such symmetry and
+are built as tensors with ``einsum`` on every pair.  Only H(X), which is not
 multilinear, is sampled over random unit sections of L, by
 :func:`sample_H_constancy`, and one sample decides everything about H: its
 mean, its spread relative to its size, and, for kappa < 1, its residual
@@ -57,6 +70,7 @@ from .tolerances import (
     IDENTITY_TOL,
     SECTION_CUTOFF,
     SECTION_TOL,
+    peak,
     relative_residual,
 )
 
@@ -112,65 +126,109 @@ def _lstsq_reduced(r: np.ndarray, c: np.ndarray, columns=slice(None)) -> tuple[n
     return _lstsq(r.reshape(-1, r.shape[-1]), c.ravel())
 
 
-def _antisym(t: np.ndarray) -> np.ndarray:
-    """``t(X, Y) - t(Y, X)`` for a tensor laid out like ``riemann31``: [l, k, i, j]."""
-    return t - t.swapaxes(-1, -2)
+def _pairs(dim: int) -> np.ndarray:
+    """The basis pairs ``i < j`` as rows ``(i, j)``, in the order of ``np.triu_indices``: ``(q, 2)``.
+
+    Not ``np.transpose(np.triu_indices(dim, 1))``: that takes 15 us against
+    2.4 us (Xeon, numpy 2.4), and nullity, rf and curvature-model each take
+    their pairs once per block: about 40 us more on the 3 ms ``check`` of
+    ``flat-contact-r3:deformed:0.5`` at 4 points and 2000 samples.
+    """
+    r = np.arange(dim)
+    return np.array((r[:, None] < r).nonzero()).T
 
 
-def _xz_y(*terms) -> np.ndarray:
-    """``sum b(X, Z) N Y`` over ``terms`` of ``(b, N)`` with ``b[..., k, i] = b(e_i, e_k)``,
-    on basis vectors laid out like ``riemann31``: [l, k, i, j].
+def _curvature_pairs(fr: PointFrame, ij: np.ndarray) -> np.ndarray:
+    """``R(e_i, e_j)`` as a matrix ``[l, k]`` on each pair of ``ij``, gathered from
+    ``riemann31``: ``[..., q, l, k]``, pair-major.  A new array, the caller's to keep."""
+    return fr.riemann31.swapaxes(-1, -3).swapaxes(-2, -4)[..., ij[:, 0], ij[:, 1], :, :]
 
-    One contraction over the terms, so no tensor is formed per term.  For
+
+def _xz_y(ij: np.ndarray, *terms) -> np.ndarray:
+    """``sum b(X, Z) N Y - b(Y, Z) N X`` over ``terms`` of ``(b, N)`` with
+    ``b[..., k, i] = b(e_i, e_k)``, on the pairs ``(X, Y) = (e_i, e_j)`` of ``ij``:
+    ``[..., q, l, k]``, pair-major.
+
+    Both halves of the antisymmetric sum are one batched matrix product per
+    pair: ``[N e_j, N e_i]`` (columns over the terms) times ``[b(e_i, .), -b(e_j, .)]``,
+    so no tensor is formed per term or over the pairs ``i > j``.  For
     ``b = g M`` a term is ``g(M X, Z) N Y``.
     """
-    b, n = np.stack([t[0] for t in terms]), np.stack([t[1] for t in terms])
-    return einsum("t...ki,t...lj->...lkij", b, n)
+    # [..., i, term, k] and [..., j, term, l]
+    b, n = (np.concatenate([t[side][..., None, :, :] for t in terms], axis=-3).swapaxes(-1, -3).swapaxes(-1, -2)
+            for side in (0, 1))
+    v = b.take(ij, axis=-3)  # [..., q, 2, term, k]: b(e_i, .), then b(e_j, .)
+    v[..., 1, :, :] *= -1.0
+    u = n.take(ij[:, ::-1], axis=-3)  # N e_j, then N e_i
+    u, v = (t.reshape(t.shape[:-3] + (-1, t.shape[-1])) for t in (u, v))  # [..., q, 2 * terms, .]
+    return u.swapaxes(-1, -2) @ v
 
 
-# Identities whose sides hold a dim^4 tensor per point are compared on blocks
-# of points whose tensors have about this many entries in all, so their
-# memory does not grow with the number of points.
+# Identities are compared on blocks of points, so that their memory does not
+# grow with the number of points: a block holds about this many entries in
+# the largest array the identity allocates.  Per point that array has
+# ``q dim^2`` entries (``q = dim(dim - 1)/2`` pairs, ``_pair_entries``) for
+# nullity, rf and curvature-model: the curvature gathered on the pairs, or
+# one side; ``7 q dim^2`` for the gssf design; ``s dim^3`` for r-xi and
+# t421, and ``2 s dim^3`` for the trans-s design.  A block's temporaries peak
+# at a few such arrays: at most 1.5 MB at dim 9, where 20 points take two
+# blocks, and 0.8 MB for gssf at dims 6 and 8.  A larger budget makes the
+# 20-point runs of the dim-9 keys one block, but no faster (2-vCPU Xeon,
+# numpy 2.4).
 _BLOCK_ENTRIES = 2**15
 
 
-def _blocks(fr: PointFrame, shared: str = "riemann31"):
-    """``fr`` itself, or its slices of ``_BLOCK_ENTRIES / dim^4`` points when it has more.
+def _blocks(fr: PointFrame, per_point: int, shared: str = "riemann31"):
+    """``fr`` itself, or its slices of ``_BLOCK_ENTRIES / per_point`` points when it has more.
 
-    The ``shared`` array is computed over all of ``fr`` first, so the slices
-    read it instead of computing it again block by block.
+    ``per_point`` is the number of entries per point of the largest array the
+    identity allocates.  The ``shared`` array is computed over all of ``fr``
+    first, so the slices read it instead of computing it again block by block.
     """
-    count, size = len(fr.point), max(1, _BLOCK_ENTRIES // fr.model.dim**4)
+    count, size = len(fr.point), max(1, _BLOCK_ENTRIES // per_point)
     if count <= size:
         return [fr]
     getattr(fr, shared)
     return (fr[i:i + size] for i in range(0, count, size))
 
 
-def _systems(fr: PointFrame, block, shared: str = "riemann31"):
+def _pair_entries(model: ManifoldModel) -> int:
+    """Entries per point of one side laid out on the pairs: ``q dim^2``."""
+    return model.dim**3 * (model.dim - 1) // 2
+
+
+def _systems(fr: PointFrame, block, per_point: int, shared: str = "riemann31", peaks: bool = False):
     """The per-point least-squares systems ``block(fr)`` builds, over blocks of points.
 
     Returns the ``_reduce`` forms of all points, stacked (``r``
     ``(P, cols, cols)`` and ``c`` ``(P, cols)``), the largest ``|entry|`` of
-    each design column, and ``residual(sol, columns)``, the relative residual
-    of a solution on every row.  The design of a single block is kept for the
-    residual; several blocks are built again one at a time, so that memory
-    does not grow with the number of points.
+    each design column when ``peaks`` is set (else ``None``), and
+    ``residual(sol, columns)``, the relative residual of a solution on every
+    row.  The design of a single block is kept for the residual; several
+    blocks are built again one at a time, so that memory does not grow with
+    the number of points.
     """
-    rs, cs, norms = [], [], []
-    for b in _blocks(fr, shared):
-        design, y = block(b)
+    rs, cs, norms, system = [], [], [], None
+    for b in _blocks(fr, per_point, shared):
+        system = None  # the last block's system is dropped before the next is built
+        system = design, y = block(b)
         r, c = _reduce(design, y)
         rs.append(r)
         cs.append(c)
-        norms.append(np.max(np.abs(design), axis=(0, 1)))
-    kept = [(design, y)] if len(rs) == 1 else None
+        if peaks:  # column by column: a reduction that keeps the short column axis is slow
+            norms.append([peak(design[..., j]) for j in range(design.shape[-1])])
+        del design, y
+    kept = [system] if len(rs) == 1 else None
 
     def residual(sol, columns=slice(None)):
-        systems = kept or map(block, _blocks(fr, shared))
-        return relative_residual((rhs, d[..., columns] @ sol) for d, rhs in systems)
+        def pairs():
+            for design, y in kept or map(block, _blocks(fr, per_point, shared)):
+                yield y, design[..., columns] @ sol
+                del design, y  # before the next block is built
 
-    return np.concatenate(rs), np.concatenate(cs), np.max(norms, axis=0), residual
+        return relative_residual(pairs(), overwrite=True)
+
+    return np.concatenate(rs), np.concatenate(cs), np.max(norms, axis=0) if peaks else None, residual
 
 
 def _per_alpha(t: np.ndarray) -> np.ndarray:
@@ -180,15 +238,19 @@ def _per_alpha(t: np.ndarray) -> np.ndarray:
 
 def _nullity_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
     """Columns ``(A, B)`` and right-hand side ``R(e_i, e_j) xi_alpha`` of the
-    nullity condition at each point of ``fr``, over alpha, basis pairs i < j
+    nullity condition at each point of ``fr``, over basis pairs i < j, alpha
     and components: ``(P, rows, 2)`` and ``(P, rows)``."""
-    iu, ju = np.triu_indices(fr.model.dim, 1)
-    count = len(fr.point)
-    a = _antisym(einsum("pi,plj->plij", fr.eta_bar, fr.f2))
-    b = _antisym(einsum("pj,pali->palij", fr.eta_bar, fr.h_all))[..., iu, ju]
-    y = einsum("plkij,pak->palij", fr.riemann31, fr.xi)[..., iu, ju]
-    a = np.broadcast_to(a[:, None, :, iu, ju], b.shape)
-    return np.stack([a.reshape(count, -1), b.reshape(count, -1)], axis=-1), y.reshape(count, -1)
+    count, dim, s = len(fr.point), fr.model.dim, fr.model.s
+    ij = _pairs(dim)
+    # A = etab(X) f^2 Y - (X <-> Y) and B_alpha = -(etab(X) h_alpha Y - (X <-> Y)), as one
+    # term whose N stacks f^2 and the -h_alpha along its rows: [p, q, 1 + s, l]
+    n = np.concatenate([fr.f2[:, None], -fr.h_all], axis=1).reshape(count, -1, dim)
+    ab = _xz_y(ij, (fr.eta_bar[:, None], n)).reshape(count, len(ij), 1 + s, dim)
+    y = fr.xi[:, None] @ _curvature_pairs(fr, ij).swapaxes(-1, -2)  # [p, q, alpha, l]
+    design = np.empty(y.shape + (2,))
+    design[..., 0] = ab[:, :, :1]
+    design[..., 1] = ab[:, :, 1:]
+    return design.reshape(count, -1, 2), y.reshape(count, -1)
 
 
 def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) -> NullityFit:
@@ -201,7 +263,7 @@ def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) 
     1 when ``1 - kappa > FIT_TOL``; ``lam`` records the outcome.
     """
     frame = as_frames(model, points)
-    r, c, (a_norm, b_norm), residual = _systems(frame, _nullity_block)
+    r, c, (a_norm, b_norm), residual = _systems(frame, _nullity_block, _pair_entries(model), peaks=True)
     # the kappa column is judged against the size of its factors, the mu column against it
     if not a_norm > COLUMN_CUTOFF * np.abs(frame.eta_bar).max() * np.abs(frame.f2).max():
         raise InsufficientSampleError("all eta-bar terms of the nullity system vanish")
@@ -233,7 +295,7 @@ def verify_r_xi(model: ManifoldModel, fit: NullityFit, points) -> float:
         rhs = einsum("pk,pali->palik", fr.eta_bar, k) - einsum("paik,pl->palik", _per_alpha(fr.g) @ k, fr.xi_bar)
         return lhs, rhs
 
-    return relative_residual(map(sides, _blocks(as_frames(model, points))))
+    return relative_residual(map(sides, _blocks(as_frames(model, points), model.s * model.dim**3)), overwrite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -286,28 +348,34 @@ def h_spectrum(model: ManifoldModel, fit: NullityFit, p: Point | PointFrame) -> 
 
 
 def _rf_sides(fr: PointFrame, kappa: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the R(X, Y)fZ expansion on basis vectors, laid out like ``riemann31``.
+    """Both sides of the R(X, Y)fZ expansion on the basis pairs i < j, ``[..., q, l, k]``
+    (``_xz_y``), at one point or over a batch.
 
     ``R(X, Y)fZ = f R(X, Y)Z + (kappa, mu, s) correction terms`` in f, h,
-    f^2, fh, etab and xib.
+    f^2, fh, etab and xib.  Both are new arrays, the caller's to keep.
     """
     f, fh, g, s = fr.f, fr.f @ fr.h, fr.g, fr.model.s
     c = kappa * f + mu * fh
     p, q = fr.h - fr.f2, f + fh
-    half = _xz_y(
+    ij = _pairs(fr.model.dim)
+    rhs = _xz_y(
+        ij,
         (g @ c, _outer(fr.xi_bar, fr.eta_bar)),
         (g @ p, s * q),
         (g @ q, s * p),
         (_outer(fr.eta_bar, fr.eta_bar), c),
     )
-    lhs = einsum("...lmij,...mk->...lkij", fr.riemann31, f)
-    return lhs, einsum("...lm,...mkij->...lkij", f, fr.riemann31) + _antisym(half)
+    r, f = _curvature_pairs(fr, ij), f[..., None, :, :]
+    lhs = r @ f
+    rhs += f @ r
+    return lhs, rhs
 
 
 def check_rf_identity(model: ManifoldModel, fit: NullityFit, points) -> float:
     """Relative residual of the R(X, Y)fZ expansion on every basis triple."""
     kappa, mu = fit.kappa, fit.mu_effective
-    return relative_residual(_rf_sides(fr, kappa, mu) for fr in _blocks(as_frames(model, points)))
+    blocks = _blocks(as_frames(model, points), _pair_entries(model))
+    return relative_residual((_rf_sides(fr, kappa, mu) for fr in blocks), overwrite=True)
 
 
 def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
@@ -487,17 +555,23 @@ def check_curvature_model(model: ManifoldModel, fit: NullityFit, H: float, point
         f, h, f2, g = fr.f, fr.h, fr.f2, fr.g
         fh = f @ h
         k = kappa * f2 - mu * h
-        half = _xz_y(
+        ij = _pairs(model.dim)
+        rhs = _xz_y(
+            ij,
             (g @ f2, 4 * s * h - (H + 3 * s) * f2),
             (g @ h, 4 * s * f2 - 2 * s * h),
             (g @ fh, 2 * s * fh),
             (fr.F.swapaxes(1, 2), (H - s) * f),
             (_outer(fr.eta_bar, fr.eta_bar), 4 * k),
-        ) - 4 * einsum("pi,pjk,pl->plkij", fr.eta_bar, g @ k, fr.xi_bar)
-        rhs = _antisym(half) + 2 * (H - s) * einsum("pij,plk->plkij", fr.F, f)
-        return 4.0 * fr.riemann31, rhs
+            # -4 etab(X) g(kY, Z) xib, antisymmetrized as +4 g(kX, Z) etab(Y) xib
+            ((g @ k).swapaxes(1, 2), 4 * _outer(fr.xi_bar, fr.eta_bar)),
+        )
+        rhs += (2 * (H - s) * fr.F[:, ij[:, 0], ij[:, 1], None, None]) * f[:, None]
+        lhs = _curvature_pairs(fr, ij)
+        lhs *= 4.0
+        return lhs, rhs
 
-    return relative_residual(map(sides, _blocks(as_frames(model, points))))
+    return relative_residual(map(sides, _blocks(as_frames(model, points), _pair_entries(model))), overwrite=True)
 
 
 def check_splitting_lemma(
@@ -534,31 +608,33 @@ class GssfFit:
 def _gssf_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
     """Design ``(P, rows, 7)`` and right-hand side of the ansatz on basis pairs i < j.
 
-    The seven basis tensors, laid out like ``riemann31`` ([l, k, i, j]):
+    The seven basis tensors, on the pairs as ``_xz_y`` lays them out ([q, l, k]):
     ``t1 = g(Y, Z)X - g(X, Z)Y``,
     ``t2 = g(X, fZ)fY - g(Y, fZ)fX + 2 g(X, fY)fZ``,
     ``t_ab = eta_a(X) eta_b(Z)Y - eta_a(Y) eta_b(Z)X + g(X, Z) eta_a(Y) xi_b
     - g(Y, Z) eta_a(X) xi_b`` for (a, b) = (1, 1), (2, 2), (1, 2), (2, 1),
     ``t7 = eta_1(X) eta_2(Y) (eta_2(Z) xi_1 - eta_1(Z) xi_2) - (X <-> Y)``.
+    The ``g(MX, Z) NY`` parts of t1 to t6 are one ``_xz_y`` over a column
+    axis, with two terms per column (t1 and t2 have one, and a zero).
     """
-    iu, ju = np.triu_indices(fr.model.dim, 1)
-    count = len(fr.point)
-    eye, eta, xi = np.eye(fr.model.dim), fr.eta, fr.xi
-    t_ab = _antisym(
-        einsum("pai,pbk,lj->pablkij", eta, eta, eye) - einsum("pai,pjk,pbl->pablkij", eta, fr.g, xi)
-    )
-    eta1, eta2, xi1, xi2 = eta[:, 0], eta[:, 1], xi[:, 0], xi[:, 1]
-    terms = np.stack([
-        _antisym(-einsum("pik,lj->plkij", fr.g, eye)),
-        _antisym(einsum("pik,plj->plkij", fr.F, fr.f)) + 2.0 * einsum("pij,plk->plkij", fr.F, fr.f),
-        t_ab[:, 0, 0],
-        t_ab[:, 1, 1],
-        t_ab[:, 0, 1],
-        t_ab[:, 1, 0],
-        _antisym(einsum("pi,pj,pkl->plkij", eta1, eta2, _outer(eta2, xi1) - _outer(eta1, xi2))),
-    ], axis=1)
-    design = terms[..., iu, ju].reshape(count, 7, -1).swapaxes(1, 2)
-    return design, fr.riemann31[..., iu, ju].reshape(count, -1)
+    count, dim = len(fr.point), fr.model.dim
+    ij = _pairs(dim)
+    g, f, eta, xi = fr.g, fr.f, fr.eta, fr.xi
+    a, b = [0, 1, 0, 1], [0, 1, 1, 0]  # (a, b) of t3..t6
+    eye, zero = np.broadcast_to(np.eye(dim), (count, 2, dim, dim)), np.zeros((count, 2, dim, dim))
+    gs = np.broadcast_to(g[:, None], (count, 4, dim, dim))
+    xz = _xz_y(
+        ij,
+        (np.concatenate([g[:, None], fr.F.swapaxes(1, 2)[:, None], _outer(eta[:, b], eta[:, a])], axis=1),
+         np.concatenate([-eye[:, :1], f[:, None], eye, eye], axis=1)),
+        (np.concatenate([zero, gs], axis=1), np.concatenate([zero, _outer(xi[:, b], eta[:, a])], axis=1)),
+    )  # [p, column, q, l, k]
+    xz[:, 1] += (2.0 * fr.F[:, ij[:, 0], ij[:, 1], None, None]) * f[:, None]
+    e1, e2 = eta[:, 0, ij], eta[:, 1, ij]  # [p, q, (i, j)]
+    t7 = (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])[..., None, None] * (
+        _outer(xi[:, 0], eta[:, 1]) - _outer(xi[:, 1], eta[:, 0]))[:, None]
+    design = np.concatenate([xz, t7[:, None]], axis=1).reshape(count, 7, -1).swapaxes(1, 2)
+    return design, _curvature_pairs(fr, ij).reshape(count, -1)
 
 
 def fit_gssf(model: ManifoldModel, points) -> GssfFit:
@@ -569,7 +645,7 @@ def fit_gssf(model: ManifoldModel, points) -> GssfFit:
     """
     if model.s != 2:
         raise NotApplicableError("the seven-function ansatz is defined for s = 2")
-    r, c, _, residual = _systems(as_frames(model, points), _gssf_block)
+    r, c, _, residual = _systems(as_frames(model, points), _gssf_block, 7 * _pair_entries(model))
     local = np.vstack([_lstsq(r_p, c_p)[0] for r_p, c_p in zip(r, c)])
     sol, cond = _lstsq_reduced(r, c)
 
@@ -623,12 +699,14 @@ def fit_trans_s(model: ManifoldModel, points) -> TransSFit:
     """
     s = model.s
     fr = as_frames(model, points)
-    r, c, _, residual = _systems(fr, _trans_s_block, "nabla_f")
+    r, c, _, residual = _systems(fr, _trans_s_block, 2 * s * model.dim**3, "nabla_f")
     sol, cond = _lstsq_reduced(r, c)
     t421 = None
     if relative_residual([(fr.h_all, 0.0)]) <= IDENTITY_TOL:
         t421 = relative_residual(
-            (einsum("pkbam,pcm->pckba", b.riemann31, b.xi), -b.nabla_f[:, None]) for b in _blocks(fr)
+            ((-b.nabla_f[:, None], einsum("pkbam,pcm->pckba", b.riemann31, b.xi))
+             for b in _blocks(fr, s * model.dim**3)),
+            overwrite=True,
         )
     return TransSFit(
         alpha=sol[:s],

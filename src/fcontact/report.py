@@ -4,15 +4,16 @@ Reports always carry raw residuals next to the tolerance that judged them, so
 pass/fail flags are recomputable from the report alone.  A skipped check has
 no residual and has not passed.  JSON serialization is canonical (sorted
 keys) and byte-identical across runs with the same config and seed, except
-for ``wall_time``.  It is strict JSON (RFC 8259): a non-finite number, such
-as the ``inf`` residual of an errored check, is written as ``null``.
+for ``wall_time``, the run's and each check's.  It is strict JSON (RFC
+8259): a non-finite number, such as the ``inf`` residual of an errored
+check, is written as ``null``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["CheckRecord", "CheckReport", "REPORT_SCHEMA", "emit_report"]
 
@@ -26,6 +27,9 @@ class CheckRecord:
     normal) feeding the verdicts.  A check whose precondition does not hold
     is skipped: it has no residual (``None``) and has not passed; it keeps
     its row's ``gating``, but only checks that ran decide the exit status.
+    ``wall_time`` is the seconds its measurement took; like the report's own
+    ``wall_time`` it is in the JSON report only, outside its byte identity,
+    and records that differ only in it compare equal.
     """
 
     name: str
@@ -34,6 +38,7 @@ class CheckRecord:
     passed: bool
     gating: bool
     note: str = ""
+    wall_time: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -89,7 +94,7 @@ REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["name", "residual", "tolerance", "passed", "gating"],
+                "required": ["name", "residual", "tolerance", "passed", "gating", "wall_time"],
                 "properties": {
                     "name": {"type": "string"},
                     "residual": _NUMBER_OR_NULL,
@@ -97,6 +102,7 @@ REPORT_SCHEMA = {
                     "passed": {"type": "boolean"},
                     "gating": {"type": "boolean"},
                     "note": {"type": "string"},
+                    "wall_time": {"type": "number", "minimum": 0},
                 },
             },
         },

@@ -173,7 +173,11 @@ def killing_check(model: ManifoldModel, alpha: int, points) -> float:
     ``(L_xi g)_ij = xi^m d_m g_ij + g_mj d_i xi^m + g_im d_j xi^m``; the
     structure field is Killing iff this vanishes, which happens iff
     ``h_alpha = 0``.  The first term is compared with minus the other two.
+    ``alpha`` names the structure field ``xi_alpha``: an integer in ``[0, s)``;
+    anything else raises ``ValueError``.
     """
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer)) or not 0 <= alpha < model.s:
+        raise ValueError(f"alpha must be an integer in [0, {model.s}), got {alpha!r}")
     fr = as_frames(model, points)
     dxi = fr.dxi[:, alpha]
     return relative_residual([(

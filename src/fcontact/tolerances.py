@@ -49,7 +49,12 @@ SECTION_CUTOFF = 1e-3
 SECTION_TOL = 1e-6
 
 
-def relative_residual(pairs, scale: float = RESIDUAL_FLOOR) -> float:
+def peak(x) -> float:
+    """The largest ``|component|`` of ``x``, without forming ``|x|``; NaN when ``x`` holds one."""
+    return max(float(np.maximum.reduce(x, None)), -float(np.minimum.reduce(x, None)))
+
+
+def relative_residual(pairs, scale: float = RESIDUAL_FLOOR, *, overwrite: bool = False) -> float:
     """Residual of an identity ``lhs = rhs`` over every component of every pair.
 
     ``pairs`` yields ``(lhs, rhs)`` arrays, usually one pair per point; a side
@@ -60,12 +65,17 @@ def relative_residual(pairs, scale: float = RESIDUAL_FLOOR) -> float:
     identities whose sides vanish (flat curvature, Killing fields) do not
     divide roundoff by roundoff.  ``scale`` is the size of the factors of a
     product identity; it can only raise the divisor.  A NaN anywhere gives
-    NaN, which fails every tolerance; no pairs at all give 0.
+    NaN, which fails every tolerance; no pairs at all give 0.  Sizes are
+    taken by :func:`peak`.  ``overwrite`` decides only where the difference
+    is written: with it, every ``rhs`` is a float array of the full shape
+    that the caller owns and reads no more, and the difference is formed in
+    it, so that judging a pair allocates nothing as large as its sides.
     """
     diff, size = 0.0, max(RESIDUAL_FLOOR, scale)
     for lhs, rhs in pairs:
-        d = float(np.abs(lhs - rhs).max())
+        size = max(size, peak(lhs), peak(rhs))
+        d = peak(np.subtract(rhs, lhs, out=rhs if overwrite else None))
         if d > diff or d != d:  # a NaN is taken, and then nothing is greater
             diff = d
-        size = max(size, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+        del lhs, rhs  # before ``pairs`` builds the next pair
     return diff / size

@@ -96,6 +96,30 @@ def test_json_validates_against_schema(deformed_report):
     jsonschema.validate(data, REPORT_SCHEMA)
 
 
+def test_every_check_reports_its_wall_time(deformed_report):
+    data = json.loads(emit_report(deformed_report, "json"))
+    jsonschema.validate(data, REPORT_SCHEMA)
+    assert [c["name"] for c in data["checks"]] == CHECK_NAMES
+    for c in data["checks"]:  # skipped checks too
+        assert isinstance(c["wall_time"], float) and c["wall_time"] >= 0.0, c
+    assert sum(c["wall_time"] for c in data["checks"]) <= data["wall_time"]
+    # required on every check, and never negative
+    del data["checks"][0]["wall_time"]
+    with pytest.raises(jsonschema.ValidationError, match="wall_time"):
+        jsonschema.validate(data, REPORT_SCHEMA)
+    data["checks"][0]["wall_time"] = -1.0
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, REPORT_SCHEMA)
+
+
+def test_per_check_wall_time_stays_out_of_the_text(deformed_report):
+    text = emit_report(deformed_report, "text").decode()
+    timed = dataclasses.replace(deformed_report, checks=[dataclasses.replace(c, wall_time=123.456)
+                                                        for c in deformed_report.checks])
+    assert emit_report(timed, "text").decode() == text
+    assert "123.456" not in text
+
+
 def test_schema_pins_the_manifold_keys(deformed_report):
     data = json.loads(emit_report(deformed_report, "json"))
     assert sorted(data["manifold"]) == ["dim", "key", "label", "n", "s"]
@@ -134,7 +158,10 @@ def test_determinism_identical_seeds(tmp_path):
     assert main(args + ["--json", str(out1)]) == 0
     assert main(args + ["--json", str(out2)]) == 0
     a, b = json.loads(out1.read_text()), json.loads(out2.read_text())
-    a.pop("wall_time"), b.pop("wall_time")
+    for report in (a, b):
+        report.pop("wall_time")
+        for check in report["checks"]:
+            check.pop("wall_time")
     assert a == b
 
 

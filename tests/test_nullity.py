@@ -7,6 +7,7 @@ from fcontact import (
     NotApplicableError,
     PointFrame,
     catalog_get,
+    catalog_list,
     check_curvature_model,
     check_f_axioms,
     check_rf_identity,
@@ -176,10 +177,11 @@ def test_rf_identity_xi_slot(deformed, deformed_fits, flat_points):
     from fcontact.nullity import _rf_sides
 
     for p in flat_points[:4]:
-        fr = PointFrame(model, p)
+        fr = PointFrame(model, p)  # a one-point frame: sides [q, l, k] on the pairs i < j
         lhs, rhs = _rf_sides(fr, fit.kappa, fit.mu_effective)
-        assert np.max(np.abs(np.einsum("lkij,k->lij", lhs, fr.xi[0]))) < 1e-12
-        assert np.max(np.abs(np.einsum("lkij,k->lij", rhs, fr.xi[0]))) < FIT_TOL
+        assert lhs.shape == rhs.shape == (3, 3, 3)
+        assert np.max(np.abs(lhs @ fr.xi[0])) < 1e-12
+        assert np.max(np.abs(rhs @ fr.xi[0])) < FIT_TOL
 
 
 # -- Ricci model ---------------------------------------------------------------
@@ -438,6 +440,48 @@ def test_rf_identity_flags_a_defect_on_one_basis_triple():
     assert check_rf_identity(model, fit, frame) > 1e-5
 
 
+@pytest.mark.parametrize("key", [
+    *(entry.key for entry in catalog_list()),
+    "s-space-form:3,3", "s-space-form:1,7",  # dimension 9
+    "flat-contact-r3:deformed:0.5", "s-space-form:2,2:deformed:3",
+])
+def test_riemann31_is_antisymmetric_in_its_pair(key):
+    # the premise of checking every identity in R(X, Y) on the pairs i < j alone
+    model = catalog_get(key).model
+    r = PointFrame(model, np.stack(sample_points(model, 5, seed=3))).riemann31
+    assert np.max(np.abs(r + r.swapaxes(-1, -2))) <= 1e-13 * max(1.0, np.max(np.abs(r)))
+
+
+@pytest.mark.parametrize("served", [False, True])
+def test_a_defect_on_one_pair_fails_every_identity_in_R(served):
+    # s = 2, so that the seven-function ansatz applies too
+    from fcontact import build_s_space_form
+
+    model = build_s_space_form(2, 2)
+    frame = PointFrame(model, np.stack(sample_points(model, 3, seed=5)))
+    fit = fit_nullity(model, frame)
+    H = -3.0 * model.s
+
+    def residuals():
+        return {
+            "nullity": fit_nullity(model, frame).residual,
+            "rf": check_rf_identity(model, fit, frame),
+            "curvature-model": check_curvature_model(model, fit, H, frame),
+            "gssf": fit_gssf(model, frame).residual,
+        }
+
+    if served:  # the frame has served every check before its curvature is replaced
+        assert max(residuals().values()) < FIT_TOL
+    # at the second point, R(e_1, e_3)e_z1 gains 1e-4 in one component and R(e_3, e_1)e_z1 loses it:
+    # the nullity condition reads R(X, Y) xi, and xi_alpha lies along e_z
+    r = frame.riemann31.copy()
+    r[1, 0, 4, 1, 3] += 1e-4
+    r[1, 0, 4, 3, 1] -= 1e-4
+    frame.riemann31 = r
+    for name, residual in residuals().items():
+        assert residual > 1e-5, name
+
+
 # -- batched evaluation ----------------------------------------------------------
 
 
@@ -529,7 +573,8 @@ def test_checks_over_blocks_of_points_match_one_block(
         refit = fit_nullity(model, frame)
         gssf = fit_gssf(s22, s22_points)
         # a solution that fits no point, whose worst row is at the last point
-        _, _, norms, residual = nl._systems(PointFrame(s22, np.stack(s22_points[::-1])), nl._gssf_block)
+        s22_frame = PointFrame(s22, np.stack(s22_points[::-1]))
+        _, _, norms, residual = nl._systems(s22_frame, nl._gssf_block, 7 * nl._pair_entries(s22), peaks=True)
         return [
             *norms, residual(np.linspace(-1.0, 1.0, 7)),
             refit.kappa, refit.mu, refit.residual,
@@ -541,7 +586,12 @@ def test_checks_over_blocks_of_points_match_one_block(
         ]
 
     whole = results()
-    monkeypatch.setattr(nl, "_BLOCK_ENTRIES", 3 * model.dim**4)  # blocks of 3 points, of one for s22
+    # blocks of 3 points (of one for trans-s), of one for s22
+    monkeypatch.setattr(nl, "_BLOCK_ENTRIES", 3 * nl._pair_entries(model))
+    for m, points in ((model, flat_points), (s22, s22_points)):
+        frame = PointFrame(m, np.stack(points))
+        for per_point in (nl._pair_entries(m), 7 * nl._pair_entries(m), m.s * m.dim**3):
+            assert len(list(nl._blocks(frame, per_point))) >= 2
     assert results() == pytest.approx(whole, rel=1e-12, abs=1e-15)
 
 
@@ -552,6 +602,12 @@ def _gz_term(fr, M, N):
 
 def _antisym(t):
     return t - t.swapaxes(-1, -2)
+
+
+def _on_pairs(t):
+    """A tensor laid out like ``riemann31`` ([l, k, i, j]) at the pairs i < j, pair-major: [q, l, k]."""
+    iu, ju = np.triu_indices(t.shape[-1], 1)
+    return np.moveaxis(t[..., iu, ju], -1, 0)
 
 
 @pytest.mark.parametrize("key", ["s-space-form:2,2", "flat-contact-r3:deformed:0.75"])
@@ -578,8 +634,8 @@ def test_summed_curvature_sides_match_the_term_by_term_expansion(key):
             + np.einsum("k,i,lj->lkij", eb, eb, c)
         )
         lhs, rhs = _rf_sides(fr, kappa, mu)
-        assert np.max(np.abs(lhs - np.einsum("lmij,mk->lkij", fr.riemann31, f))) <= 1e-13
-        want = np.einsum("lm,mkij->lkij", f, fr.riemann31) + _antisym(half)
+        assert np.max(np.abs(lhs - _on_pairs(np.einsum("lmij,mk->lkij", fr.riemann31, f)))) <= 1e-13
+        want = _on_pairs(np.einsum("lm,mkij->lkij", f, fr.riemann31) + _antisym(half))
         assert np.max(np.abs(rhs - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
         half = (
             -(H + 3 * s) * _gz_term(fr, f2, f2)

@@ -152,6 +152,17 @@ def test_killing_values(s22, s22_points, flat, flat_points):
     assert killing_check(flat, 0, flat_points) > 0.1
 
 
+@pytest.mark.parametrize("alpha", [-1, 2, 1.0, True])
+def test_killing_check_rejects_an_alpha_that_names_no_structure_field(alpha, s22, s22_points):
+    # s = 2: -1 would silently read xi_2, 2 is past the end, 1.0 and True are not integers
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        killing_check(s22, alpha, s22_points[:2])
+
+
+def test_killing_check_takes_numpy_integers(s22, s22_points):
+    assert killing_check(s22, np.int64(1), s22_points[:2]) == killing_check(s22, 1, s22_points[:2])
+
+
 def test_zero_eta_degenerate_input_reported_not_thrown(flat, flat_points):
     # a broken model is reported through residuals, starting with eta(xi) != 1
     broken = with_field(flat, "eta", lambda eta, x: np.array([[0.0, 0.0, 0.0]], dtype=object))

@@ -44,3 +44,17 @@ def test_a_scale_only_raises_the_divisor(lhs, rhs, scale):
     size = max(1.0, scale, np.abs(lhs).max(), np.abs(rhs).max())
     assert relative_residual([(lhs, rhs)], scale) <= relative_residual([(lhs, rhs)])
     assert relative_residual([(lhs, rhs)], scale) == np.abs(lhs - rhs).max() / size
+
+
+@given(st.lists(st.tuples(sides, sides), min_size=1, max_size=4), st.booleans())
+def test_overwrite_only_decides_where_the_difference_is_written(blocks, nan):
+    pairs = [(np.array(lhs[:n]), np.array(rhs[:n])) for lhs, rhs in blocks for n in [min(len(lhs), len(rhs))]]
+    if nan:
+        pairs[-1][1][0] = np.nan
+    kept = relative_residual((lhs, rhs.copy()) for lhs, rhs in pairs)
+    written = relative_residual(((lhs, rhs.copy()) for lhs, rhs in pairs), overwrite=True)
+    if nan:
+        assert np.isnan(kept) and np.isnan(written)
+    else:
+        size = max(1.0, *(max(np.abs(lhs).max(), np.abs(rhs).max()) for lhs, rhs in pairs))
+        assert kept == written == max(np.abs(lhs - rhs).max() for lhs, rhs in pairs) / size
