@@ -42,9 +42,9 @@ from .geom import ManifoldModel
 
 # Largest dimension of a catalog key: a run holds several (points, dim^4)
 # arrays, so its memory grows about as dim^4.  At dim 9, `fcontact check
-# --points 1000 --samples 200` peaks at 329-343 MB of RSS (s-space-form:3,3
-# 329-331, 4,1 339-340 and 1,7 335-343 MB on x86-64 Linux, Python 3.11,
-# numpy 2.4; the spread is where numpy's 2 MB pages fall).
+# --points 1000 --samples 200` peaks at 279-289 MB of RSS (s-space-form:3,3
+# 279, 4,1 289 and 1,7 289 MB on x86-64 Linux, Python 3.11, numpy 2.4, with
+# NUMPY_MADVISE_HUGEPAGE=0 so that 2 MB pages do not move it).
 MAX_DIM = 9
 
 

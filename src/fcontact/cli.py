@@ -42,8 +42,8 @@ class ConfigError(ValueError):
     """Invalid run configuration (exit code 2)."""
 
 
-# Largest accepted sizes: a run holds every point's arrays and draws up to
-# ``samples`` sections at once, so larger values exhaust memory.
+# Largest accepted sizes: a run holds every point's arrays and one H value
+# per section, about ``samples`` in all, so larger values exhaust memory.
 MAX_POINTS = 1000
 MAX_SAMPLES = 1_000_000
 

@@ -239,7 +239,8 @@ class PointFrame:
     def riemann31(self):
         """``riemann31[..., l, k, i, j]`` = component ``l`` of ``R(e_i, e_j)e_k``."""
         gamma, dgamma = self.gamma, self.dgamma
-        out = np.einsum("...ljki->...lkij", dgamma) - np.einsum("...likj->...lkij", dgamma)
+        # C order, so that the H sample reads each point's R as a (dim^2, dim^2) matrix without a copy
+        out = np.subtract(np.einsum("...ljki->...lkij", dgamma), np.einsum("...likj->...lkij", dgamma), order="C")
         out += einsum("...lim,...mjk->...lkij", gamma, gamma)
         out -= einsum("...ljm,...mik->...lkij", gamma, gamma)
         return out

@@ -42,7 +42,8 @@ laid out pair-major, ``[..., q, l, k]`` for component l of the vector at
 identities in ``R(xi_alpha, X)Y`` and ``nabla f`` have no such symmetry and
 are built as tensors with ``einsum`` on every pair.  Only H(X), which is not
 multilinear, is sampled over random unit sections of L, by
-:func:`sample_H_constancy`, and one sample decides everything about H: its
+:func:`sample_H_constancy`, also from ``riemann31`` and in blocks of sections
+under the same budget, and one sample decides everything about H: its
 mean, its spread relative to its size, and, for kappa < 1, its residual
 against the splitting formula ``H(X) = -s(kappa + mu) - s(mu - kappa - 1)
 t(X)`` on the same sections.  That formula is the paper's theorem in closed
@@ -102,12 +103,6 @@ class NullityFit:
         return self.mu if self.mu_determined else 0.0
 
 
-def _lstsq(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares solution and the condition number of ``design``."""
-    sol, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
-    return sol, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-
-
 def _reduce(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(R, Q^T y)`` for ``design = QR`` at every point of a stack ``(P, rows, cols)``:
     the same least-squares problems, with the same singular values, in at most
@@ -117,13 +112,15 @@ def _reduce(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lstsq_reduced(r: np.ndarray, c: np.ndarray, columns=slice(None)) -> tuple[np.ndarray, float]:
-    """``_lstsq`` of the per-point systems whose ``_reduce`` forms are ``(r, c)``, stacked.
+    """Least-squares solution, and the condition number of its design, of the
+    per-point systems whose ``_reduce`` forms are ``(r, c)``, stacked.
 
     Solving on the small R factors instead of the designs keeps the solve's
     size independent of the number of tensor components.
     """
     r = r[..., columns]
-    return _lstsq(r.reshape(-1, r.shape[-1]), c.ravel())
+    sol, _, _, sv = np.linalg.lstsq(r.reshape(-1, r.shape[-1]), c.ravel(), rcond=None)
+    return sol, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
 
 def _pairs(dim: int) -> np.ndarray:
@@ -170,7 +167,9 @@ def _xz_y(ij: np.ndarray, *terms) -> np.ndarray:
 # ``q dim^2`` entries (``q = dim(dim - 1)/2`` pairs, ``_pair_entries``) for
 # nullity, rf and curvature-model: the curvature gathered on the pairs, or
 # one side; ``7 q dim^2`` for the gssf design; ``s dim^3`` for r-xi and
-# t421, and ``2 s dim^3`` for the trans-s design.  A block's temporaries peak
+# t421, and ``2 s dim^3`` for the trans-s design.  The H sample has ``dim^2``
+# entries per section (a row of ``gX (x) fX``), so it draws and evaluates
+# ``_BLOCK_ENTRIES // dim^2`` sections at a time.  A block's temporaries peak
 # at a few such arrays: at most 1.5 MB at dim 9, where 20 points take two
 # blocks, and 0.8 MB for gssf at dims 6 and 8.  A larger budget makes the
 # 20-point runs of the dim-9 keys one block, but no faster (2-vCPU Xeon,
@@ -403,10 +402,6 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Rows of sections checked and contracted with R at a time, over all points of
-# a group: bounds the (rows, dim^2) blocks.
-_SECTION_BLOCK = 4096
-
 # Rounds of draws in a row that keep no section before ``_unit_sections`` gives up.
 _DRAW_ROUNDS = 8
 
@@ -434,39 +429,33 @@ def _unit_sections(rng, proj_l: np.ndarray, g: np.ndarray, count: int) -> np.nda
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
-def _f_sectional_rows(fr: PointFrame, X: np.ndarray, points=slice(None)) -> np.ndarray:
+def _f_sectional_rows(r31: np.ndarray, f: np.ndarray, eta: np.ndarray, g: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``H(X) = g(R(X, fX)fX, X)`` for each row of ``X``, shaped ``(P, N, dim)``:
-    N unit vectors in L at each of the P points ``points`` of a stacked frame,
-    or at a one-point frame (P = 1, ``points`` unused).  Returns ``(P, N)``.
+    N unit vectors in L at each of P points, whose ``riemann31``, ``f``,
+    ``eta`` and ``g`` are the other arguments, each over the same leading
+    point axis.  Returns ``(P, N)``.
 
-    H is ``(X (x) fX) R (fX (x) X)`` with ``riemann40`` as a
-    ``(dim^2, dim^2)`` matrix per point.  The rows of all P points are checked
-    and contracted together, in blocks of at most ``_SECTION_BLOCK`` rows in
-    all (row blocks of one point when it alone has more).
+    H is ``(gX (x) fX) R (X (x) fX)`` with ``riemann31[p]`` as a
+    ``(dim^2, dim^2)`` matrix, rows ``(l, k)`` and columns ``(i, j)``.  A row
+    that is not a g-unit vector in L, or holds a NaN, raises.
     """
-    at = points if fr.point.ndim == 2 else None  # a one-point frame as a batch of one
-    r, f, eta, g = (getattr(fr, name)[at] for name in ("riemann40", "f", "eta", "g"))
     count, rows, dim = X.shape
-    r = r.reshape(count, dim * dim, dim * dim)
-    out = np.empty((count, rows))
-    step = max(1, _SECTION_BLOCK // count)
-    for start in range(0, rows, step):
-        x = X[:, start:start + step]
-        fx = x @ f.swapaxes(-1, -2)
-        eta_res = float(np.max(np.abs(x @ eta.swapaxes(-1, -2))))
-        if eta_res > SECTION_TOL:
-            raise InvalidSectionError(f"X has eta components of size {eta_res}")
-        for name, v in (("X", x), ("fX", fx)):
-            if np.max(np.abs(np.einsum("pni,pij,pnj->pn", v, g, v) - 1.0)) > SECTION_TOL:
-                raise InvalidSectionError(f"{name} is not a g-unit vector")
-        u, w = _outer(x, fx).reshape(count, -1, dim * dim), _outer(fx, x).reshape(count, -1, dim * dim)
-        out[:, start:start + step] = np.einsum("pnk,pnk->pn", u @ r, w)
-    return out
+    fx = X @ f.swapaxes(-1, -2)
+    eta_res = peak(X @ eta.swapaxes(-1, -2))
+    if not eta_res <= SECTION_TOL:  # a NaN fails too
+        raise InvalidSectionError(f"X has eta components of size {eta_res}")
+    for name, v in (("X", X), ("fX", fx)):
+        if not peak(np.einsum("pni,pij,pnj->pn", v, g, v) - 1.0) <= SECTION_TOL:
+            raise InvalidSectionError(f"{name} is not a g-unit vector")
+    u, w = _outer(X @ g, fx).reshape(count, rows, -1), _outer(X, fx).reshape(count, rows, -1)
+    return np.einsum("pnk,pnk->pn", u @ r31.reshape(count, dim * dim, dim * dim), w)
 
 
 def f_sectional(model: ManifoldModel, p: Point | PointFrame, X) -> float:
     """Sectional curvature of the plane {X, fX} for a unit X in L."""
-    return float(_f_sectional_rows(as_frame(model, p), np.asarray(X, dtype=float)[None, None])[0, 0])
+    fr = as_frame(model, p)
+    arrays = (a[None] for a in (fr.riemann31, fr.f, fr.eta, fr.g))  # a batch of one point
+    return float(_f_sectional_rows(*arrays, np.asarray(X, dtype=float)[None, None])[0, 0])
 
 
 @dataclass
@@ -514,26 +503,31 @@ def sample_H_constancy(
 
     H(X) is not multilinear in X, so it is sampled.  The points draw their
     sections in order, each all of its own before the next, from the one
-    stream ``rng``: the grouping below does not change which sections a seed
-    gives.  The sections are evaluated a group at a time, once the group is
-    drawn: as many whole points as have at most ``_SECTION_BLOCK`` rows in
-    all, or one point, in row blocks, when it alone has more.  The splitting
+    stream ``rng``: the blocking below does not change which sections a seed
+    gives.  The sections are drawn and evaluated ``rows = _BLOCK_ENTRIES //
+    dim^2`` at a time at most: a group of as many whole points as that holds,
+    or one point in chunks of ``rows`` when it alone has more.  The splitting
     formula (``_splitting_rows``) is evaluated on the same rows.
     """
-    if sections_per_point < 1:
-        raise InsufficientSampleError(f"sections_per_point must be at least 1, got {sections_per_point}")
+    if isinstance(sections_per_point, bool) or not isinstance(sections_per_point, (int, np.integer)) \
+            or sections_per_point < 1:
+        raise InsufficientSampleError(
+            f"sections_per_point must be an integer of at least 1, got {sections_per_point!r}")
     fr, rng = as_frames(model, points), np.random.default_rng(rng)
     lam = None if fit is None else fit.lam
-    count, group = len(fr.point), max(1, _SECTION_BLOCK // sections_per_point)
+    rows = max(1, _BLOCK_ENTRIES // model.dim**2)
+    count, group, chunk = len(fr.point), max(1, rows // sections_per_point), min(rows, sections_per_point)
     values, pairs = [], []
     for start in range(0, count, group):
-        # dropped before the next group draws: memory holds one group's sections
-        members, at = range(start, min(start + group, count)), slice(start, start + group)
-        X = np.stack([_unit_sections(rng, fr.proj_L[i], fr.g[i], sections_per_point) for i in members])
-        values.append(_f_sectional_rows(fr, X, at))
-        if lam is not None:
-            pairs.append((values[-1], _splitting_rows(fr, X, fit, at)))
-        del X
+        at = slice(start, min(start + group, count))
+        arrays = fr.riemann31[at], fr.f[at], fr.eta[at], fr.g[at]
+        for first in range(0, sections_per_point, chunk):  # once, unless the group is one point
+            n = min(chunk, sections_per_point - first)
+            X = np.stack([_unit_sections(rng, fr.proj_L[i], fr.g[i], n) for i in range(at.start, at.stop)])
+            values.append(_f_sectional_rows(*arrays, X))
+            if lam is not None:
+                pairs.append((values[-1], _splitting_rows(fr, X, fit, at)))
+            del X  # before the next rows are drawn: memory holds one block's sections
     arr = np.concatenate(values, axis=None)
     return SpaceFormReport(
         h_mean=float(arr.mean()),
@@ -641,12 +635,13 @@ def fit_gssf(model: ManifoldModel, points) -> GssfFit:
     """Fit the seven-function curvature ansatz (two structure vector fields).
 
     One least-squares solve over every component of ``R(e_i, e_j)e_k`` with
-    ``i < j`` at every point, plus one solve per point for the spread.
+    ``i < j`` at every point, plus every point's own solve, batched, for the spread.
     """
     if model.s != 2:
         raise NotApplicableError("the seven-function ansatz is defined for s = 2")
     r, c, _, residual = _systems(as_frames(model, points), _gssf_block, 7 * _pair_entries(model))
-    local = np.vstack([_lstsq(r_p, c_p)[0] for r_p, c_p in zip(r, c)])
+    # lstsq's cutoff, passed by position: the ``rtol`` keyword needs numpy 2
+    local = (np.linalg.pinv(r, np.finfo(float).eps * max(r.shape[-2:])) @ c[..., None])[..., 0]
     sol, cond = _lstsq_reduced(r, c)
 
     k = sol[0] - sol[2]

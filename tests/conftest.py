@@ -108,13 +108,15 @@ def unit_section(model, p, seed=0):
 
 
 def section_defect(frame, size):
-    """A ``riemann40`` defect over the points of ``frame`` that adds
+    """A ``riemann31`` defect over the points of ``frame`` that adds
     ``size (1 + 0.01 (a.X)^2 (a.fX)^2)`` to H(X): ``size`` times the Gauss
     tensor of g (the same on every section) plus a small part that depends on
-    the section.  Only R(X, fX, fX, X) sees it."""
+    the section, with the last index of ``g(R(e_i, e_j)e_k, e_l)`` raised.
+    The nullity fit absorbs the Gauss part: kappa moves by ``size``."""
     g, a = frame.g, np.array([0.3, -0.5, 0.8])
     gauss = np.einsum("pil,pjk->pijkl", g, g) - np.einsum("pik,pjl->pijkl", g, g)
-    return size * (gauss + 0.01 * np.einsum("i,j,k,l->ijkl", a, a, a, a))
+    d40 = size * (gauss + 0.01 * np.einsum("i,j,k,l->ijkl", a, a, a, a))
+    return np.einsum("plm,pijkm->plkij", frame.ginv, d40)
 
 
 PARTS = ("g", "f", "xi", "eta")

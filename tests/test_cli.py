@@ -549,7 +549,7 @@ def test_a_section_dependent_defect_fails_the_H_row(monkeypatch):
 
     def planted(model, points):
         frame = stacked(model, points)
-        frame.riemann40 = frame.riemann40 + section_defect(frame, 3e-5)
+        frame.riemann31 = frame.riemann31 + section_defect(frame, 3e-5)
         return frame
 
     monkeypatch.setattr(cli, "as_frames", planted)
@@ -589,13 +589,27 @@ def test_a_defect_past_the_first_ten_points_fails_the_H_row(monkeypatch):
         frame = stacked(model, points)
         defect = section_defect(frame, 3e-5)
         defect[:10] = 0.0
-        frame.riemann40 = frame.riemann40 + defect
+        frame.riemann31 = frame.riemann31 + defect
         return frame
 
     monkeypatch.setattr(cli, "as_frames", planted)
     report = run(RunConfig("flat-contact-r3:deformed:0.5", points=20, samples=200))
     records = {c.name: c for c in report.checks}
     assert records["H"].residual > 1e-6 and not records["H"].passed and not report.passed
+
+
+def test_a_run_builds_no_lowered_curvature_tensor(monkeypatch):
+    # every row reads riemann31; riemann40 is kept for geom.riemann alone
+    stacked, frames = cli.as_frames, []
+
+    def captured(model, points):
+        frames.append(stacked(model, points))
+        return frames[-1]
+
+    monkeypatch.setattr(cli, "as_frames", captured)
+    assert run(RunConfig("flat-contact-r3:deformed:0.5", points=4, samples=200)).passed
+    (frame,) = frames
+    assert "riemann31" in vars(frame) and "riemann40" not in vars(frame)
 
 
 def test_a_failed_fit_skips_the_rows_that_read_it(monkeypatch, tmp_path, capsys):

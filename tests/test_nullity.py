@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,8 @@ def test_f_sectional_rejects_bad_sections(flat, flat_points):
     X = section(flat, p)
     with pytest.raises(InvalidSectionError):
         f_sectional(flat, p, 2.0 * X)  # not unit
+    with pytest.raises(InvalidSectionError):
+        f_sectional(flat, p, [np.nan, np.nan, np.nan])  # fails every test of a section
 
 
 def test_H_constancy_deformed(deformed, flat_points):
@@ -349,7 +352,7 @@ def test_a_section_dependent_defect_fails_the_splitting_formula_within_the_sprea
     model, fit = deformed[0.5], deformed_fits[0.5]
     frame = PointFrame(model, np.stack(flat_points[:4]))
     clean = sample_H_constancy(model, frame, 50, rng=0, fit=fit)
-    frame.riemann40 = frame.riemann40 + section_defect(frame, 3e-5)
+    frame.riemann31 = frame.riemann31 + section_defect(frame, 3e-5)
     rep = sample_H_constancy(model, frame, 50, rng=0, fit=fit)
     assert clean.splitting_residual < 1e-12
     assert rep.relative_spread < FIT_TOL < rep.splitting_residual
@@ -373,6 +376,26 @@ def test_gssf_implied_kappa_matches_nullity_fit(s22, s22_points, s22_fit):
 def test_gssf_rejects_wrong_s(s11, s11_points):
     with pytest.raises(NotApplicableError):
         fit_gssf(s11, s11_points)
+
+
+@pytest.mark.parametrize("key", ["s-space-form:2,2", "s-space-form:2,2:deformed:3", "s-space-form:2,2:deformed:0.5"])
+@pytest.mark.parametrize("planted", [False, True])
+def test_gssf_f_spread_matches_a_per_point_lstsq_loop(key, planted):
+    from fcontact import nullity as nl
+
+    model = catalog_get(key).model
+    frame = PointFrame(model, np.stack(sample_points(model, 6, seed=1)))
+    if planted:  # F_1 of the third point's local fit moves by 1e-3: t1 = g(Y, Z)X - g(X, Z)Y is added
+        eye, g = np.eye(model.dim), frame.g[2]
+        r = frame.riemann31.copy()
+        r[2] += 1e-3 * (np.einsum("li,jk->lkij", eye, g) - np.einsum("ik,lj->lkij", g, eye))
+        frame.riemann31 = r
+    design, y = nl._gssf_block(frame)
+    local = np.array([np.linalg.lstsq(d, v, rcond=None)[0] for d, v in zip(design, y)])
+    want = local.max(axis=0) - local.min(axis=0)
+    got = fit_gssf(model, frame).f_spread
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert (np.max(want) > 1e-5) == planted
 
 
 # -- characteristic functions of nabla f ----------------------------------------------------
@@ -485,54 +508,59 @@ def test_a_defect_on_one_pair_fails_every_identity_in_R(served):
 # -- batched evaluation ----------------------------------------------------------
 
 
+def _sectional_arrays(frame, at=slice(None)):
+    """The arrays ``_f_sectional_rows`` reads, at the points ``at`` of a stacked frame."""
+    return frame.riemann31[at], frame.f[at], frame.eta[at], frame.g[at]
+
+
 @pytest.mark.parametrize("key", ["s-space-form:3,3", "flat-contact-r3:deformed:0.5"])
-def test_f_sectional_contraction_matches_the_five_operand_formula(key, monkeypatch):
+def test_f_sectional_contraction_matches_the_five_operand_formula(key):
     from fcontact import catalog_get, sample_points
     from fcontact import nullity as nl
 
     model = catalog_get(key).model
     frame = PointFrame(model, np.stack(sample_points(model, 3, seed=4)))
-    monkeypatch.setattr(nl, "_SECTION_BLOCK", 7)  # several blocks of rows
     X = np.stack([nl._unit_sections(np.random.default_rng(5 + i), frame.proj_L[i], frame.g[i], 50) for i in range(3)])
     fX = X @ frame.f.swapaxes(-1, -2)
     want = np.einsum("pijkl,pni,pnj,pnk,pnl->pn", frame.riemann40, X, fX, fX, X)
-    got = nl._f_sectional_rows(frame, X)
+    got = nl._f_sectional_rows(*_sectional_arrays(frame), X)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def _sample_H_per_point(model, points, sections, rng):
     """``sample_H_constancy`` as a loop over points: each point draws its
-    sections and evaluates them, in row blocks of ``_SECTION_BLOCK``, before
-    the next point draws."""
+    sections and evaluates them, in row blocks of ``_BLOCK_ENTRIES // dim^2``,
+    before the next point draws."""
     from fcontact import nullity as nl
     from fcontact.jets import _outer
 
     fr, rng, dim2 = PointFrame(model, np.stack(points)), np.random.default_rng(rng), model.dim**2
-    fr.riemann40, fr.proj_L  # over the batch, as the sampler reads them
+    fr.riemann31, fr.proj_L  # over the batch, as the sampler reads them
+    rows = nl._BLOCK_ENTRIES // dim2
     values = []
     for i in range(len(points)):
         one = fr[i]
         X = nl._unit_sections(rng, one.proj_L, one.g, sections)
-        r = one.riemann40.reshape(dim2, dim2)
-        for start in range(0, len(X), nl._SECTION_BLOCK):
-            x = X[start:start + nl._SECTION_BLOCK]
+        r = one.riemann31.reshape(dim2, dim2)
+        for start in range(0, len(X), rows):
+            x = X[start:start + rows]
             fx = x @ one.f.T
-            u, w = _outer(x, fx).reshape(-1, dim2), _outer(fx, x).reshape(-1, dim2)
+            u, w = _outer(x @ one.g, fx).reshape(-1, dim2), _outer(x, fx).reshape(-1, dim2)
             values.append(np.einsum("nk,nk->n", u @ r, w))
     arr = np.concatenate(values)
     return float(arr.mean()), float(arr.max() - arr.min())
 
 
 @pytest.mark.parametrize("key", ["s-space-form:3,3", "flat-contact-r3:deformed:0.5"])
-@pytest.mark.parametrize("block", [4096, 50])  # 50: groups of 2 and 5 points, and row blocks of one point
-def test_sample_H_constancy_matches_the_per_point_loop_bit_for_bit(key, block, monkeypatch):
+@pytest.mark.parametrize("rows", [4096, 50])  # 50: groups of 2 and 5 points, and chunks of one point
+def test_sample_H_constancy_matches_the_per_point_loop_bit_for_bit(key, rows, monkeypatch):
     from fcontact import catalog_get, sample_points
     from fcontact import nullity as nl
 
     model = catalog_get(key).model
     points = sample_points(model, 7, seed=2)
-    monkeypatch.setattr(nl, "_SECTION_BLOCK", block)
-    for sections in (1, 10, 20, 120) if block == 50 else (1, 30, 1500, 5000):
+    monkeypatch.setattr(nl, "_BLOCK_ENTRIES", rows * model.dim**2)
+    for sections in (1, 10, 20, 120) if rows == 50 else (1, 30, 1500, 5000):
         rep = sample_H_constancy(model, points, sections, rng=9)
         assert (rep.h_mean, rep.h_spread) == _sample_H_per_point(model, points, sections, 9), sections
 
@@ -544,12 +572,13 @@ def test_a_bad_row_in_a_group_of_points_raises(deformed, flat_points):
     frame = PointFrame(model, np.stack(flat_points[:3]))
     rng = np.random.default_rng(0)
     X = np.stack([nl._unit_sections(rng, frame.proj_L[i], frame.g[i], 5) for i in range(3)])
-    assert np.all(np.isfinite(nl._f_sectional_rows(frame, X)))
-    for bad in (frame.xi[1, 0] / np.sqrt(frame.g[1] @ frame.xi[1, 0] @ frame.xi[1, 0]), 2.0 * X[1, 2]):
+    assert np.all(np.isfinite(nl._f_sectional_rows(*_sectional_arrays(frame), X)))
+    nan = np.full(3, np.nan)
+    for bad in (frame.xi[1, 0] / np.sqrt(frame.g[1] @ frame.xi[1, 0] @ frame.xi[1, 0]), 2.0 * X[1, 2], nan):
         rows = X.copy()
-        rows[1, 2] = bad  # not in L, then not a unit vector, at the second point only
+        rows[1, 2] = bad  # not in L, not a unit vector, then NaN, at the second point only
         with pytest.raises(InvalidSectionError):
-            nl._f_sectional_rows(frame, rows)
+            nl._f_sectional_rows(*_sectional_arrays(frame), rows)
 
 
 @pytest.mark.parametrize("count", [0, -1])
@@ -559,6 +588,41 @@ def test_section_counts_below_one_raise_typed_errors(count, deformed, deformed_f
         sample_H_constancy(model, flat_points[:2], count)
     with pytest.raises(InsufficientSampleError, match="sections_per_point"):
         check_splitting_lemma(model, fit, flat_points[:2], count)
+
+
+@pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)])
+def test_section_counts_that_are_not_integers_raise_typed_errors(count, deformed, deformed_fits, flat_points):
+    model, fit = deformed[0.5], deformed_fits[0.5]
+    named = f"sections_per_point .* got {re.escape(repr(count))}$"
+    with pytest.raises(InsufficientSampleError, match=named):
+        sample_H_constancy(model, flat_points[:2], count)
+    with pytest.raises(InsufficientSampleError, match=named):
+        check_splitting_lemma(model, fit, flat_points[:2], count)
+
+
+@pytest.mark.parametrize("count", [3, np.int64(3)])
+def test_section_counts_take_numpy_integers(count, deformed, flat_points):
+    rep = sample_H_constancy(deformed[0.5], flat_points[:2], count, rng=0)
+    assert rep == sample_H_constancy(deformed[0.5], flat_points[:2], 3, rng=0)
+
+
+def test_the_H_sample_holds_less_than_one_lowered_curvature_tensor():
+    # the sampler reads riemann31 in blocks of sections; it builds no riemann40 (P dim^4 doubles)
+    import tracemalloc
+
+    model = catalog_get("s-space-form:3,3").model
+    frame = PointFrame(model, np.stack(sample_points(model, 100, seed=0)))
+    for name in ("riemann31", "proj_L", "f", "eta", "g"):  # a warm frame, as a run hands it over
+        getattr(frame, name)
+    for sections in (1, 100):  # one group of all points, and groups of four
+        tracemalloc.start()
+        try:
+            sample_H_constancy(model, frame, sections, rng=0)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 100 * model.dim**4 * 8, sections
+    assert "riemann40" not in vars(frame)
 
 
 def test_checks_over_blocks_of_points_match_one_block(
