@@ -3,14 +3,18 @@
 Subcommands: ``check --manifold KEY``, which runs the checks on one catalog
 key (a deformed model is the key ``BASE:deformed:A``), and ``catalog list``.
 Exit codes: 0 all requested checks pass, 1 at least one gating check failed,
-2 usage or configuration error.  ``RunConfig`` holds the one copy of the
-run's defaults; a flag that is not given leaves its field at that default.
+2 usage or configuration error.  A run is set up by the flags of ``check``
+or by a ``RunConfig`` built in Python; ``RunConfig`` holds the one copy of
+the run's defaults, and a flag that is not given leaves its field at that
+default.  Nothing in a run's setup moves a tolerance: every verdict is
+judged by the constants of :mod:`fcontact.tolerances`.
 
 A run reads the table ``CHECKS`` in order.  Each row names a check, says
-whether it gates the exit status and which tolerance judges it, and measures
-it over every point of the run's ``RunContext``.  A row whose precondition
-does not hold (kappa < 1, s = 2, a nullity fit) raises
-``NotApplicableError`` and is reported ``skipped``.  A new check is one row
+whether it gates the exit status, names the tolerance that judges it
+(``IDENTITY_TOL`` or ``FIT_TOL``), and measures it over every point of the
+run's ``RunContext``.  A row whose precondition does not hold (kappa < 1,
+s = 2, a nullity fit) raises ``NotApplicableError`` and is reported
+``skipped``.  A new check is one row
 here plus its library function.
 """
 
@@ -20,7 +24,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import stat
 import sys
@@ -52,17 +55,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclasses.dataclass
 class RunConfig:
     manifold_key: str
     seed: int = 0
     points: int = 20
     samples: int = 200
-    tolerance: float = FIT_TOL
     checks: list[str] | str = "all"
     output_path: str | None = None
 
@@ -74,8 +72,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer in [1, {most}]")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError("seed must be an integer >= 0")
-        if not (_is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ConfigError("tolerance must be positive and finite")
         if not (self.output_path is None or (isinstance(self.output_path, str) and self.output_path)):
             raise ConfigError("output_path must be null or a non-empty string")
         if self.checks != "all":
@@ -84,18 +80,6 @@ class RunConfig:
             unknown = [c for c in self.checks if c not in CHECK_NAMES]
             if unknown:
                 raise ConfigError(f"unknown checks: {unknown}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        bad = set(data) - known
-        if bad:
-            raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        if "manifold_key" not in data:
-            raise ConfigError("config needs a manifold_key")
-        return cls(**data)
 
 
 def _attempt(fn, *args):
@@ -126,7 +110,6 @@ class RunContext:
 
     def __init__(self, config: RunConfig, entry: CatalogEntry):
         self.model = model = entry.model
-        self.fit_tol = config.tolerance
         self.seed = config.seed
         points = sample_points(model, config.points, seed=self._stream(0))
         # every check reads this one frame over all points: the fields are evaluated once per run
@@ -206,7 +189,7 @@ def _h_sectional(ctx: RunContext):
     compared with the catalog's H."""
     fit, h = ctx.fitted(), _value(ctx.h)
     note = f"mean = {h.h_mean:.9g}, predicted = {ctx.predicted:.9g}"
-    ok = relative_residual([(h.h_mean, ctx.predicted)]) <= ctx.fit_tol
+    ok = relative_residual([(h.h_mean, ctx.predicted)]) <= FIT_TOL
     if fit.lam is None:
         return h.relative_spread, ok, note + "; residual: relative spread"
     return h.splitting_residual, ok, note + "; residual: splitting formula"
@@ -214,7 +197,7 @@ def _h_sectional(ctx: RunContext):
 
 def _curvature_model(ctx: RunContext):
     fit, h = ctx.fitted(), _value(ctx.h)
-    if not h.relative_spread <= ctx.fit_tol:
+    if not h.relative_spread <= FIT_TOL:
         raise NotApplicableError("f-sectional curvature is not constant")
     return nl.check_curvature_model(ctx.model, fit, h.h_mean, ctx.frame)
 
@@ -247,35 +230,34 @@ def _trans_s(ctx: RunContext):
 class Check(NamedTuple):
     name: str
     gating: bool                # decides the exit status; else a diagnostic
-    fit_tol: bool               # judged by the run's tolerance, else by IDENTITY_TOL
+    tolerance: float            # IDENTITY_TOL or FIT_TOL
     measure: Callable[[RunContext], float | tuple]
 
 
 # Report order.  A row's index also picks its random stream (RunContext.rng).
 CHECKS = (
-    #     name               gating fit_tol measure
-    Check("axioms",          True,  False,  _axioms),
-    Check("contact",         True,  False,  lambda ctx: float(np.max(ctx.axioms.r_contact))),
-    Check("h-properties",    True,  False,  lambda ctx: ctx.axioms.r_h_properties),
-    Check("killing",         True,  False,  _killing),
-    Check("nullity",         True,  True,   lambda ctx: _value(ctx.fit).residual),
-    Check("spectrum",        True,  True,   _spectrum),
-    Check("r-xi",            True,  True,   lambda ctx: nl.verify_r_xi(ctx.model, ctx.fitted(), ctx.frame)),
-    Check("rf",              True,  True,   lambda ctx: nl.check_rf_identity(ctx.model, ctx.fitted(), ctx.frame)),
-    Check("ricci",           True,  True,   lambda ctx: nl.check_ricci_model(ctx.model, ctx.fitted(), ctx.frame)),
-    Check("H",               True,  True,   _h_sectional),
-    Check("curvature-model", True,  True,   _curvature_model),
-    Check("normality",       False, False,  lambda ctx: (ctx.normality, True, "classification, not a failure mode")),
-    Check("gssf",            False, True,   _gssf),
-    Check("trans-s",         False, True,   _trans_s),
+    #     name               gating tolerance     measure
+    Check("axioms",          True,  IDENTITY_TOL, _axioms),
+    Check("contact",         True,  IDENTITY_TOL, lambda ctx: float(np.max(ctx.axioms.r_contact))),
+    Check("h-properties",    True,  IDENTITY_TOL, lambda ctx: ctx.axioms.r_h_properties),
+    Check("killing",         True,  IDENTITY_TOL, _killing),
+    Check("nullity",         True,  FIT_TOL,      lambda ctx: _value(ctx.fit).residual),
+    Check("spectrum",        True,  FIT_TOL,      _spectrum),
+    Check("r-xi",            True,  FIT_TOL,      lambda ctx: nl.verify_r_xi(ctx.model, ctx.fitted(), ctx.frame)),
+    Check("rf",              True,  FIT_TOL,      lambda ctx: nl.check_rf_identity(ctx.model, ctx.fitted(), ctx.frame)),
+    Check("ricci",           True,  FIT_TOL,      lambda ctx: nl.check_ricci_model(ctx.model, ctx.fitted(), ctx.frame)),
+    Check("H",               True,  FIT_TOL,      _h_sectional),
+    Check("curvature-model", True,  FIT_TOL,      _curvature_model),
+    Check("normality",       False, IDENTITY_TOL, lambda ctx: (ctx.normality, True, "classification, not a failure mode")),
+    Check("gssf",            False, FIT_TOL,      _gssf),
+    Check("trans-s",         False, FIT_TOL,      _trans_s),
 )
 CHECK_NAMES = [row.name for row in CHECKS]
 
 
 def _record(row: Check, ctx: RunContext) -> CheckRecord:
     """The record of one row, with the wall time of its measurement (skipped or errored too)."""
-    tol = ctx.fit_tol if row.fit_tol else IDENTITY_TOL
-    t0 = time.perf_counter()
+    tol, t0 = row.tolerance, time.perf_counter()
     try:
         out = row.measure(ctx)
     except NotApplicableError as exc:
@@ -317,7 +299,7 @@ def run(config: RunConfig) -> CheckReport:
             "is_metric_f_contact": bool(is_mfc),
             "is_normal": bool(is_normal),
             "is_s_manifold": bool(is_mfc and is_normal),
-            "is_space_form_candidate": None if h is None else bool(h.relative_spread <= ctx.fit_tol),
+            "is_space_form_candidate": None if h is None else bool(h.relative_spread <= FIT_TOL),
         },
         seed=config.seed,
         wall_time=time.perf_counter() - t0,
@@ -330,22 +312,8 @@ def run(config: RunConfig) -> CheckReport:
 
 
 def _config_from_args(args) -> RunConfig:
-    """The run config of ``check``: from ``--config`` alone, else from the
-    flags given, each named after its ``RunConfig`` field."""
-    given = {k: v for k, v in vars(args).items() if k != "command"}
-    if "config" in given:
-        path = given.pop("config")
-        if given:
-            raise ConfigError("--config takes no other flags")
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not JSON: {exc}") from exc
-        return RunConfig.from_dict(data)
-    if "manifold_key" not in given:
-        raise ConfigError("either --manifold or --config is required")
-    return RunConfig(**given)
+    """The run config of ``check``: the flags given, each named after its ``RunConfig`` field."""
+    return RunConfig(**{k: v for k, v in vars(args).items() if k != "command"})
 
 
 def _write_report(path: str, data: bytes) -> None:
@@ -381,13 +349,11 @@ def _parser() -> argparse.ArgumentParser:
     # a flag that is not given stays out of the namespace, so RunConfig supplies its default
     p = sub.add_parser("check", help="run the check battery on a catalog model",
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--manifold", dest="manifold_key", metavar="KEY",
+    p.add_argument("--manifold", dest="manifold_key", metavar="KEY", required=True,
                    help="catalog key, e.g. flat-contact-r3:deformed:0.5")
     p.add_argument("--points", type=int, metavar="N", help=f"in [1, {MAX_POINTS}] (default: {RunConfig.points})")
     p.add_argument("--samples", type=int, metavar="N", help=f"in [1, {MAX_SAMPLES}] (default: {RunConfig.samples})")
     p.add_argument("--seed", type=int, metavar="N", help=f"random seed, >= 0 (default: {RunConfig.seed})")
-    p.add_argument("--tol", dest="tolerance", type=float, metavar="X",
-                   help=f"fit tolerance (default: {RunConfig.tolerance:g})")
     p.add_argument(
         "--checks",
         metavar="NAMES",
@@ -395,7 +361,6 @@ def _parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of {', '.join(CHECK_NAMES)} (default: {RunConfig.checks})",
     )
     p.add_argument("--json", dest="output_path", metavar="PATH", help="write the JSON report here")
-    p.add_argument("--config", metavar="FILE", help="read the run config from a JSON file")
 
     p_catalog = sub.add_parser("catalog", help="catalog utilities")
     catalog_sub = p_catalog.add_subparsers(dest="catalog_command", required=True)

@@ -268,10 +268,6 @@ class PointFrame:
             - einsum("...mab,...km->...kba", self.gamma, self.f)
         )
 
-    def curvature_operator(self, X, Y, Z):
-        """The vector ``R(X, Y)Z`` at each point of the frame."""
-        return np.einsum("...lkij,...i,...j,...k->...l", self.riemann31, X, Y, Z)
-
     # -- structure tensors ---------------------------------------------------
 
     @_kept

@@ -92,10 +92,13 @@ class NullityFit:
 
     kappa: float
     mu: float | None
-    mu_determined: bool
     residual: float
     condition: float           # condition number of the solved system
     lam: float | None = None   # sqrt(1 - kappa) when kappa < 1, else None: every branch reads it
+
+    @property
+    def mu_determined(self) -> bool:
+        return self.mu is not None
 
     @property
     def mu_effective(self) -> float:
@@ -168,9 +171,10 @@ def _xz_y(ij: np.ndarray, *terms) -> np.ndarray:
 # nullity, rf and curvature-model: the curvature gathered on the pairs, or
 # one side; ``7 q dim^2`` for the gssf design; ``s dim^3`` for r-xi and
 # t421, and ``2 s dim^3`` for the trans-s design.  The H sample has ``dim^2``
-# entries per section (a row of ``gX (x) fX``), so it draws and evaluates
-# ``_BLOCK_ENTRIES // dim^2`` sections at a time.  A block's temporaries peak
-# at a few such arrays: at most 1.5 MB at dim 9, where 20 points take two
+# entries per section (a row of ``gX (x) fX``), so it takes ``chunk dim^2``
+# per point for ``chunk`` sections at each point and draws and evaluates at
+# most ``_BLOCK_ENTRIES // dim^2`` sections at a time.  A block's temporaries
+# peak at a few such arrays: at most 1.5 MB at dim 9, where 20 points take two
 # blocks, and 0.8 MB for gssf at dims 6 and 8.  A larger budget makes the
 # 20-point runs of the dim-9 keys one block, but no faster (2-vCPU Xeon,
 # numpy 2.4).
@@ -274,7 +278,6 @@ def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) 
     return NullityFit(
         kappa=kappa,
         mu=float(sol[1]) if mu_determined else None,
-        mu_determined=mu_determined,
         residual=residual(sol, columns),
         condition=cond,
         lam=float(np.sqrt(1.0 - kappa)) if kappa < 1.0 - FIT_TOL else None,
@@ -473,9 +476,9 @@ class SpaceFormReport:
     splitting_residual: float | None = None   # H(X) against the splitting formula
 
 
-def _splitting_rows(fr: PointFrame, X: np.ndarray, fit: NullityFit, points: slice) -> np.ndarray:
+def _splitting_rows(fr: PointFrame, X: np.ndarray, fit: NullityFit) -> np.ndarray:
     """The closed form of ``H(X)`` for kappa < 1, for rows ``X`` shaped
-    ``(P, N, dim)`` at the P points ``points`` of a stacked frame.
+    ``(P, N, dim)`` at the P points of a stacked frame.
 
     ``H(X) = -s(kappa + mu) - s(mu - kappa - 1) t(X)`` with
     ``t(X) = 1 - (g(X, hX)^2 + g(X, fhX)^2) / (1 - kappa)``, which is
@@ -487,7 +490,7 @@ def _splitting_rows(fr: PointFrame, X: np.ndarray, fit: NullityFit, points: slic
     ``t = 0``; for n > 1, ``t`` takes every value in [0, 1], so H is constant
     exactly when ``mu = kappa + 1``.
     """
-    g, h, f = fr.g[points], fr.h[points], fr.f[points]
+    g, h, f = fr.g, fr.h, fr.f
     s, kappa, mu = fr.model.s, fit.kappa, fit.mu_effective
     gx = X @ g  # g(X, .) per row
     t = 1.0 - (np.einsum("pni,pni->pn", gx, X @ h.swapaxes(-1, -2)) ** 2
@@ -504,10 +507,12 @@ def sample_H_constancy(
     H(X) is not multilinear in X, so it is sampled.  The points draw their
     sections in order, each all of its own before the next, from the one
     stream ``rng``: the blocking below does not change which sections a seed
-    gives.  The sections are drawn and evaluated ``rows = _BLOCK_ENTRIES //
-    dim^2`` at a time at most: a group of as many whole points as that holds,
-    or one point in chunks of ``rows`` when it alone has more.  The splitting
-    formula (``_splitting_rows``) is evaluated on the same rows.
+    gives.  A section is a row of ``dim^2`` entries, and the sections are
+    drawn and evaluated ``_BLOCK_ENTRIES // dim^2`` at a time at most: over
+    the ``_blocks`` of the frame for ``chunk`` sections per point, where
+    ``chunk`` is ``sections_per_point`` or, when one point alone has more
+    sections than that, the most that fit (one point per block, in chunks).
+    The splitting formula (``_splitting_rows``) is evaluated on the same rows.
     """
     if isinstance(sections_per_point, bool) or not isinstance(sections_per_point, (int, np.integer)) \
             or sections_per_point < 1:
@@ -515,18 +520,15 @@ def sample_H_constancy(
             f"sections_per_point must be an integer of at least 1, got {sections_per_point!r}")
     fr, rng = as_frames(model, points), np.random.default_rng(rng)
     lam = None if fit is None else fit.lam
-    rows = max(1, _BLOCK_ENTRIES // model.dim**2)
-    count, group, chunk = len(fr.point), max(1, rows // sections_per_point), min(rows, sections_per_point)
+    chunk = min(max(1, _BLOCK_ENTRIES // model.dim**2), sections_per_point)
     values, pairs = [], []
-    for start in range(0, count, group):
-        at = slice(start, min(start + group, count))
-        arrays = fr.riemann31[at], fr.f[at], fr.eta[at], fr.g[at]
-        for first in range(0, sections_per_point, chunk):  # once, unless the group is one point
+    for b in _blocks(fr, chunk * model.dim**2):
+        for first in range(0, sections_per_point, chunk):  # once, unless the block is one point
             n = min(chunk, sections_per_point - first)
-            X = np.stack([_unit_sections(rng, fr.proj_L[i], fr.g[i], n) for i in range(at.start, at.stop)])
-            values.append(_f_sectional_rows(*arrays, X))
+            X = np.stack([_unit_sections(rng, proj_l, g, n) for proj_l, g in zip(b.proj_L, b.g)])
+            values.append(_f_sectional_rows(b.riemann31, b.f, b.eta, b.g, X))
             if lam is not None:
-                pairs.append((values[-1], _splitting_rows(fr, X, fit, at)))
+                pairs.append((values[-1], _splitting_rows(b, X, fit)))
             del X  # before the next rows are drawn: memory holds one block's sections
     arr = np.concatenate(values, axis=None)
     return SpaceFormReport(

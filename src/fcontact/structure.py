@@ -90,7 +90,9 @@ class AxiomReport:
     h_xi: float                # h_alpha xi_beta = 0
     eta_h: float               # eta_alpha o h_beta = 0
 
-    def pass_flags(self, tol: float = IDENTITY_TOL) -> dict[str, bool]:
+    def pass_flags(self) -> dict[str, bool]:
+        """Each axiom group's residual judged at ``IDENTITY_TOL``."""
+        tol = IDENTITY_TOL
         return {
             "eta_xi": self.r_eta_xi <= tol,
             "f_xi": self.r_f_xi <= tol,

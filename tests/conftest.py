@@ -134,3 +134,18 @@ def with_field(model, part, change):
         return tuple(out)
 
     return dataclasses.replace(model, fields=fields)
+
+
+def pullback(model, A, b):
+    """``model`` in the chart ``y`` with ``x = A y + b``: ``g' = A^T g A``,
+    ``f' = A^{-1} f A``, ``xi' = xi A^{-T}`` and ``eta' = eta A``, sampled
+    over the same box of ``y``.  Every tensorial verdict and fitted scalar
+    must come out as in the chart ``x``."""
+    A, b, base = np.asarray(A, dtype=float), np.asarray(b, dtype=float), model.fields
+    A_inv = np.linalg.inv(A)
+
+    def fields(y):
+        g, f, xi, eta = (np.asarray(t) for t in base(A @ y + b))
+        return A.T @ g @ A, A_inv @ f @ A, xi @ A_inv.T, eta @ A
+
+    return dataclasses.replace(model, fields=fields, label=f"{model.label}:pulled")

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -10,13 +11,15 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcontact import UnknownManifoldError, cli, d_deform, geom, nullity
 from fcontact.catalog import catalog_get
 from fcontact.cli import CHECK_NAMES, CHECKS, ConfigError, RunConfig, _config_from_args, _parser, main, run
 from fcontact.report import REPORT_SCHEMA, emit_report
+from fcontact.tolerances import relative_residual
 
-from .conftest import section_defect
+from .conftest import pullback, section_defect
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +67,6 @@ def test_invalid_config_rejected(monkeypatch):
     with pytest.raises(ConfigError):
         run(RunConfig(manifold_key="flat-contact-r3", points=0))
     with pytest.raises(ConfigError):
-        run(RunConfig(manifold_key="flat-contact-r3", tolerance=-1.0))
-    with pytest.raises(ConfigError):
         run(RunConfig(manifold_key="flat-contact-r3", checks=["bogus"]))
     for a in ("inf", "nan", "1e300", "1e-300"):
         with pytest.raises(UnknownManifoldError):
@@ -75,16 +76,13 @@ def test_invalid_config_rejected(monkeypatch):
     for key in ("s-space-form:10,10", "s-space-form:4,2", "s-space-form:1,8:deformed:2"):
         with pytest.raises(UnknownManifoldError, match="above the largest"):
             run(RunConfig(manifold_key=key))
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict({"manifold_key": "flat-contact-r3", "what": 1})
     # wrong types, a negative seed and an empty check list never reach a run
     for bad in ({"seed": -1}, {"points": "3"}, {"points": 2.5}, {"points": True},
                 {"samples": "200"}, {"seed": 1.0}, {"checks": []}, {"checks": "nullity"},
-                {"tolerance": float("inf")}, {"tolerance": "1e-6"},
                 {"points": 1001}, {"points": 10**11}, {"samples": 1_000_001}, {"samples": 10**11},
                 {"output_path": 5}, {"output_path": ""}):
         with pytest.raises(ConfigError):
-            run(RunConfig.from_dict({"manifold_key": "flat-contact-r3", **bad}))
+            run(RunConfig("flat-contact-r3", **bad))
 
 
 def test_json_round_trip(deformed_report):
@@ -192,7 +190,7 @@ def test_different_seeds_still_pass(tmp_path):
         assert code == 0
 
 
-def test_exit_codes(tmp_path, capsys, monkeypatch):
+def test_exit_codes(capsys, monkeypatch):
     assert main(["check", "--manifold", "nope"]) == 2
     capsys.readouterr()
     for a in ("inf", "1e300"):
@@ -207,31 +205,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
             assert sizes[0][2:] in capsys.readouterr().err
         assert main(["check", "--manifold", "flat-contact-r3", "--json", ""]) == 2
         assert "output_path" in capsys.readouterr().err
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"manifold_key": "flat-contact-r3", "output_path": 5}))
-        assert main(["check", "--config", str(path)]) == 2
-        assert "output_path" in capsys.readouterr().err
     assert main(["check", "--manifold", "flat-contact-r3", "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
-    path = tmp_path / "bad.json"
-    for bad in ({"points": "3"}, {"points": 2.5}, {"checks": []}):
-        path.write_text(json.dumps({"manifold_key": "flat-contact-r3", **bad}))
-        assert main(["check", "--config", str(path)]) == 2
-        assert "error" in capsys.readouterr().err
-    path.write_text(json.dumps({"manifold_key": "flat-contact-r3", "points": 3}))
-    assert main(["check", "--config", str(path), "--points", "7", "--json", str(tmp_path / "r.json")]) == 2
-    assert "--config takes no other flags" in capsys.readouterr().err
-    for text in ('["flat-contact-r3"]', "{manifold_key"):
-        path.write_text(text)
-        assert main(["check", "--config", str(path)]) == 2
-        assert "error" in capsys.readouterr().err
-    # an unachievable tolerance turns residuals into failures -> exit 1
-    code = main(
-        ["check", "--manifold", "flat-contact-r3", "--points", "3", "--samples", "60",
-         "--tol", "1e-18"]
-    )
-    assert code == 1
-    capsys.readouterr()
     assert main(["catalog", "list"]) == 0
 
 
@@ -274,6 +249,8 @@ def test_help_lists_check_and_catalog(capsys):
     ["deform", "--manifold", "flat-contact-r3"],
     ["check", "--manifold", "flat-contact-r3", "--a", "2"],
     ["check", "--manifold", "flat-contact-r3", "--convention", "plain"],
+    ["check", "--manifold", "flat-contact-r3", "--tol", "1e-4"],
+    ["check", "--config", "run.json"],
 ])
 def test_removed_cli_names_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -282,35 +259,12 @@ def test_removed_cli_names_exit_2(argv, capsys):
     capsys.readouterr()
 
 
-def test_removed_config_keys_exit_2(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    for key, value in (("deform_a", 2.0), ("convention", "plain")):
-        path.write_text(json.dumps({"manifold_key": "flat-contact-r3", key: value}))
-        assert main(["check", "--config", str(path)]) == 2
-        assert "unknown config keys" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("key", ["flat-contact-r3", "s-space-form:2,2:deformed:0.5"])
 def test_run_config_holds_the_only_defaults(key):
     assert _config_from_args(_parser().parse_args(["check", "--manifold", key])) == RunConfig(key)
-    given = ["--points", "3", "--samples", "7", "--seed", "5", "--tol", "1e-4", "--checks", "H,rf", "--json", "r.json"]
+    given = ["--points", "3", "--samples", "7", "--seed", "5", "--checks", "H,rf", "--json", "r.json"]
     assert _config_from_args(_parser().parse_args(["check", "--manifold", key, *given])) == RunConfig(
-        key, seed=5, points=3, samples=7, tolerance=1e-4, checks=["H", "rf"], output_path="r.json")
-
-
-def test_config_file_input(tmp_path, capsys):
-    cfg = {
-        "manifold_key": "flat-contact-r3:deformed:2",
-        "points": 4,
-        "samples": 80,
-        "seed": 7,
-        "checks": ["axioms", "contact", "nullity"],
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["check", "--config", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "nullity" in out and "rf" not in out
+        key, seed=5, points=3, samples=7, checks=["H", "rf"], output_path="r.json")
 
 
 def test_gssf_on_wrong_s_is_skipped(capsys):
@@ -544,7 +498,7 @@ def test_the_splitting_row_is_gone(capsys):
 
 
 def test_a_section_dependent_defect_fails_the_H_row(monkeypatch):
-    # the sampled H stays within --tol of constant, but not on the splitting formula
+    # the sampled H stays within FIT_TOL of constant, but not on the splitting formula
     stacked = cli.as_frames
 
     def planted(model, points):
@@ -640,3 +594,43 @@ def test_a_failed_fit_skips_the_rows_that_read_it(monkeypatch, tmp_path, capsys)
         (line,) = [l for l in text.splitlines() if l.split()[0] == name]
         assert line.split()[1:4] == ["tol", "1e-06", "SKIP"], line
     assert report["fits"]["nullity"] is None and report["h_sectional"] is None
+
+
+# -- chart invariance ------------------------------------------------------------
+
+
+PULLED_KEYS = ["flat-contact-r3", "flat-contact-r3:deformed:0.5", "flat-contact-r3:deformed:2",
+               "s-space-form:1,1", "s-space-form:2,2", "s-space-form:2,2:deformed:3"]
+
+
+@functools.cache
+def _chart_report(key):
+    return run(RunConfig(key, points=5, samples=50))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(st.sampled_from(PULLED_KEYS), st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=1.0, max_value=10.0))
+def test_an_affine_change_of_chart_keeps_every_verdict_and_fit(key, seed, cond):
+    # every identity is tensorial: x = A y + b, with cond(A) <= cond, changes no verdict and no fitted
+    # scalar.  Roundoff grows with cond(A): over 1800 random draws the H mean moved by up to 6.9e-11
+    # (s-space-form:2,2:deformed:3), so the draws are fixed and the suite reads the same on every run
+    rng, dim = np.random.default_rng(seed), catalog_get(key).model.dim
+    q1, q2 = (np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(2))
+    sv = np.sqrt(cond) ** rng.uniform(-1.0, 1.0, dim)
+    sv[0], sv[-1] = np.sqrt(cond), 1.0 / np.sqrt(cond)
+    A, b = q1 * sv @ q2, rng.uniform(-0.5, 0.5, dim)
+    base = _chart_report(key)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "catalog_get", lambda k: dataclasses.replace(
+            catalog_get(k), model=pullback(catalog_get(k).model, A, b)))
+        pulled = run(RunConfig(key, points=5, samples=50))
+    assert [(c.name, c.passed) for c in pulled.checks if c.gating] == [
+        (c.name, c.passed) for c in base.checks if c.gating]
+    assert pulled.verdicts == base.verdicts
+    fit, want = pulled.fits["nullity"], base.fits["nullity"]
+    assert (fit["mu"] is None) == (want["mu"] is None)
+    scalars = [(fit["kappa"], want["kappa"]), (pulled.h_sectional["mean"], base.h_sectional["mean"])]
+    if want["mu"] is not None:
+        scalars.append((fit["mu"], want["mu"]))
+    for got, expected in scalars:
+        assert relative_residual([(got, expected)]) <= 1e-10, (got, expected)

@@ -276,7 +276,7 @@ def test_curvature_model_antisymmetry(s22, s22_fit, s22_points):
     # X = Y: both sides vanish
     fr = PointFrame(s22, s22_points[0])
     X = np.eye(6)[1]
-    assert np.max(np.abs(4.0 * fr.curvature_operator(X, X, np.eye(6)[3]))) < 1e-12
+    assert np.max(np.abs(4.0 * np.einsum("lkij,i,j,k->l", fr.riemann31, X, X, np.eye(6)[3]))) < 1e-12
 
 
 def test_curvature_model_deformed_half_recorded(deformed, deformed_fits, flat_points):
@@ -683,7 +683,7 @@ def test_summed_curvature_sides_match_the_term_by_term_expansion(key):
     model = catalog_get(key).model
     s = model.s
     kappa, mu, H = 0.3, -1.7, 2.9
-    fit = NullityFit(kappa=kappa, mu=mu, mu_determined=True, residual=0.0, condition=1.0)
+    fit = NullityFit(kappa=kappa, mu=mu, residual=0.0, condition=1.0)
     points = sample_points(model, 3, seed=6)
     want_cm = []
     for p in points:

@@ -1,7 +1,9 @@
 """The README against the program: every ``fcontact`` command in its ``sh``
-blocks parses and names a catalog key, every ``python`` block runs, and its
-check table is ``cli.CHECKS``."""
+blocks parses and names a catalog key, every ``python`` block runs, its
+check table is ``cli.CHECKS``, and its paragraph on the flags of ``check``
+names exactly the parser's flags."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 from fcontact import catalog_get
 from fcontact.cli import CHECKS, _parser
+from fcontact.tolerances import FIT_TOL
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 COMMANDS = [
@@ -46,6 +49,14 @@ def test_readme_check_table_is_the_check_table():
     assert table, "no check table in the README"
     rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table[1].splitlines()]
     assert rows == [
-        [f"`{row.name}`", "yes" if row.gating else "no (diagnostic)", "fit" if row.fit_tol else "identity"]
+        [f"`{row.name}`", "yes" if row.gating else "no (diagnostic)", "fit" if row.tolerance == FIT_TOL else "identity"]
         for row in CHECKS
     ]
+
+
+def test_readme_flag_list_is_the_parsers():
+    paragraph = re.search(r"^Flags of `check`.*?(?=\n\n)", README.read_text(), re.M | re.S)
+    assert paragraph, "no paragraph on the flags of check in the README"
+    check = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["check"]
+    flags = {o for action in check._actions for o in action.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"`(--[a-z-]+)", paragraph[0])) == flags
