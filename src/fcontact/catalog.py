@@ -81,8 +81,14 @@ def build_s_space_form(n: int, s: int) -> ManifoldModel:
             f[2 * n:, n + i] = x[n + i]
         for a in range(s):
             eta[a, 2 * n + a] = 0.5
-        g = sum(np.outer(e, e) for e in eta) + base_diag
-        return g, f, xi, eta
+        # g = sum_alpha eta_alpha (x) eta_alpha + base_diag, summed over the nonzero entries of
+        # each eta_alpha only, in the order of the full sum: the same values and derivatives
+        # (some zero derivatives differ in sign), from a fifth of the products on s-space-form:3,3
+        g = np.zeros((dim, dim), dtype=object)
+        for a, e in enumerate(eta):
+            nz = [*range(n), 2 * n + a]
+            g[np.ix_(nz, nz)] += np.outer(e[nz], e[nz])
+        return g + base_diag, f, xi, eta
 
     return ManifoldModel(
         n=n,

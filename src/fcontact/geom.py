@@ -29,6 +29,13 @@ Conventions (pinned operationally by the test suite):
 * ``Ric(X, Y) = trace(Z -> R(Z, X)Y)`` and ``g(QX, Y) = Ric(X, Y)``.
 
 Under these choices the built-in S-structure fits ``kappa = +1``.
+
+Every contraction a frame makes is a batched matrix product: its operands
+are reshaped so that the summed index is the inner dimension of ``@``, and
+the result is read in the documented index order through a transposed view
+(single-operand ``np.einsum``) where needed.  The same code runs at one point
+and over a batch, whose axis ``@`` broadcasts.  ``dgamma`` and ``riemann31``
+each hold one temporary as large as their result while they are built.
 """
 
 from __future__ import annotations
@@ -48,23 +55,6 @@ Point = np.ndarray
 # (s, dim): ``g[i, j]``, ``f[i, j] = f^i_j``, ``xi[a, i] = xi_a^i`` and
 # ``eta[a, i] = eta_a(e_i)``.  Entries are jets or plain numbers.
 FieldEvaluator = Callable[[np.ndarray], tuple]
-
-
-# Contractions with an operand above this many entries go through
-# ``optimize=True``, which numpy 2 runs as batched matrix products at a fixed
-# cost of about 40-50 us per call.  On a 2-vCPU Xeon (numpy 2.4) plain
-# ``np.einsum`` of the frame's contractions was faster up to about 900
-# entries and ``optimize`` from about 3000 (2.5-9x at 15000), so one-point
-# frames stay on the plain path and a batch of points takes the other.
-OPTIMIZE_SIZE = 2048
-
-
-def einsum(subscripts: str, *operands):
-    """``np.einsum`` of several operands, contracted through BLAS when one is large."""
-    for op in operands:
-        if op.size > OPTIMIZE_SIZE:
-            return np.einsum(subscripts, *operands, optimize=True)
-    return np.einsum(subscripts, *operands)
 
 
 @dataclass(frozen=True)
@@ -215,40 +205,62 @@ class PointFrame:
             - np.einsum("...ijl->...lij", dg)
         )
 
+    def _shape(self, *axes):
+        """The batch shape followed by ``axes``: the shape to view a kept array
+        in as a stack of matrices for ``@``."""
+        return self.point.shape[:-1] + axes
+
     @_kept
     def gamma(self):
         """Christoffel symbols ``gamma[..., k, i, j] = Gamma^k_ij``."""
-        return 0.5 * einsum("...kl,...lij->...kij", self.ginv, self._bracket)
+        d = self.model.dim
+        return 0.5 * (self.ginv @ self._bracket.reshape(self._shape(d, d * d))).reshape(self._shape(d, d, d))
 
     @_kept
     def dgamma(self):
-        """``dgamma[..., k, i, j, m] = d_m Gamma^k_ij``."""
+        """``dgamma[..., k, i, j, m] = d_m Gamma^k_ij``.
+
+        Besides its result the build holds one array of that size: ``d_m
+        _bracket``, whose buffer then takes the second product.
+        """
         dg, d2g, ginv, bracket = self.dg, self.d2g, self.ginv, self._bracket
-        # d_m g^kl = -g^ka (d_m g_ab) g^bl
-        dginv = -einsum("...ka,...abm,...bl->...klm", ginv, dg, ginv)
-        # summed in place: over a batch each of these arrays is as large as d2g
-        dbracket = np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
-        dbracket -= np.einsum("...ijlm->...lijm", d2g)
-        out = einsum("...kl,...lijm->...kijm", ginv, dbracket)
-        del dbracket
-        out += einsum("...klm,...lij->...kijm", dginv, bracket)
+        d = self.model.dim
+        # dginv[..., k, l, m] = d_m g^kl = -g^ka (d_m g_ab) g^bl
+        dginv = -(ginv.swapaxes(-1, -2)[..., None, :, :] @ (ginv @ dg.reshape(self._shape(d, d * d))).reshape(
+            self._shape(d, d, d)))
+        buf = np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
+        buf -= np.einsum("...ijlm->...lijm", d2g)  # d_m _bracket[..., l, i, j]
+        out = ginv @ buf.reshape(self._shape(d, d**3))
+        # [..., k, (i, j), m]: _bracket^T times d_m g^kl, for each k
+        prod = np.matmul(bracket.reshape(self._shape(1, d, d * d)).swapaxes(-1, -2), dginv,
+                         out=buf.reshape(self._shape(d, d * d, d)))
+        out += prod.reshape(out.shape)
         out *= 0.5
-        return out
+        return out.reshape(self._shape(d, d, d, d))
 
     @_kept
     def riemann31(self):
-        """``riemann31[..., l, k, i, j]`` = component ``l`` of ``R(e_i, e_j)e_k``."""
-        gamma, dgamma = self.gamma, self.dgamma
+        """``riemann31[..., l, k, i, j]`` = component ``l`` of ``R(e_i, e_j)e_k``.
+
+        Besides its result the build holds one array of that size, the
+        products ``Gamma^l_im Gamma^m_jk`` at ``[..., l, i, j, k]``.
+        """
+        gamma, dgamma, d = self.gamma, self.dgamma, self.model.dim
         # C order, so that the H sample reads each point's R as a (dim^2, dim^2) matrix without a copy
         out = np.subtract(np.einsum("...ljki->...lkij", dgamma), np.einsum("...likj->...lkij", dgamma), order="C")
-        out += einsum("...lim,...mjk->...lkij", gamma, gamma)
-        out -= einsum("...ljm,...mik->...lkij", gamma, gamma)
+        gg = (gamma.reshape(self._shape(d * d, d)) @ gamma.reshape(self._shape(d, d * d))).reshape(
+            self._shape(d, d, d, d))
+        out += np.einsum("...lijk->...lkij", gg)
+        out -= np.einsum("...ljik->...lkij", gg)
         return out
 
     @_kept
     def riemann40(self):
         """``riemann40[..., i, j, k, l] = g(R(e_i, e_j)e_k, e_l)``."""
-        return einsum("...ml,...mkij->...ijkl", self.g, self.riemann31)
+        d = self.model.dim
+        # [..., l, k, i, j] = g_ml R^m_kij
+        lowered = self.g.swapaxes(-1, -2) @ self.riemann31.reshape(self._shape(d, d**3))
+        return np.einsum("...lkij->...ijkl", lowered.reshape(self._shape(d, d, d, d)))
 
     @_kept
     def ricci(self):
@@ -262,11 +274,11 @@ class PointFrame:
     @_kept
     def nabla_f(self):
         """Covariant derivative ``nabla_f[..., k, b, a]`` = comp. k of ``(nabla_a f)e_b``."""
-        return (
-            self.df
-            + einsum("...kam,...mb->...kba", self.gamma, self.f)
-            - einsum("...mab,...km->...kba", self.gamma, self.f)
-        )
+        gamma, f, d = self.gamma, self.f, self.model.dim
+        # Gamma^k_am f^m_b - f^k_m Gamma^m_ab, each at [..., k, a, b]
+        out = self.df + (gamma.reshape(self._shape(d * d, d)) @ f).reshape(self._shape(d, d, d)).swapaxes(-1, -2)
+        out -= (f @ gamma.reshape(self._shape(d, d * d))).reshape(self._shape(d, d, d)).swapaxes(-1, -2)
+        return out
 
     # -- structure tensors ---------------------------------------------------
 
@@ -296,12 +308,12 @@ class PointFrame:
     def h_all(self):
         """``h_all[..., a] = h_alpha = 1/2 L_{xi_alpha} f``, from Lie derivatives."""
         # (L_xi f)^i_j = xi^m d_m f^i_j - f^m_j d_m xi^i + f^i_m d_j xi^m
-        f, df, xi, dxi = self.f, self.df, self.xi, self.dxi
-        return 0.5 * (
-            einsum("...am,...ijm->...aij", xi, df)
-            - einsum("...mj,...aim->...aij", f, dxi)
-            + einsum("...im,...amj->...aij", f, dxi)
-        )
+        f, df, xi, dxi = self.f[..., None, :, :], self.df, self.xi, self.dxi  # f broadcast over alpha
+        d = self.model.dim
+        lie = (xi @ df.reshape(self._shape(d * d, d)).swapaxes(-1, -2)).reshape(dxi.shape)
+        lie -= dxi @ f
+        lie += f @ dxi
+        return 0.5 * lie
 
     @property
     def h(self):
@@ -310,19 +322,20 @@ class PointFrame:
     @_kept
     def nijenhuis(self):
         """``nijenhuis[..., k, i, j]``: component k of ``[f, f](e_i, e_j)``."""
-        f, df = self.f, self.df
+        f, df, d = self.f, self.df, self.model.dim
         # N^k_ij = f^m_i d_m f^k_j - f^m_j d_m f^k_i + f^k_m (d_j f^m_i - d_i f^m_j)
-        return (
-            einsum("...mi,...kjm->...kij", f, df)
-            - einsum("...mj,...kim->...kij", f, df)
-            + einsum("...km,...mij->...kij", f, df)
-            - einsum("...km,...mji->...kij", f, df)
-        )
+        a = df @ f[..., None, :, :]  # [..., k, j, i] = f^m_i d_m f^k_j
+        c = (f @ df.reshape(self._shape(d, d * d))).reshape(df.shape)  # [..., k, i, j] = f^k_m d_j f^m_i
+        out = a.swapaxes(-1, -2) - a
+        out += c
+        out -= c.swapaxes(-1, -2)
+        return out
 
     @_kept
     def xi_d_eta(self):
         """``sum xi_alpha (x) d eta_alpha``, laid out like ``nijenhuis``."""
-        return einsum("...ak,...aij->...kij", self.xi, self.d_eta)
+        d, s = self.model.dim, self.model.s
+        return (self.xi.swapaxes(-1, -2) @ self.d_eta.reshape(self._shape(s, d * d))).reshape(self._shape(d, d, d))
 
     @_kept
     def normality(self):

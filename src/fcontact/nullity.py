@@ -40,7 +40,12 @@ laid out pair-major, ``[..., q, l, k]`` for component l of the vector at
 ``R f``, ``f R`` and ``R xi`` are batched matrix products, and the
 ``g(MX, Z) NY`` terms are antisymmetrized on the pairs (:func:`_xz_y`).  The
 identities in ``R(xi_alpha, X)Y`` and ``nabla f`` have no such symmetry and
-are built as tensors with ``einsum`` on every pair.  Only H(X), which is not
+are built on every pair, as batched matrix products with ``riemann31`` and as
+broadcast products where nothing is summed.  A fit builds each point's
+augmented system ``[design | y]`` once, block by block, reduces it to the R
+factor of one QR, forming no ``Q``, and solves on the stacked R factors; the
+systems are kept for its residual within one budget (``_KEPT_ENTRIES``),
+else built again (:func:`_systems`).  Only H(X), which is not
 multilinear, is sampled over random unit sections of L, by
 :func:`sample_H_constancy`, also from ``riemann31`` and in blocks of sections
 under the same budget, and one sample decides everything about H: its
@@ -62,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSampleError, InvalidSectionError, NotApplicableError
-from .geom import ManifoldModel, Point, PointFrame, as_frame, as_frames, einsum
+from .geom import ManifoldModel, Point, PointFrame, as_frame, as_frames
 from .jets import _outer
 from .structure import structure_at  # noqa: F401  (re-exported)
 from .tolerances import (
@@ -106,12 +111,18 @@ class NullityFit:
         return self.mu if self.mu_determined else 0.0
 
 
-def _reduce(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(R, Q^T y)`` for ``design = QR`` at every point of a stack ``(P, rows, cols)``:
-    the same least-squares problems, with the same singular values, in at most
-    as many rows as columns."""
-    q, r = np.linalg.qr(design)
-    return r, (q.swapaxes(-1, -2) @ y[..., None])[..., 0]
+def _reduce(system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, Q^T y)`` for ``design = QR`` at every point of a stack of augmented
+    systems ``[design | y]``, ``(P, rows, cols + 1)``: the same least-squares
+    problems, with the same singular values, in at most as many rows as columns.
+
+    Both are read off the R factor of the augmented matrix, its leading block
+    and the top of its last column, so ``Q`` is never formed (Golub & Van
+    Loan, *Matrix Computations*, 4th ed., 2013, 5.3).
+    """
+    cols = system.shape[-1] - 1
+    r = np.linalg.qr(system, mode="r")
+    return r[..., :cols, :cols], r[..., :cols, cols]
 
 
 def _lstsq_reduced(r: np.ndarray, c: np.ndarray, columns=slice(None)) -> tuple[np.ndarray, float]:
@@ -177,8 +188,19 @@ def _xz_y(ij: np.ndarray, *terms) -> np.ndarray:
 # peak at a few such arrays: at most 1.5 MB at dim 9, where 20 points take two
 # blocks, and 0.8 MB for gssf at dims 6 and 8.  A larger budget makes the
 # 20-point runs of the dim-9 keys one block, but no faster (2-vCPU Xeon,
-# numpy 2.4).
+# numpy 2.4).  A fit's systems outlive their block within a second budget,
+# ``_KEPT_ENTRIES``.
 _BLOCK_ENTRIES = 2**15
+
+# A fit keeps the designs and right-hand sides of its blocks for its residual
+# while together they hold at most this many entries; past that, each block is
+# built again after the solve, so memory does not grow with the number of
+# points.  It holds every 20-point system of the catalog: the largest, trans-s
+# on s-space-form:3,3, has about 102k entries.  Keeping every system of a
+# 1000-point run instead raised the peak RSS of ``fcontact check --manifold
+# s-space-form:3,2 --points 1000`` from 180 to 268 MB (numpy 2.4, one BLAS
+# thread, ``NUMPY_MADVISE_HUGEPAGE=0``).
+_KEPT_ENTRIES = 2**17
 
 
 def _blocks(fr: PointFrame, per_point: int, shared: str = "riemann31"):
@@ -203,31 +225,40 @@ def _pair_entries(model: ManifoldModel) -> int:
 def _systems(fr: PointFrame, block, per_point: int, shared: str = "riemann31", peaks: bool = False):
     """The per-point least-squares systems ``block(fr)`` builds, over blocks of points.
 
+    ``block`` returns the augmented systems ``[design | y]`` of its points,
+    ``(P, rows, cols + 1)``; the blocks here lay each point's system out
+    column by column, so that its columns and the QR's copy of it are contiguous.
+
     Returns the ``_reduce`` forms of all points, stacked (``r``
     ``(P, cols, cols)`` and ``c`` ``(P, cols)``), the largest ``|entry|`` of
     each design column when ``peaks`` is set (else ``None``), and
     ``residual(sol, columns)``, the relative residual of a solution on every
-    row.  The design of a single block is kept for the residual; several
-    blocks are built again one at a time, so that memory does not grow with
-    the number of points.
+    row.  The systems are kept for the residual while together they hold at
+    most ``_KEPT_ENTRIES`` entries; past that, each block is built again for
+    the residual, one at a time, so that memory does not grow with the number
+    of points.
     """
-    rs, cs, norms, system = [], [], [], None
-    for b in _blocks(fr, per_point, shared):
-        system = None  # the last block's system is dropped before the next is built
-        system = design, y = block(b)
-        r, c = _reduce(design, y)
+    blocks = list(_blocks(fr, per_point, shared))
+    rs, cs, norms, kept, size = [], [], [], [], 0
+    for b in blocks:
+        system = block(b)
+        r, c = _reduce(system)
         rs.append(r)
         cs.append(c)
         if peaks:  # column by column: a reduction that keeps the short column axis is slow
-            norms.append([peak(design[..., j]) for j in range(design.shape[-1])])
-        del design, y
-    kept = [system] if len(rs) == 1 else None
+            norms.append([peak(system[..., j]) for j in range(system.shape[-1] - 1)])
+        size += system.size
+        if kept is not None and size <= _KEPT_ENTRIES:
+            kept.append(system)
+        else:
+            kept = None  # before the next block is built
+        del system
 
     def residual(sol, columns=slice(None)):
         def pairs():
-            for design, y in kept or map(block, _blocks(fr, per_point, shared)):
-                yield y, design[..., columns] @ sol
-                del design, y  # before the next block is built
+            for system in map(block, blocks) if kept is None else kept:
+                yield system[..., -1], system[..., :-1][..., columns] @ sol
+                del system  # before the next block is built
 
         return relative_residual(pairs(), overwrite=True)
 
@@ -239,21 +270,21 @@ def _per_alpha(t: np.ndarray) -> np.ndarray:
     return t[..., None, :, :]
 
 
-def _nullity_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
+def _nullity_block(fr: PointFrame) -> np.ndarray:
     """Columns ``(A, B)`` and right-hand side ``R(e_i, e_j) xi_alpha`` of the
     nullity condition at each point of ``fr``, over basis pairs i < j, alpha
-    and components: ``(P, rows, 2)`` and ``(P, rows)``."""
+    and components: ``[A | B | y]``, ``(P, rows, 3)``."""
     count, dim, s = len(fr.point), fr.model.dim, fr.model.s
     ij = _pairs(dim)
     # A = etab(X) f^2 Y - (X <-> Y) and B_alpha = -(etab(X) h_alpha Y - (X <-> Y)), as one
     # term whose N stacks f^2 and the -h_alpha along its rows: [p, q, 1 + s, l]
     n = np.concatenate([fr.f2[:, None], -fr.h_all], axis=1).reshape(count, -1, dim)
     ab = _xz_y(ij, (fr.eta_bar[:, None], n)).reshape(count, len(ij), 1 + s, dim)
-    y = fr.xi[:, None] @ _curvature_pairs(fr, ij).swapaxes(-1, -2)  # [p, q, alpha, l]
-    design = np.empty(y.shape + (2,))
-    design[..., 0] = ab[:, :, :1]
-    design[..., 1] = ab[:, :, 1:]
-    return design.reshape(count, -1, 2), y.reshape(count, -1)
+    system = np.empty((count, 3, len(ij), s, dim))  # [p, column, q, alpha, l]
+    system[:, 0] = ab[:, :, :1]
+    system[:, 1] = ab[:, :, 1:]
+    np.matmul(fr.xi[:, None], _curvature_pairs(fr, ij).swapaxes(-1, -2), out=system[:, 2])
+    return system.reshape(count, 3, -1).swapaxes(1, 2)
 
 
 def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) -> NullityFit:
@@ -292,10 +323,13 @@ def verify_r_xi(model: ManifoldModel, fit: NullityFit, points) -> float:
     kappa, mu = fit.kappa, fit.mu_effective
 
     def sides(fr):
+        # both sides at [p, l, k, alpha, i]: component l of R(xi_alpha, e_i)e_k and its model
+        dim = model.dim
         k = kappa * _per_alpha(fr.f2) - mu * fr.h_all  # (P, s, dim, dim)
-        lhs = einsum("plkmi,pam->palik", fr.riemann31, fr.xi)
-        rhs = einsum("pk,pali->palik", fr.eta_bar, k) - einsum("paik,pl->palik", _per_alpha(fr.g) @ k, fr.xi_bar)
-        return lhs, rhs
+        lhs = fr.xi[:, None] @ fr.riemann31.reshape(len(fr.point), dim * dim, dim, dim)
+        rhs = fr.eta_bar[:, None, :, None, None] * k.swapaxes(1, 2)[:, :, None]
+        rhs -= fr.xi_bar[:, :, None, None, None] * (_per_alpha(fr.g) @ k).transpose(0, 3, 1, 2)[:, None]
+        return lhs.reshape(rhs.shape), rhs
 
     return relative_residual(map(sides, _blocks(as_frames(model, points), model.s * model.dim**3)), overwrite=True)
 
@@ -395,7 +429,7 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
     q_model = (
         s * (2.0 * (1 - n) + n * fit.mu) * fr.f2
         + s * (2.0 * (n - 1) + fit.mu) * fr.h
-        + 2.0 * n * fit.kappa * einsum("pi,pj->pij", fr.xi_bar, fr.eta_bar)
+        + 2.0 * n * fit.kappa * _outer(fr.xi_bar, fr.eta_bar)
     )
     return relative_residual([(fr.ricci_op, q_model)])
 
@@ -432,6 +466,25 @@ def _unit_sections(rng, proj_l: np.ndarray, g: np.ndarray, count: int) -> np.nda
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
+def _block_sections(rng, proj_l: np.ndarray, g: np.ndarray, count: int) -> np.ndarray:
+    """``count`` random g-unit vectors in L at each point of a block, ``(P, count, dim)``,
+    from the stacked ``proj_L`` and ``g`` of its P points.
+
+    The same rows as ``_unit_sections`` point after point, bit for bit: the
+    block's draws are taken in one call, which gives the numbers of the
+    per-point draws in their order, and projected, tested and normalized as
+    there.  When any of them is skipped, the stream is put back and the
+    points draw one by one.
+    """
+    state = rng.bit_generator.state
+    z = rng.standard_normal((len(g), count, g.shape[-1]))
+    v = z @ proj_l.swapaxes(-1, -2)
+    if (np.einsum("pni,pni->pn", v, v) >= SECTION_CUTOFF**2 * np.einsum("pni,pni->pn", z, z)).all():
+        return v / np.sqrt(np.maximum(np.einsum("pni,pij,pnj->pn", v, g, v), 0.0))[..., None]
+    rng.bit_generator.state = state
+    return np.stack([_unit_sections(rng, p, m, count) for p, m in zip(proj_l, g)])
+
+
 def _f_sectional_rows(r31: np.ndarray, f: np.ndarray, eta: np.ndarray, g: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``H(X) = g(R(X, fX)fX, X)`` for each row of ``X``, shaped ``(P, N, dim)``:
     N unit vectors in L at each of P points, whose ``riemann31``, ``f``,
@@ -448,7 +501,7 @@ def _f_sectional_rows(r31: np.ndarray, f: np.ndarray, eta: np.ndarray, g: np.nda
     if not eta_res <= SECTION_TOL:  # a NaN fails too
         raise InvalidSectionError(f"X has eta components of size {eta_res}")
     for name, v in (("X", X), ("fX", fx)):
-        if not peak(np.einsum("pni,pij,pnj->pn", v, g, v) - 1.0) <= SECTION_TOL:
+        if not peak(np.einsum("pni,pni->pn", v @ g, v) - 1.0) <= SECTION_TOL:
             raise InvalidSectionError(f"{name} is not a g-unit vector")
     u, w = _outer(X @ g, fx).reshape(count, rows, -1), _outer(X, fx).reshape(count, rows, -1)
     return np.einsum("pnk,pnk->pn", u @ r31.reshape(count, dim * dim, dim * dim), w)
@@ -525,7 +578,7 @@ def sample_H_constancy(
     for b in _blocks(fr, chunk * model.dim**2):
         for first in range(0, sections_per_point, chunk):  # once, unless the block is one point
             n = min(chunk, sections_per_point - first)
-            X = np.stack([_unit_sections(rng, proj_l, g, n) for proj_l, g in zip(b.proj_L, b.g)])
+            X = _block_sections(rng, b.proj_L, b.g, n)
             values.append(_f_sectional_rows(b.riemann31, b.f, b.eta, b.g, X))
             if lam is not None:
                 pairs.append((values[-1], _splitting_rows(b, X, fit)))
@@ -601,8 +654,9 @@ class GssfFit:
         return float(self.f_constants[0] - self.f_constants[2])
 
 
-def _gssf_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Design ``(P, rows, 7)`` and right-hand side of the ansatz on basis pairs i < j.
+def _gssf_block(fr: PointFrame) -> np.ndarray:
+    """Design and right-hand side of the ansatz on basis pairs i < j, ``[design | y]``
+    ``(P, rows, 8)``.
 
     The seven basis tensors, on the pairs as ``_xz_y`` lays them out ([q, l, k]):
     ``t1 = g(Y, Z)X - g(X, Z)Y``,
@@ -619,18 +673,20 @@ def _gssf_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
     a, b = [0, 1, 0, 1], [0, 1, 1, 0]  # (a, b) of t3..t6
     eye, zero = np.broadcast_to(np.eye(dim), (count, 2, dim, dim)), np.zeros((count, 2, dim, dim))
     gs = np.broadcast_to(g[:, None], (count, 4, dim, dim))
-    xz = _xz_y(
+    system = np.empty((count, 8, len(ij), dim, dim))  # [p, column, q, l, k]
+    xz = system[:, :6]
+    xz[...] = _xz_y(
         ij,
         (np.concatenate([g[:, None], fr.F.swapaxes(1, 2)[:, None], _outer(eta[:, b], eta[:, a])], axis=1),
          np.concatenate([-eye[:, :1], f[:, None], eye, eye], axis=1)),
         (np.concatenate([zero, gs], axis=1), np.concatenate([zero, _outer(xi[:, b], eta[:, a])], axis=1)),
-    )  # [p, column, q, l, k]
+    )
     xz[:, 1] += (2.0 * fr.F[:, ij[:, 0], ij[:, 1], None, None]) * f[:, None]
     e1, e2 = eta[:, 0, ij], eta[:, 1, ij]  # [p, q, (i, j)]
-    t7 = (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])[..., None, None] * (
-        _outer(xi[:, 0], eta[:, 1]) - _outer(xi[:, 1], eta[:, 0]))[:, None]
-    design = np.concatenate([xz, t7[:, None]], axis=1).reshape(count, 7, -1).swapaxes(1, 2)
-    return design, _curvature_pairs(fr, ij).reshape(count, -1)
+    np.multiply((e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])[..., None, None],
+                (_outer(xi[:, 0], eta[:, 1]) - _outer(xi[:, 1], eta[:, 0]))[:, None], out=system[:, 6])  # t7
+    system[:, 7] = _curvature_pairs(fr, ij)
+    return system.reshape(count, 8, -1).swapaxes(1, 2)
 
 
 def fit_gssf(model: ManifoldModel, points) -> GssfFit:
@@ -673,16 +729,22 @@ class TransSFit:
     condition: float
 
 
-def _trans_s_block(fr: PointFrame) -> tuple[np.ndarray, np.ndarray]:
+def _trans_s_block(fr: PointFrame) -> np.ndarray:
     """Template columns (alpha_1..alpha_s, beta_1..beta_s) and ``nabla f`` at
-    each point of ``fr``, over every basis pair (X, Y) = (e_a, e_b) and component k."""
-    count = len(fr.point)
-    # [point, k, b, a, column]
+    each point of ``fr``, over every basis pair (X, Y) = (e_a, e_b) and
+    component k: ``[design | y]``, ``(P, dim^3, 2s + 1)``."""
+    count, dim, s = len(fr.point), fr.model.dim, fr.model.s
+    system = np.empty((count, 2 * s + 1, dim, dim, dim))  # [p, column, k, b, a]
+    alpha, beta = system[:, :s], system[:, s:2 * s]
+    # alpha_i and beta_i at [p, i, k, b, a], each a sum of two products of broadcast factors
+    xi_k, eta_b = fr.xi[:, :, :, None, None], fr.eta[:, :, None, :, None]
     ftgf = fr.f.swapaxes(1, 2) @ fr.g @ fr.f
-    alpha_cols = einsum("pab,pik->pkbai", ftgf, fr.xi) + einsum("pib,pka->pkbai", fr.eta, fr.f2)
-    beta_cols = einsum("pba,pik->pkbai", fr.F, fr.xi) - einsum("pib,pka->pkbai", fr.eta, fr.f)
-    columns = np.concatenate([alpha_cols, beta_cols], axis=-1)
-    return columns.reshape(count, -1, 2 * fr.model.s), fr.nabla_f.reshape(count, -1)
+    np.multiply(ftgf.swapaxes(1, 2)[:, None, None], xi_k, out=alpha)
+    alpha += eta_b * fr.f2[:, None, :, None, :]
+    np.multiply(fr.F[:, None, None], xi_k, out=beta)
+    beta -= eta_b * fr.f[:, None, :, None, :]
+    system[:, -1] = fr.nabla_f
+    return system.reshape(count, 2 * s + 1, -1).swapaxes(1, 2)
 
 
 def fit_trans_s(model: ManifoldModel, points) -> TransSFit:
@@ -700,8 +762,10 @@ def fit_trans_s(model: ManifoldModel, points) -> TransSFit:
     sol, cond = _lstsq_reduced(r, c)
     t421 = None
     if relative_residual([(fr.h_all, 0.0)]) <= IDENTITY_TOL:
+        # both sides at [p, (k, b, a), alpha]: component k of -(nabla_{e_a} f)e_b and of R(e_a, xi_alpha)e_b
+        dim = model.dim
         t421 = relative_residual(
-            ((-b.nabla_f[:, None], einsum("pkbam,pcm->pckba", b.riemann31, b.xi))
+            ((-b.nabla_f.reshape(len(b.point), -1, 1), b.riemann31.reshape(len(b.point), -1, dim) @ b.xi.swapaxes(1, 2))
              for b in _blocks(fr, s * model.dim**3)),
             overwrite=True,
         )

@@ -48,4 +48,8 @@ def test_the_calls_of_the_workloads_resolve():
     assert jets.tensor_hessian(raw, 3).shape == (3, 3, 3, 3)
     frame = geom.PointFrame(model, p)
     assert np.array_equal(frame.g, g)
+    # the stages replay_point times, read on a fresh frame in its order
+    assert frame.dg.shape == (3, 3, 3) and frame.d2g.shape == (3, 3, 3, 3)
+    assert frame.gamma.shape == (3, 3, 3) and frame.dgamma.shape == (3, 3, 3, 3)
+    assert frame.riemann31.shape == (3, 3, 3, 3) and frame.ricci.shape == (3, 3)
     assert structure.structure_at(model, p, frame).g_mat is frame.g

@@ -105,3 +105,30 @@ def test_builder_argument_validation():
         build_s_space_form(0, 1)
     with pytest.raises(ValueError):
         build_s_space_form(1, 0)
+
+
+def _s_space_form_metric_by_full_sum(n, s, x):
+    """``g = sum_alpha eta_alpha (x) eta_alpha + diag(1/4, ..., 0)`` of ``s-space-form:n,s``,
+    summed over every entry of eta, zeros included."""
+    dim = 2 * n + s
+    eta = np.zeros((s, dim), dtype=object)
+    for i in range(n):
+        eta[:, i] = -0.5 * x[n + i]
+    for a in range(s):
+        eta[a, 2 * n + a] = 0.5
+    return sum(np.outer(e, e) for e in eta) + np.diag([0.25] * (2 * n) + [0.0] * s)
+
+
+def test_s_space_form_metric_equals_the_full_sum():
+    from fcontact import jets
+    from fcontact.catalog import MAX_DIM, build_s_space_form
+
+    for n in range(1, MAX_DIM):
+        for s in range(1, MAX_DIM - 2 * n + 1):
+            model = build_s_space_form(n, s)
+            for pts in (sample_points(model, 3, seed=n + s), [np.zeros(model.dim)]):
+                x = jets.variables(np.stack(pts))
+                got = jets.tensor_parts(model.fields(x)[0], model.dim, 2, (len(pts),))
+                want = jets.tensor_parts(_s_space_form_metric_by_full_sum(n, s, x), model.dim, 2, (len(pts),))
+                for part, (a, b) in zip(("value", "first", "second derivative"), zip(got, want)):
+                    assert np.array_equal(a, b), (n, s, part)

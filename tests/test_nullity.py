@@ -390,7 +390,8 @@ def test_gssf_f_spread_matches_a_per_point_lstsq_loop(key, planted):
         r = frame.riemann31.copy()
         r[2] += 1e-3 * (np.einsum("li,jk->lkij", eye, g) - np.einsum("ik,lj->lkij", g, eye))
         frame.riemann31 = r
-    design, y = nl._gssf_block(frame)
+    system = nl._gssf_block(frame)
+    design, y = system[..., :-1], system[..., -1]
     local = np.array([np.linalg.lstsq(d, v, rcond=None)[0] for d, v in zip(design, y)])
     want = local.max(axis=0) - local.min(axis=0)
     got = fit_gssf(model, frame).f_spread
@@ -717,13 +718,16 @@ def test_summed_curvature_sides_match_the_term_by_term_expansion(key):
 
 
 class _Draws:
-    """A stand-in random stream that hands out the given rows in order."""
+    """A stand-in random stream that hands out the given rows in order, whole
+    rows per call, with a ``bit_generator.state`` (its position) that can be put back."""
 
     def __init__(self, rows):
-        self.rows = iter(np.asarray(rows, dtype=float))
+        self.rows, self.state, self.bit_generator = np.asarray(rows, dtype=float), 0, self
 
     def standard_normal(self, shape):
-        return np.array([next(self.rows) for _ in range(shape[0])])
+        count = int(np.prod(shape[:-1]))
+        self.state += count
+        return self.rows[self.state - count:self.state].reshape(shape)
 
 
 def test_unit_sections_redraw_until_filled_and_give_up_only_without_directions():
@@ -735,3 +739,146 @@ def test_unit_sections_redraw_until_filled_and_give_up_only_without_directions()
     assert np.allclose(rows, [[1 / np.sqrt(1e-5), 0, 0], [0, 1 / np.sqrt(4e-5), 0]])
     with pytest.raises(InsufficientSampleError, match="could not draw"):
         nl._unit_sections(np.random.default_rng(0), np.zeros((3, 3)), g, 4)
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_block_sections_equal_the_per_point_draws_bit_for_bit(skip):
+    from fcontact import nullity as nl
+
+    proj, g = np.diag([1.0, 1.0, 0.0]), np.diag([1e-5, 4e-5, 1.0])
+    proj_l, gs = np.stack([proj] * 3), np.stack([g, 2.0 * g, 3.0 * g])
+    rows = np.random.default_rng(3).standard_normal((8, 3))
+    if skip:
+        rows[2] = [0.0, 0.0, 1.0]  # the first draw of the second point projects to 0 and is skipped
+    block, loop = _Draws(rows), _Draws(rows)
+    got = nl._block_sections(block, proj_l, gs, 2)
+    want = np.stack([nl._unit_sections(loop, p, m, 2) for p, m in zip(proj_l, gs)])
+    assert got.shape == (3, 2, 3) and got.tobytes() == want.tobytes()
+    assert block.state == loop.state == 6 + skip  # and the stream goes on where the per-point draws leave it
+
+
+def test_block_sections_equal_the_per_point_draws_on_a_frame():
+    from fcontact import nullity as nl
+
+    model = catalog_get("s-space-form:3,3").model
+    frame = PointFrame(model, np.stack(sample_points(model, 5, seed=1)))
+    block, loop = np.random.default_rng(4), np.random.default_rng(4)
+    got = nl._block_sections(block, frame.proj_L, frame.g, 7)
+    want = np.stack([nl._unit_sections(loop, p, m, 7) for p, m in zip(frame.proj_L, frame.g)])
+    assert got.tobytes() == want.tobytes()
+    assert block.standard_normal() == loop.standard_normal()
+
+
+def _nullity_oracle(fr):
+    """Columns (A, B) and ``R(e_i, e_j) xi_alpha`` of the nullity condition on every
+    (alpha, l, i, j), all pairs and every point: rows ``(P s dim^3, 2)`` and ``(P s dim^3,)``."""
+    eb, f2, h = fr.eta_bar, fr.f2, fr.h_all
+    a = np.einsum("pi,plj->plij", eb, f2)
+    a = np.broadcast_to((a - a.swapaxes(-1, -2))[:, None], h.shape[:2] + a.shape[1:])
+    b = np.einsum("pj,pali->palij", eb, h)
+    b = b - b.swapaxes(-1, -2)
+    y = np.einsum("plkij,pak->palij", fr.riemann31, fr.xi)
+    return np.stack([a.ravel(), b.ravel()], axis=-1), y.ravel()
+
+
+def _gssf_oracle(fr):
+    """The seven basis tensors of the ansatz, as written in ``_gssf_block``'s docstring,
+    and ``R(e_i, e_j)e_k`` at ``[p, l, k, i, j]`` on every pair: ``(rows, 7)`` and ``(rows,)``."""
+    g, f, F, eta, xi = fr.g, fr.f, fr.F, fr.eta, fr.xi
+    eye = np.eye(fr.model.dim)
+    cols = [
+        np.einsum("pjk,li->plkij", g, eye) - np.einsum("pik,lj->plkij", g, eye),
+        np.einsum("pik,plj->plkij", F, f) - np.einsum("pjk,pli->plkij", F, f) + 2 * np.einsum("pij,plk->plkij", F, f),
+    ]
+    for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        ea, eb, xb = eta[:, a], eta[:, b], xi[:, b]
+        cols.append(
+            np.einsum("pi,pk,lj->plkij", ea, eb, eye) - np.einsum("pj,pk,li->plkij", ea, eb, eye)
+            + np.einsum("pik,pj,pl->plkij", g, ea, xb) - np.einsum("pjk,pi,pl->plkij", g, ea, xb)
+        )
+    e1, e2 = eta[:, 0], eta[:, 1]
+    w = np.einsum("pi,pj->pij", e1, e2)
+    cols.append(np.einsum("pij,plk->plkij", w - w.swapaxes(1, 2),
+                          np.einsum("pk,pl->plk", e2, xi[:, 0]) - np.einsum("pk,pl->plk", e1, xi[:, 1])))
+    return np.stack([c.ravel() for c in cols], axis=-1), fr.riemann31.ravel()
+
+
+def _trans_s_oracle(fr):
+    """The template columns (alpha_i, then beta_i) and ``nabla f`` at ``[p, k, b, a]``."""
+    f, f2, F, xi, eta = fr.f, fr.f2, fr.F, fr.xi, fr.eta
+    ftgf = np.einsum("pma,pmn,pnb->pab", f, fr.g, f)
+    alpha = np.einsum("pab,pik->pikba", ftgf, xi) + np.einsum("pib,pka->pikba", eta, f2)
+    beta = np.einsum("pba,pik->pikba", F, xi) - np.einsum("pib,pka->pikba", eta, f)
+    cols = np.concatenate([alpha, beta], axis=1)
+    return np.moveaxis(cols, 1, -1).reshape(-1, cols.shape[1]), fr.nabla_f.ravel()
+
+
+def _lstsq(design, y):
+    sol, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
+    return sol, sv[0] / sv[-1]
+
+
+def _close(got, want):
+    assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("several_blocks", [False, True])
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_fits_equal_lstsq_on_the_full_stacked_design(several_blocks, noise, monkeypatch):
+    # the oracle: numpy's lstsq on every row of every point at once, rows built here from the frame's tensors;
+    # with noise on the curvature (antisymmetric in i, j, as R(e_i, e_j) is) and nabla f no fit is
+    # exact, so that every column counts
+    from fcontact import nullity as nl
+
+    cases = {key: catalog_get(key).model for key in ("flat-contact-r3:deformed:0.5", "s-space-form:2,2",
+                                                      "s-space-form:2,2:deformed:3", "s-space-form:3,2")}
+    frames = {key: PointFrame(m, np.stack(sample_points(m, 6, seed=3))) for key, m in cases.items()}
+    draws = np.random.default_rng(1)
+    for fr in frames.values():
+        wrong = noise * draws.standard_normal(fr.riemann31.shape)
+        fr.riemann31 = fr.riemann31 + wrong - wrong.swapaxes(-1, -2)
+        fr.nabla_f = fr.nabla_f + noise * draws.standard_normal(fr.nabla_f.shape)
+    if several_blocks:  # a block per point
+        monkeypatch.setattr(nl, "_BLOCK_ENTRIES", 1)
+    for key, fr in frames.items():
+        model = cases[key]
+        fit = fit_nullity(model, fr)
+        design, y = _nullity_oracle(fr)
+        if fit.mu_determined:
+            sol, cond = _lstsq(design, y)
+            _close([fit.kappa, fit.mu], sol)
+        else:
+            sol, cond = _lstsq(design[:, :1], y)
+            _close(fit.kappa, sol)
+        _close(fit.condition, cond)
+
+        trans = fit_trans_s(model, fr)
+        sol, cond = _lstsq(*_trans_s_oracle(fr))
+        _close(np.concatenate([trans.alpha, trans.beta]), sol)
+        _close(trans.condition, cond)
+
+        if model.s == 2:
+            gssf = fit_gssf(model, fr)
+            sol, cond = _lstsq(*_gssf_oracle(fr))
+            _close(gssf.f_constants, sol)
+            _close(gssf.condition, cond)
+
+
+@pytest.mark.parametrize("fit, block", [(fit_nullity, "_nullity_block"), (fit_gssf, "_gssf_block"),
+                                        (fit_trans_s, "_trans_s_block")])
+def test_residual_from_kept_systems_equals_the_rebuilt_one_bit_for_bit(fit, block, monkeypatch, s22):
+    from fcontact import nullity as nl
+
+    frame = PointFrame(s22, np.stack(sample_points(s22, 6, seed=5)))
+    noise = np.random.default_rng(0)  # so that the residuals are not roundoff
+    frame.riemann31 = frame.riemann31 + 1e-3 * noise.standard_normal(frame.riemann31.shape)
+    frame.nabla_f = frame.nabla_f + 1e-3 * noise.standard_normal(frame.nabla_f.shape)
+    monkeypatch.setattr(nl, "_BLOCK_ENTRIES", 1)  # a block per point
+    calls, build = [], getattr(nl, block)
+    monkeypatch.setattr(nl, block, lambda fr: calls.append(len(fr.point)) or build(fr))
+    kept = fit(s22, frame)
+    built = len(calls)
+    monkeypatch.setattr(nl, "_KEPT_ENTRIES", 0)
+    rebuilt = fit(s22, frame)
+    assert built == 6 and len(calls) == 3 * built  # each block built once, then twice
+    assert rebuilt.residual == kept.residual and kept.residual > 1e-4
