@@ -165,14 +165,17 @@ def _axioms(ctx: RunContext):
 
 
 def _killing(ctx: RunContext):
-    """Disagreement between ``L_xi g = 0`` and ``h = 0``, which are equivalent."""
+    """Disagreement between ``L_xi g = 0`` and ``h = 0``, which are equivalent.
+
+    Where the two disagree, the defect is the larger side, the one at or above
+    the tolerance, so that the row fails."""
     defects, notes, tol = [0.0], [], IDENTITY_TOL
     for a in range(ctx.model.s):
         k_res = stc.killing_check(ctx.model, a, ctx.frame)
         h_norm = relative_residual([(ctx.frame.h_all[:, a], 0.0)])
         # every comparison with NaN is false, so NaN agrees with nothing and its defect is NaN
         if not ((k_res < tol and h_norm < tol) or (k_res >= tol and h_norm >= tol)):
-            defects.append(np.minimum(k_res, h_norm))
+            defects.append(np.maximum(k_res, h_norm))
         notes.append(f"alpha={a}: L_xi g={k_res:.2e}, |h|={h_norm:.2e}")
     return np.max(defects), True, "; ".join(notes)
 

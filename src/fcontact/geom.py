@@ -34,14 +34,23 @@ Every contraction a frame makes is a batched matrix product: its operands
 are reshaped so that the summed index is the inner dimension of ``@``, and
 the result is read in the documented index order through a transposed view
 (single-operand ``np.einsum``) where needed.  The same code runs at one point
-and over a batch, whose axis ``@`` broadcasts.  ``dgamma`` and ``riemann31``
-each hold one temporary as large as their result while they are built.
+and over a batch, whose axis ``@`` broadcasts.
+
+The curvature is built on the basis pairs ``i < j`` alone, as
+``riemann_pairs`` (one matrix per pair), from its lowered form in ``d2g``
+and the Christoffel symbols: its build forms no array over all ``(i, j)``
+and no derivative of ``g^{-1}``, and every check reads it.  ``riemann31`` is
+``riemann_pairs`` unpacked, so the frame has one curvature formula, and
+``riemann40`` is ``riemann31`` lowered; they serve :func:`riemann`.
+``dgamma`` is kept for the stage replay of ``perfbench/tracing.py`` alone,
+which also reads ``riemann31``; its build holds one temporary as large as
+its result.  A check run builds none of these three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -104,6 +113,27 @@ def _read_only(value):
     return value
 
 
+@cache
+def _pairs(dim: int) -> np.ndarray:
+    """The basis pairs ``i < j`` as rows ``(i, j)``, in the order of ``np.triu_indices``
+    (by ``i``, then ``j``): ``(q, 2)`` with ``q = dim (dim - 1) / 2``.  Made once per
+    dimension and read-only, as every curvature array and check on the pairs reads it."""
+    r = np.arange(dim)
+    return _read_only(np.array((r[:, None] < r).nonzero()).T)
+
+
+@cache
+def _ricci_signs(dim: int) -> np.ndarray:
+    """``(dim, q dim)``: ``+1`` at ``[j, (q, i)]`` and ``-1`` at ``[i, (q, j)]`` for each
+    pair ``q = (i, j)``, as ``R(e_i, e_j) = R_q`` and ``R(e_j, e_i) = -R_q``, so that
+    its product with the pairs ``[(q, l), k]`` is ``sum_m R^m_k(m, a)`` at ``[a, k]``."""
+    ij, q = _pairs(dim), np.arange(dim * (dim - 1) // 2)
+    signs = np.zeros((dim, len(q), dim))
+    signs[ij[:, 1], q, ij[:, 0]] = 1.0
+    signs[ij[:, 0], q, ij[:, 1]] = -1.0
+    return _read_only(signs.reshape(dim, -1))
+
+
 class _kept(cached_property):
     """A ``cached_property`` whose arrays are made read-only once computed.
 
@@ -132,7 +162,7 @@ class PointFrame:
     field again.  The kept arrays, ``point`` among them, are shared with every
     caller and read-only: writing into one raises ``ValueError``.  A caller
     may still set a whole new array on a frame it built itself
-    (``frame.riemann31 = r``).  The model's evaluator must be a pure
+    (``frame.riemann_pairs = r``).  The model's evaluator must be a pure
     function of its coordinates, as a frame may serve many calls.
     """
 
@@ -218,7 +248,8 @@ class PointFrame:
 
     @_kept
     def dgamma(self):
-        """``dgamma[..., k, i, j, m] = d_m Gamma^k_ij``.
+        """``dgamma[..., k, i, j, m] = d_m Gamma^k_ij``, for the stage replay of
+        ``perfbench/tracing.py``: no curvature array is built from it.
 
         Besides its result the build holds one array of that size: ``d_m
         _bracket``, whose buffer then takes the second product.
@@ -239,19 +270,53 @@ class PointFrame:
         return out.reshape(self._shape(d, d, d, d))
 
     @_kept
-    def riemann31(self):
-        """``riemann31[..., l, k, i, j]`` = component ``l`` of ``R(e_i, e_j)e_k``.
+    def riemann_pairs(self):
+        """``riemann_pairs[..., q, l, k]`` = component ``l`` of ``R(e_i, e_j)e_k`` on
+        the pair ``q = (i, j)``, ``i < j``, of ``_pairs(dim)``: one matrix ``[l, k]``
+        per pair, the curvature every check reads.
 
-        Besides its result the build holds one array of that size, the
-        products ``Gamma^l_im Gamma^m_jk`` at ``[..., l, i, j, k]``.
+        Built from the lowered form ``R_ijkl = g(R(e_i, e_j)e_k, e_l)``,
+
+            R_ijkl = 1/2 (d_i d_k g_jl - d_j d_k g_il - d_i d_l g_jk + d_j d_l g_ik)
+                     + Gamma_{m,jl} Gamma^m_ik - Gamma_{m,il} Gamma^m_jk,
+
+        with ``Gamma_{m,ij} = 1/2 _bracket[m, i, j]``, raised by ``g^{-1}``.  The
+        pairs ``(i, j > i)`` of one ``i`` are one run of ``q``, so each run reads
+        its second derivatives and Christoffel symbols as views of ``d2g``,
+        ``_bracket`` and ``gamma``: each ``Gamma Gamma`` term is one batched
+        product, and the raise one more, written into the result.  Nothing
+        is built over all ``(i, j)``, and no derivative of ``g^{-1}``.
         """
-        gamma, dgamma, d = self.gamma, self.dgamma, self.model.dim
-        # C order, so that the H sample reads each point's R as a (dim^2, dim^2) matrix without a copy
-        out = np.subtract(np.einsum("...ljki->...lkij", dgamma), np.einsum("...likj->...lkij", dgamma), order="C")
-        gg = (gamma.reshape(self._shape(d * d, d)) @ gamma.reshape(self._shape(d, d * d))).reshape(
-            self._shape(d, d, d, d))
-        out += np.einsum("...lijk->...lkij", gg)
-        out -= np.einsum("...ljik->...lkij", gg)
+        d = self.model.dim
+        out = np.empty(self._shape(d * (d - 1) // 2, d, d))
+        h = self.d2g.swapaxes(-3, -2)  # [..., a, b, l, k] = d_b d_k g_al
+        low = self._bracket.swapaxes(-3, -2).swapaxes(-1, -2)  # [..., a, l, m] = 2 Gamma_{m,al}
+        up = self.gamma.swapaxes(-3, -2)  # [..., a, m, k] = Gamma^m_ak
+        half_ginv = 0.5 * self.ginv[..., None, :, :]
+        start = 0
+        for i in range(d - 1):
+            j, stop = slice(i + 1, None), start + d - 1 - i
+            # twice R_ijkl at [..., j, l, k], for every j > i
+            lowered = h[..., j, i, :, :] - h[..., i, j, :, :]
+            lowered -= lowered.swapaxes(-1, -2)
+            lowered += low[..., j, :, :] @ up[..., i:i + 1, :, :]
+            lowered -= low[..., i:i + 1, :, :] @ up[..., j, :, :]
+            np.matmul(half_ginv, lowered, out=out[..., start:stop, :, :])
+            start = stop
+        return out
+
+    @_kept
+    def riemann31(self):
+        """``riemann31[..., l, k, i, j]`` = component ``l`` of ``R(e_i, e_j)e_k``:
+        ``riemann_pairs`` unpacked, with ``R(e_j, e_i) = -R(e_i, e_j)`` and
+        ``R(e_i, e_i) = 0``.  No check reads it; ``riemann40``, ``geom.riemann``
+        and the stage replay of ``perfbench/tracing.py`` do."""
+        d, ij = self.model.dim, _pairs(self.model.dim)
+        out = np.zeros(self._shape(d, d, d, d))
+        by_pair = out.swapaxes(-1, -3).swapaxes(-2, -4)  # a view, [..., i, j, l, k]
+        pairs = self.riemann_pairs
+        by_pair[..., ij[:, 0], ij[:, 1], :, :] = pairs
+        by_pair[..., ij[:, 1], ij[:, 0], :, :] = -pairs
         return out
 
     @_kept
@@ -264,8 +329,10 @@ class PointFrame:
 
     @_kept
     def ricci(self):
-        """``ricci[..., a, b] = trace(Z -> R(Z, e_a)e_b)``."""
-        return np.einsum("...mbma->...ab", self.riemann31)
+        """``ricci[..., a, b] = trace(Z -> R(Z, e_a)e_b) = sum_m R^m_bma``: a signed
+        gather of ``riemann_pairs``, as one product with ``_ricci_signs``."""
+        d = self.model.dim
+        return _ricci_signs(d) @ self.riemann_pairs.reshape(self._shape(-1, d))
 
     @_kept
     def ricci_op(self):

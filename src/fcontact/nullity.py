@@ -26,29 +26,32 @@ arguments, so it holds for all vectors exactly when it holds on the
 coordinate basis vectors.  Those identities are therefore checked, and the
 fits solved, on every basis pair or triple at every point, over all points
 of one stacked :class:`~fcontact.geom.PointFrame` at once, block by block of
-points, and compared component by component with ``riemann31`` or
-``nabla_f``.  The identities in ``R(X, Y)`` -- the nullity condition, the
-R(X, Y)fZ expansion, the constant-H curvature model and the seven-function
-ansatz -- are compared on the pairs ``(e_i, e_j)`` with ``i < j`` alone, and
-these are exhaustive: ``R(X, Y) = -R(Y, X)``, and every other side is
-antisymmetric in X, Y by construction (a term minus its swap, or a factor
-``R(X, Y)`` or ``F(X, Y)``), so both sides at ``(e_j, e_i)`` are those at
-``(e_i, e_j)`` negated, and at ``(e_i, e_i)`` both vanish.  Their sides are
-laid out pair-major, ``[..., q, l, k]`` for component l of the vector at
-``(e_i, e_j, e_k)`` on pair q: ``R(e_i, e_j)`` is gathered from
-``riemann31`` (:func:`_curvature_pairs`) as one matrix per pair, so that
-``R f``, ``f R`` and ``R xi`` are batched matrix products, and the
-``g(MX, Z) NY`` terms are antisymmetrized on the pairs (:func:`_xz_y`).  The
-identities in ``R(xi_alpha, X)Y`` and ``nabla f`` have no such symmetry and
-are built on every pair, as batched matrix products with ``riemann31`` and as
-broadcast products where nothing is summed.  A fit builds each point's
-augmented system ``[design | y]`` once, block by block, reduces it to the R
-factor of one QR, forming no ``Q``, and solves on the stacked R factors; the
-systems are kept for its residual within one budget (``_KEPT_ENTRIES``),
-else built again (:func:`_systems`).  Only H(X), which is not
-multilinear, is sampled over random unit sections of L, by
-:func:`sample_H_constancy`, also from ``riemann31`` and in blocks of sections
-under the same budget, and one sample decides everything about H: its
+points, and compared component by component with the curvature or
+``nabla_f``.  The curvature is read in one layout only, the frame's
+``riemann_pairs``: ``R(e_i, e_j)`` as one matrix ``[l, k]`` per pair
+``q = (i, j)`` with ``i < j`` (``geom._pairs``), built from its lowered form.
+The identities in ``R(X, Y)`` -- the nullity condition, the R(X, Y)fZ
+expansion, the constant-H curvature model and the seven-function ansatz --
+are compared on those pairs alone, and these are exhaustive: ``R(X, Y) =
+-R(Y, X)``, and every other side is antisymmetric in X, Y by construction (a
+term minus its swap, or a factor ``R(X, Y)`` or ``F(X, Y)``), so both sides
+at ``(e_j, e_i)`` are those at ``(e_i, e_j)`` negated, and at ``(e_i, e_i)``
+both vanish.  Their sides are laid out pair-major, ``[..., q, l, k]`` for
+component l of the vector at ``(e_i, e_j, e_k)`` on pair q, so that ``R``
+itself is read in place, ``R f``, ``f R`` and ``R xi`` are batched matrix
+products, and the ``g(MX, Z) NY`` terms are antisymmetrized on the pairs
+(:func:`_xz_y`).  The identities in ``R(xi_alpha, X)Y`` and ``nabla f`` have
+no such symmetry and are built on every pair: ``R(xi_alpha, e_j)`` is one
+batched product of the pairs with a matrix of the components of ``xi_alpha``
+(:func:`_r_xi`), and the other sides are broadcast products where nothing is
+summed.  No check here reads ``riemann31``, ``riemann40`` or ``dgamma``.  A
+fit builds each point's augmented system ``[design | y]`` once, block by
+block, reduces it to the R factor of one QR, forming no ``Q``, and solves on
+the stacked R factors; the systems are kept for its residual within one
+budget (``_KEPT_ENTRIES``), else built again (:func:`_systems`).  Only H(X),
+which is not multilinear, is sampled over random unit sections of L, by
+:func:`sample_H_constancy`, also from ``riemann_pairs`` and in blocks of
+sections under the same budget, and one sample decides everything about H: its
 mean, its spread relative to its size, and, for kappa < 1, its residual
 against the splitting formula ``H(X) = -s(kappa + mu) - s(mu - kappa - 1)
 t(X)`` on the same sections.  That formula is the paper's theorem in closed
@@ -67,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSampleError, InvalidSectionError, NotApplicableError
-from .geom import ManifoldModel, Point, PointFrame, as_frame, as_frames
+from .geom import ManifoldModel, Point, PointFrame, _pairs, as_frame, as_frames
 from .jets import _outer
 from .structure import structure_at  # noqa: F401  (re-exported)
 from .tolerances import (
@@ -137,24 +140,6 @@ def _lstsq_reduced(r: np.ndarray, c: np.ndarray, columns=slice(None)) -> tuple[n
     return sol, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
 
-def _pairs(dim: int) -> np.ndarray:
-    """The basis pairs ``i < j`` as rows ``(i, j)``, in the order of ``np.triu_indices``: ``(q, 2)``.
-
-    Not ``np.transpose(np.triu_indices(dim, 1))``: that takes 15 us against
-    2.4 us (Xeon, numpy 2.4), and nullity, rf and curvature-model each take
-    their pairs once per block: about 40 us more on the 3 ms ``check`` of
-    ``flat-contact-r3:deformed:0.5`` at 4 points and 2000 samples.
-    """
-    r = np.arange(dim)
-    return np.array((r[:, None] < r).nonzero()).T
-
-
-def _curvature_pairs(fr: PointFrame, ij: np.ndarray) -> np.ndarray:
-    """``R(e_i, e_j)`` as a matrix ``[l, k]`` on each pair of ``ij``, gathered from
-    ``riemann31``: ``[..., q, l, k]``, pair-major.  A new array, the caller's to keep."""
-    return fr.riemann31.swapaxes(-1, -3).swapaxes(-2, -4)[..., ij[:, 0], ij[:, 1], :, :]
-
-
 def _xz_y(ij: np.ndarray, *terms) -> np.ndarray:
     """``sum b(X, Z) N Y - b(Y, Z) N X`` over ``terms`` of ``(b, N)`` with
     ``b[..., k, i] = b(e_i, e_k)``, on the pairs ``(X, Y) = (e_i, e_j)`` of ``ij``:
@@ -179,12 +164,12 @@ def _xz_y(ij: np.ndarray, *terms) -> np.ndarray:
 # grow with the number of points: a block holds about this many entries in
 # the largest array the identity allocates.  Per point that array has
 # ``q dim^2`` entries (``q = dim(dim - 1)/2`` pairs, ``_pair_entries``) for
-# nullity, rf and curvature-model: the curvature gathered on the pairs, or
-# one side; ``7 q dim^2`` for the gssf design; ``s dim^3`` for r-xi and
-# t421, and ``2 s dim^3`` for the trans-s design.  The H sample has ``dim^2``
-# entries per section (a row of ``gX (x) fX``), so it takes ``chunk dim^2``
-# per point for ``chunk`` sections at each point and draws and evaluates at
-# most ``_BLOCK_ENTRIES // dim^2`` sections at a time.  A block's temporaries
+# nullity, rf and curvature-model: one side; ``7 q dim^2`` for the gssf
+# design; ``s dim^3`` for r-xi and t421, and ``2 s dim^3`` for the trans-s
+# design.  The H sample has ``dim^2`` entries per section (a row of
+# ``gX (x) fX``), so it takes ``chunk dim^2`` per point for ``chunk``
+# sections at each point and draws and evaluates at most
+# ``_BLOCK_ENTRIES // dim^2`` sections at a time.  A block's temporaries
 # peak at a few such arrays: at most 1.5 MB at dim 9, where 20 points take two
 # blocks, and 0.8 MB for gssf at dims 6 and 8.  A larger budget makes the
 # 20-point runs of the dim-9 keys one block, but no faster (2-vCPU Xeon,
@@ -203,7 +188,7 @@ _BLOCK_ENTRIES = 2**15
 _KEPT_ENTRIES = 2**17
 
 
-def _blocks(fr: PointFrame, per_point: int, shared: str = "riemann31"):
+def _blocks(fr: PointFrame, per_point: int, shared: str = "riemann_pairs"):
     """``fr`` itself, or its slices of ``_BLOCK_ENTRIES / per_point`` points when it has more.
 
     ``per_point`` is the number of entries per point of the largest array the
@@ -222,7 +207,7 @@ def _pair_entries(model: ManifoldModel) -> int:
     return model.dim**3 * (model.dim - 1) // 2
 
 
-def _systems(fr: PointFrame, block, per_point: int, shared: str = "riemann31", peaks: bool = False):
+def _systems(fr: PointFrame, block, per_point: int, shared: str = "riemann_pairs", peaks: bool = False):
     """The per-point least-squares systems ``block(fr)`` builds, over blocks of points.
 
     ``block`` returns the augmented systems ``[design | y]`` of its points,
@@ -283,7 +268,7 @@ def _nullity_block(fr: PointFrame) -> np.ndarray:
     system = np.empty((count, 3, len(ij), s, dim))  # [p, column, q, alpha, l]
     system[:, 0] = ab[:, :, :1]
     system[:, 1] = ab[:, :, 1:]
-    np.matmul(fr.xi[:, None], _curvature_pairs(fr, ij).swapaxes(-1, -2), out=system[:, 2])
+    np.matmul(fr.xi[:, None], fr.riemann_pairs.swapaxes(-1, -2), out=system[:, 2])
     return system.reshape(count, 3, -1).swapaxes(1, 2)
 
 
@@ -315,6 +300,25 @@ def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) 
     )
 
 
+def _r_xi(fr: PointFrame) -> np.ndarray:
+    """``R(xi_alpha, e_j)`` as a matrix ``[l, k]`` for every alpha and j at each
+    point of ``fr``: ``[p, alpha, j, l, k]``.  A new array, the caller's to keep.
+
+    ``R(xi_alpha, e_j) = sum_q C_alpha[j, q] R_q`` over the pairs ``q = (a, b)``
+    of ``riemann_pairs``, where ``C_alpha`` holds ``xi_alpha^a`` at ``(b, q)``
+    and ``-xi_alpha^b`` at ``(a, q)``, as ``R(e_b, e_a) = -R_q``: one batched
+    product.
+    """
+    count, dim, s = len(fr.point), fr.model.dim, fr.model.s
+    ij = _pairs(dim)
+    q = np.arange(len(ij))
+    c = np.zeros((count, s, dim, len(ij)))
+    c[..., ij[:, 1], q] = fr.xi[..., ij[:, 0]]
+    c[..., ij[:, 0], q] = -fr.xi[..., ij[:, 1]]
+    r = c.reshape(count, s * dim, -1) @ fr.riemann_pairs.reshape(count, len(ij), -1)
+    return r.reshape(count, s, dim, dim, dim)
+
+
 def verify_r_xi(model: ManifoldModel, fit: NullityFit, points) -> float:
     """Relative residual of the transposed nullity identity for ``R(xi_alpha, X)Y``.
 
@@ -323,13 +327,11 @@ def verify_r_xi(model: ManifoldModel, fit: NullityFit, points) -> float:
     kappa, mu = fit.kappa, fit.mu_effective
 
     def sides(fr):
-        # both sides at [p, l, k, alpha, i]: component l of R(xi_alpha, e_i)e_k and its model
-        dim = model.dim
+        # both sides at [p, alpha, i, l, k]: component l of R(xi_alpha, e_i)e_k and its model
         k = kappa * _per_alpha(fr.f2) - mu * fr.h_all  # (P, s, dim, dim)
-        lhs = fr.xi[:, None] @ fr.riemann31.reshape(len(fr.point), dim * dim, dim, dim)
-        rhs = fr.eta_bar[:, None, :, None, None] * k.swapaxes(1, 2)[:, :, None]
-        rhs -= fr.xi_bar[:, :, None, None, None] * (_per_alpha(fr.g) @ k).transpose(0, 3, 1, 2)[:, None]
-        return lhs.reshape(rhs.shape), rhs
+        rhs = fr.eta_bar[:, None, None, None, :] * k.swapaxes(-1, -2)[..., None]
+        rhs -= fr.xi_bar[:, None, None, :, None] * (_per_alpha(fr.g) @ k)[..., None, :]
+        return _r_xi(fr), rhs
 
     return relative_residual(map(sides, _blocks(as_frames(model, points), model.s * model.dim**3)), overwrite=True)
 
@@ -401,7 +403,7 @@ def _rf_sides(fr: PointFrame, kappa: float, mu: float) -> tuple[np.ndarray, np.n
         (g @ q, s * p),
         (_outer(fr.eta_bar, fr.eta_bar), c),
     )
-    r, f = _curvature_pairs(fr, ij), f[..., None, :, :]
+    r, f = fr.riemann_pairs, f[..., None, :, :]
     lhs = r @ f
     rhs += f @ r
     return lhs, rhs
@@ -485,14 +487,15 @@ def _block_sections(rng, proj_l: np.ndarray, g: np.ndarray, count: int) -> np.nd
     return np.stack([_unit_sections(rng, p, m, count) for p, m in zip(proj_l, g)])
 
 
-def _f_sectional_rows(r31: np.ndarray, f: np.ndarray, eta: np.ndarray, g: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _f_sectional_rows(pairs: np.ndarray, f: np.ndarray, eta: np.ndarray, g: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``H(X) = g(R(X, fX)fX, X)`` for each row of ``X``, shaped ``(P, N, dim)``:
-    N unit vectors in L at each of P points, whose ``riemann31``, ``f``,
+    N unit vectors in L at each of P points, whose ``riemann_pairs``, ``f``,
     ``eta`` and ``g`` are the other arguments, each over the same leading
     point axis.  Returns ``(P, N)``.
 
-    H is ``(gX (x) fX) R (X (x) fX)`` with ``riemann31[p]`` as a
-    ``(dim^2, dim^2)`` matrix, rows ``(l, k)`` and columns ``(i, j)``.  A row
+    H is ``u . R . w`` with ``u = gX (x) fX`` over ``(l, k)``, ``R`` the
+    pairs ``[q, (l, k)]`` of one point and ``w`` the pair components of
+    ``X ^ fX``, ``w_q = X^i (fX)^j - X^j (fX)^i`` on ``q = (i, j)``.  A row
     that is not a g-unit vector in L, or holds a NaN, raises.
     """
     count, rows, dim = X.shape
@@ -503,14 +506,16 @@ def _f_sectional_rows(r31: np.ndarray, f: np.ndarray, eta: np.ndarray, g: np.nda
     for name, v in (("X", X), ("fX", fx)):
         if not peak(np.einsum("pni,pni->pn", v @ g, v) - 1.0) <= SECTION_TOL:
             raise InvalidSectionError(f"{name} is not a g-unit vector")
-    u, w = _outer(X @ g, fx).reshape(count, rows, -1), _outer(X, fx).reshape(count, rows, -1)
-    return np.einsum("pnk,pnk->pn", u @ r31.reshape(count, dim * dim, dim * dim), w)
+    i, j = _pairs(dim).T
+    w = X[..., i] * fx[..., j] - X[..., j] * fx[..., i]
+    u = _outer(X @ g, fx).reshape(count, rows, -1)
+    return np.einsum("pnk,pnk->pn", w @ pairs.reshape(count, len(i), dim * dim), u)
 
 
 def f_sectional(model: ManifoldModel, p: Point | PointFrame, X) -> float:
     """Sectional curvature of the plane {X, fX} for a unit X in L."""
     fr = as_frame(model, p)
-    arrays = (a[None] for a in (fr.riemann31, fr.f, fr.eta, fr.g))  # a batch of one point
+    arrays = (a[None] for a in (fr.riemann_pairs, fr.f, fr.eta, fr.g))  # a batch of one point
     return float(_f_sectional_rows(*arrays, np.asarray(X, dtype=float)[None, None])[0, 0])
 
 
@@ -579,7 +584,7 @@ def sample_H_constancy(
         for first in range(0, sections_per_point, chunk):  # once, unless the block is one point
             n = min(chunk, sections_per_point - first)
             X = _block_sections(rng, b.proj_L, b.g, n)
-            values.append(_f_sectional_rows(b.riemann31, b.f, b.eta, b.g, X))
+            values.append(_f_sectional_rows(b.riemann_pairs, b.f, b.eta, b.g, X))
             if lam is not None:
                 pairs.append((values[-1], _splitting_rows(b, X, fit)))
             del X  # before the next rows are drawn: memory holds one block's sections
@@ -616,9 +621,7 @@ def check_curvature_model(model: ManifoldModel, fit: NullityFit, H: float, point
             ((g @ k).swapaxes(1, 2), 4 * _outer(fr.xi_bar, fr.eta_bar)),
         )
         rhs += (2 * (H - s) * fr.F[:, ij[:, 0], ij[:, 1], None, None]) * f[:, None]
-        lhs = _curvature_pairs(fr, ij)
-        lhs *= 4.0
-        return lhs, rhs
+        return 4.0 * fr.riemann_pairs, rhs
 
     return relative_residual(map(sides, _blocks(as_frames(model, points), _pair_entries(model))), overwrite=True)
 
@@ -685,7 +688,7 @@ def _gssf_block(fr: PointFrame) -> np.ndarray:
     e1, e2 = eta[:, 0, ij], eta[:, 1, ij]  # [p, q, (i, j)]
     np.multiply((e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])[..., None, None],
                 (_outer(xi[:, 0], eta[:, 1]) - _outer(xi[:, 1], eta[:, 0]))[:, None], out=system[:, 6])  # t7
-    system[:, 7] = _curvature_pairs(fr, ij)
+    system[:, 7] = fr.riemann_pairs
     return system.reshape(count, 8, -1).swapaxes(1, 2)
 
 
@@ -762,11 +765,10 @@ def fit_trans_s(model: ManifoldModel, points) -> TransSFit:
     sol, cond = _lstsq_reduced(r, c)
     t421 = None
     if relative_residual([(fr.h_all, 0.0)]) <= IDENTITY_TOL:
-        # both sides at [p, (k, b, a), alpha]: component k of -(nabla_{e_a} f)e_b and of R(e_a, xi_alpha)e_b
-        dim = model.dim
+        # R(X, xi_alpha)Y = -(nabla_X f)Y read as R(xi_alpha, e_a)e_b = (nabla_{e_a} f)e_b, both sides
+        # at [p, alpha, a, k, b]: component k
         t421 = relative_residual(
-            ((-b.nabla_f.reshape(len(b.point), -1, 1), b.riemann31.reshape(len(b.point), -1, dim) @ b.xi.swapaxes(1, 2))
-             for b in _blocks(fr, s * model.dim**3)),
+            ((b.nabla_f.transpose(0, 3, 1, 2)[:, None], _r_xi(b)) for b in _blocks(fr, s * model.dim**3)),
             overwrite=True,
         )
     return TransSFit(

@@ -107,16 +107,25 @@ def unit_section(model, p, seed=0):
     return nl._unit_sections(np.random.default_rng(seed), fr.proj_L, fr.g, 1)[0]
 
 
+def on_pairs(t):
+    """A tensor laid out like ``riemann31``, ``[..., l, k, i, j]``, at the pairs
+    ``i < j`` of ``nullity._pairs``, laid out like ``riemann_pairs``: ``[..., q, l, k]``."""
+    i, j = nl._pairs(t.shape[-1]).T
+    return np.moveaxis(t[..., i, j], -1, -3)
+
+
 def section_defect(frame, size):
-    """A ``riemann31`` defect over the points of ``frame`` that adds
-    ``size (1 + 0.01 (a.X)^2 (a.fX)^2)`` to H(X): ``size`` times the Gauss
-    tensor of g (the same on every section) plus a small part that depends on
-    the section, with the last index of ``g(R(e_i, e_j)e_k, e_l)`` raised.
-    The nullity fit absorbs the Gauss part: kappa moves by ``size``."""
-    g, a = frame.g, np.array([0.3, -0.5, 0.8])
+    """A ``riemann_pairs`` defect over the points of ``frame`` that adds
+    ``size (1 + 0.01 (a.X)(a.fX))`` to H(X): ``size`` times the Gauss tensor
+    of g (the same on every section) plus ``-0.01 size F(X, Y) a (x) a`` on
+    ``(Z, W)``, which depends on the section as ``F(X, fX) = -1``, with the
+    last index of ``g(R(e_i, e_j)e_k, e_l)`` raised.  Both parts are
+    antisymmetric in ``(e_i, e_j)``, as the curvature is.  The nullity fit
+    absorbs the Gauss part: kappa moves by ``size``."""
+    g, F, a = frame.g, frame.F, np.array([0.3, -0.5, 0.8])
     gauss = np.einsum("pil,pjk->pijkl", g, g) - np.einsum("pik,pjl->pijkl", g, g)
-    d40 = size * (gauss + 0.01 * np.einsum("i,j,k,l->ijkl", a, a, a, a))
-    return np.einsum("plm,pijkm->plkij", frame.ginv, d40)
+    d40 = size * (gauss - 0.01 * np.einsum("pij,k,l->pijkl", F, a, a))
+    return on_pairs(np.einsum("plm,pijkm->plkij", frame.ginv, d40))
 
 
 PARTS = ("g", "f", "xi", "eta")

@@ -11,8 +11,13 @@ import numpy as np
 from fcontact import jets
 
 
+def field_values(model, p):
+    """``(g, f, xi, eta)`` at ``p`` as float arrays, from plain-float coordinates."""
+    return tuple(jets.tensor_value(t) for t in model.fields(np.asarray(p, dtype=float)))
+
+
 def metric_values(model, p):
-    return jets.tensor_value(model.fields(np.asarray(p, dtype=float))[0])
+    return field_values(model, p)[0]
 
 
 def fd_metric_jacobian(model, p, step=1e-5):
@@ -52,6 +57,49 @@ def fd_dgamma(model, p, step=1e-4):
         gp = PointFrame(model, p + e).gamma
         gm = PointFrame(model, p - e).gamma
         out[:, :, :, m] = (gp - gm) / (2 * step)
+    return out
+
+
+def fd_riemann31(model, p, step=1e-4):
+    """``riemann31[l, k, i, j] = R^l_kij`` at ``p``, in the (3,1) formula from
+    the exact-jet Christoffel symbols and their central differences (:func:`fd_dgamma`)."""
+    from fcontact.geom import PointFrame
+
+    gamma, dgamma = PointFrame(model, p).gamma, fd_dgamma(model, p, step)
+    return (np.einsum("ljki->lkij", dgamma) - np.einsum("likj->lkij", dgamma)
+            + np.einsum("lim,mjk->lkij", gamma, gamma) - np.einsum("ljm,mik->lkij", gamma, gamma))
+
+
+def fd_normality(model, p, step=1e-5):
+    """Central-difference normality tensor ``[f, f] + 2 sum xi_alpha (x) d eta_alpha``
+    at ``p``: ``[k, i, j]``, component k of its value on ``(e_i, e_j)``.
+
+    Built from its definitions on the coordinate fields, whose brackets
+    vanish: ``[f, f](X, Y) = [fX, fY] - f[fX, Y] - f[X, fY]``, with
+    ``[V, W]^k = V^m d_m W^k - W^m d_m V^k``, and Blair's ``(d eta)(X, Y) =
+    1/2 (X eta(Y) - Y eta(X))``.  The partials of ``f`` and ``eta`` are central
+    differences of :func:`field_values`.
+    """
+    dim = model.dim
+    p = np.asarray(p, dtype=float)
+    _, f, xi, eta = field_values(model, p)
+    steps = step * np.eye(dim)
+    # df[k, j, m] = d_m f^k_j and deta[a, j, m] = d_m eta_a(e_j)
+    df, deta = (np.stack([(field_values(model, p + e)[part] - field_values(model, p - e)[part]) / (2 * step)
+                          for e in steps], axis=-1) for part in (1, 3))
+
+    def bracket(v, dv, w, dw):  # dv[k, m] = d_m v^k
+        return dw @ v - dv @ w
+
+    coordinate, still = np.eye(dim), np.zeros((dim, dim))
+    out = np.zeros((dim, dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            fi, fj = (f[:, i], df[:, i]), (f[:, j], df[:, j])
+            ei, ej = (coordinate[i], still), (coordinate[j], still)
+            nij = bracket(*fi, *fj) - f @ bracket(*fi, *ej) - f @ bracket(*ei, *fj)
+            d_eta = 0.5 * (deta[:, j, i] - deta[:, i, j])  # (d eta_a)(e_i, e_j) for every a
+            out[:, i, j] = nij + 2.0 * xi.T @ d_eta
     return out
 
 

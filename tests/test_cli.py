@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -108,6 +109,23 @@ def test_every_check_reports_its_wall_time(deformed_report):
     data["checks"][0]["wall_time"] = -1.0
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(data, REPORT_SCHEMA)
+
+
+def test_wall_times_are_bounded_by_the_time_around_the_run(monkeypatch):
+    # a measured, a skipped (ricci: kappa = 1) and an errored (trans-s) record, each within the report's
+    # time, and that within the time measured around run
+    def fails(*args):
+        raise nullity.InsufficientSampleError("planted")
+
+    monkeypatch.setattr(nullity, "fit_trans_s", fails)
+    t0 = time.perf_counter()
+    report = run(RunConfig("s-space-form:2,2", points=3, samples=30))
+    elapsed = time.perf_counter() - t0
+    notes = {c.name: c.note for c in report.checks}
+    assert notes["ricci"].startswith("skipped:") and notes["trans-s"] == "error: planted"
+    for c in report.checks:
+        assert 0.0 <= c.wall_time <= report.wall_time, c
+    assert report.wall_time <= elapsed
 
 
 def test_per_check_wall_time_stays_out_of_the_text(deformed_report):
@@ -216,6 +234,28 @@ def test_nan_killing_residual_fails(monkeypatch, key):
     (record,) = run(RunConfig(key, points=3, samples=20, checks=["killing"])).checks
     assert math.isnan(record.residual)
     assert not record.passed and record.gating
+
+
+def test_a_field_that_is_not_killing_with_h_zero_fails_the_killing_row(monkeypatch):
+    # L_xi g = 0 and h = 0 are equivalent: L_xi g of size 1 next to h = 0 is a disagreement
+    monkeypatch.setattr("fcontact.structure.killing_check", lambda *args: 1.0)
+    (record,) = run(RunConfig("s-space-form:2,2", points=3, samples=20, checks=["killing"])).checks
+    assert record.residual == 1.0 and not record.passed and record.gating
+    assert "L_xi g=1.00e+00, |h|=0.00e+00" in record.note
+
+
+def test_a_nonzero_h_with_a_killing_field_fails_the_killing_row(monkeypatch):
+    monkeypatch.setattr("fcontact.structure.killing_check", lambda *args: 0.0)
+    stacked = cli.as_frames
+
+    def planted(model, points):
+        frame = stacked(model, points)
+        frame.h_all = frame.h_all + 1e-3 * frame.f[:, None]
+        return frame
+
+    monkeypatch.setattr(cli, "as_frames", planted)
+    (record,) = run(RunConfig("s-space-form:2,2", points=3, samples=20, checks=["killing"])).checks
+    assert record.residual > 1e-4 and not record.passed and record.gating
 
 
 def test_cli_subcommands_run(capsys):
@@ -503,7 +543,7 @@ def test_a_section_dependent_defect_fails_the_H_row(monkeypatch):
 
     def planted(model, points):
         frame = stacked(model, points)
-        frame.riemann31 = frame.riemann31 + section_defect(frame, 3e-5)
+        frame.riemann_pairs = frame.riemann_pairs + section_defect(frame, 3e-5)
         return frame
 
     monkeypatch.setattr(cli, "as_frames", planted)
@@ -543,7 +583,7 @@ def test_a_defect_past_the_first_ten_points_fails_the_H_row(monkeypatch):
         frame = stacked(model, points)
         defect = section_defect(frame, 3e-5)
         defect[:10] = 0.0
-        frame.riemann31 = frame.riemann31 + defect
+        frame.riemann_pairs = frame.riemann_pairs + defect
         return frame
 
     monkeypatch.setattr(cli, "as_frames", planted)
@@ -552,8 +592,8 @@ def test_a_defect_past_the_first_ten_points_fails_the_H_row(monkeypatch):
     assert records["H"].residual > 1e-6 and not records["H"].passed and not report.passed
 
 
-def test_a_run_builds_no_lowered_curvature_tensor(monkeypatch):
-    # every row reads riemann31; riemann40 is kept for geom.riemann alone
+def _run_frame(monkeypatch, config):
+    """The report of ``run(config)`` and the one frame its checks read."""
     stacked, frames = cli.as_frames, []
 
     def captured(model, points):
@@ -561,9 +601,26 @@ def test_a_run_builds_no_lowered_curvature_tensor(monkeypatch):
         return frames[-1]
 
     monkeypatch.setattr(cli, "as_frames", captured)
-    assert run(RunConfig("flat-contact-r3:deformed:0.5", points=4, samples=200)).passed
+    report = run(config)
     (frame,) = frames
-    assert "riemann31" in vars(frame) and "riemann40" not in vars(frame)
+    return report, frame
+
+
+def test_a_run_builds_no_lowered_curvature_tensor(monkeypatch):
+    # every row reads riemann_pairs; riemann40 is kept for geom.riemann alone
+    report, frame = _run_frame(monkeypatch, RunConfig("flat-contact-r3:deformed:0.5", points=4, samples=200))
+    assert report.passed
+    assert "riemann_pairs" in vars(frame) and "riemann40" not in vars(frame)
+
+
+def test_a_check_run_builds_no_array_over_all_curvature_indices(monkeypatch):
+    # the checks read the curvature on the pairs i < j: dgamma, riemann31 and riemann40, each dim^4 per
+    # point, are for geom.riemann and the stage replay, and stay off the check path
+    report, frame = _run_frame(monkeypatch, RunConfig("s-space-form:3,3", points=20, samples=200))
+    assert report.passed
+    assert "riemann_pairs" in vars(frame)
+    for name in ("dgamma", "riemann31", "riemann40"):
+        assert name not in vars(frame), name
 
 
 def test_a_failed_fit_skips_the_rows_that_read_it(monkeypatch, tmp_path, capsys):
@@ -597,6 +654,31 @@ def test_a_failed_fit_skips_the_rows_that_read_it(monkeypatch, tmp_path, capsys)
 
 
 # -- chart invariance ------------------------------------------------------------
+
+
+def _pulled_run(key, cond, seed):
+    """``run`` on ``key`` pulled back by ``x = A y + b``, with ``cond(A) = cond`` (singular values
+    ``sqrt(cond)``, 1 and ``1 / sqrt(cond)`` between random rotations) and ``b`` drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    A, b = q1 * np.array([np.sqrt(cond), 1.0, 1.0 / np.sqrt(cond)]) @ q2, rng.uniform(-0.5, 0.5, 3)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "catalog_get", lambda k: dataclasses.replace(
+            catalog_get(k), model=pullback(catalog_get(k).model, A, b)))
+        return run(RunConfig(key))
+
+
+@pytest.mark.parametrize("cond, seed, rows", [
+    (1000.0, 1, [row.name for row in CHECKS if row.gating]),
+    (3000.0, 2, ["ricci"]),
+])
+def test_the_curvature_rows_hold_on_an_ill_conditioned_chart(cond, seed, rows):
+    # the curvature is built from d2g and Gamma, never from a derivative of g^-1 (geom.riemann_pairs).
+    # Built through d_m Gamma, these charts failed H (1.9e-6) and skipped curvature-model at 1000,
+    # and failed ricci (3.1e-6) at 3000; now they read 1.9e-7 and 5.3e-8
+    records = {c.name: c for c in _pulled_run("flat-contact-r3:deformed:0.5", cond, seed).checks}
+    for name in rows:
+        assert records[name].passed, (name, records[name].residual, records[name].note)
 
 
 PULLED_KEYS = ["flat-contact-r3", "flat-contact-r3:deformed:0.5", "flat-contact-r3:deformed:2",

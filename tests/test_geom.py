@@ -29,8 +29,8 @@ from fcontact.errors import DegenerateMetricError
 from fcontact.geom import ManifoldModel, Point, PointFrame, as_frame
 from fcontact.structure import structure_at
 
-from .conftest import FLAT_PLAIN, with_field
-from .oracles import fd_christoffel, fd_dgamma, sympy_riemann31
+from .conftest import FLAT_PLAIN, on_pairs, with_field
+from .oracles import fd_christoffel, fd_dgamma, fd_riemann31, sympy_riemann31
 
 
 def metric_compatibility_residual(model: ManifoldModel, p: Point | PointFrame) -> float:
@@ -104,6 +104,15 @@ def test_dgamma_matches_finite_differences(flat):
     assert np.max(np.abs(frame.dgamma - fd_dgamma(model, p))) < 1e-6
 
 
+@pytest.mark.parametrize("key", ["flat-contact-r3:deformed:3", "s-space-form:2,2", "s-space-form:2,2:deformed:3"])
+def test_riemann_pairs_match_finite_differences(key):
+    model = catalog_get(key).model
+    (p,) = sample_points(model, 1, seed=5)
+    want = on_pairs(fd_riemann31(model, p))
+    assert np.max(np.abs(want)) > 0.1
+    assert np.max(np.abs(PointFrame(model, p).riemann_pairs - want)) < 1e-6
+
+
 def test_torsion_free(s22, s22_points):
     for p in s22_points:
         gamma = PointFrame(s22, p).gamma
@@ -143,8 +152,8 @@ def test_riemann_matches_sympy_oracle(key, metric):
     from fcontact import catalog_get
 
     point = (sp.Rational(1, 3), sp.Rational(-1, 2), sp.Rational(1, 5))
-    expected = sympy_riemann31(metric, point)
-    got = PointFrame(catalog_get(key).model, np.array([float(c) for c in point])).riemann31
+    expected = on_pairs(sympy_riemann31(metric, point))
+    got = PointFrame(catalog_get(key).model, np.array([float(c) for c in point])).riemann_pairs
     assert np.max(np.abs(expected)) > 0.1
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -255,7 +264,7 @@ def test_degenerate_metric_error():
 # Evaluated fields, which batched jets give bit for bit, and the arrays derived from them.
 FIELDS = ("g", "dg", "d2g", "f", "df", "xi", "dxi", "eta", "deta")
 DERIVED = (
-    "ginv", "gamma", "dgamma", "riemann31", "riemann40", "ricci", "ricci_op", "nabla_f",
+    "ginv", "gamma", "dgamma", "riemann_pairs", "riemann31", "riemann40", "ricci", "ricci_op", "nabla_f",
     "F", "f2", "xi_bar", "eta_bar", "d_eta", "h_all", "h", "nijenhuis", "xi_d_eta", "normality", "proj_L",
 )
 

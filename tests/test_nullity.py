@@ -27,7 +27,7 @@ from fcontact import (
 )
 from fcontact.errors import InsufficientSampleError, InvalidSectionError
 
-from .conftest import section_defect, unit_section as section, with_field
+from .conftest import on_pairs, section_defect, unit_section as section, with_field
 
 FIT_TOL = 1e-6
 
@@ -352,7 +352,7 @@ def test_a_section_dependent_defect_fails_the_splitting_formula_within_the_sprea
     model, fit = deformed[0.5], deformed_fits[0.5]
     frame = PointFrame(model, np.stack(flat_points[:4]))
     clean = sample_H_constancy(model, frame, 50, rng=0, fit=fit)
-    frame.riemann31 = frame.riemann31 + section_defect(frame, 3e-5)
+    frame.riemann_pairs = frame.riemann_pairs + section_defect(frame, 3e-5)
     rep = sample_H_constancy(model, frame, 50, rng=0, fit=fit)
     assert clean.splitting_residual < 1e-12
     assert rep.relative_spread < FIT_TOL < rep.splitting_residual
@@ -387,9 +387,9 @@ def test_gssf_f_spread_matches_a_per_point_lstsq_loop(key, planted):
     frame = PointFrame(model, np.stack(sample_points(model, 6, seed=1)))
     if planted:  # F_1 of the third point's local fit moves by 1e-3: t1 = g(Y, Z)X - g(X, Z)Y is added
         eye, g = np.eye(model.dim), frame.g[2]
-        r = frame.riemann31.copy()
-        r[2] += 1e-3 * (np.einsum("li,jk->lkij", eye, g) - np.einsum("ik,lj->lkij", g, eye))
-        frame.riemann31 = r
+        r = frame.riemann_pairs.copy()
+        r[2] += 1e-3 * on_pairs(np.einsum("li,jk->lkij", eye, g) - np.einsum("ik,lj->lkij", g, eye))
+        frame.riemann_pairs = r
     system = nl._gssf_block(frame)
     design, y = system[..., :-1], system[..., -1]
     local = np.array([np.linalg.lstsq(d, v, rcond=None)[0] for d, v in zip(design, y)])
@@ -457,10 +457,12 @@ def test_rf_identity_flags_a_defect_on_one_basis_triple():
     fit = fit_nullity(model, frame)
     assert check_rf_identity(model, fit, frame) < FIT_TOL
     # at the first point, R(e_1, e_4)e_2 gains 1e-4 in one component (and R(e_4, e_1)e_2 loses it)
-    r = frame.riemann31.copy()
-    r[0, 0, 2, 1, 4] += 1e-4
-    r[0, 0, 2, 4, 1] -= 1e-4
-    frame.riemann31 = r
+    defect = np.zeros((model.dim,) * 4)
+    defect[0, 2, 1, 4] += 1e-4
+    defect[0, 2, 4, 1] -= 1e-4
+    r = frame.riemann_pairs.copy()
+    r[0] += on_pairs(defect)
+    frame.riemann_pairs = r
     assert check_rf_identity(model, fit, frame) > 1e-5
 
 
@@ -470,10 +472,16 @@ def test_rf_identity_flags_a_defect_on_one_basis_triple():
     "flat-contact-r3:deformed:0.5", "s-space-form:2,2:deformed:3",
 ])
 def test_riemann31_is_antisymmetric_in_its_pair(key):
-    # the premise of checking every identity in R(X, Y) on the pairs i < j alone
+    # the premise of building the curvature, and checking every identity in R(X, Y), on the pairs i < j alone:
+    # the (3,1) formula in dgamma on every (i, j) is antisymmetric, and riemann31, the pairs unpacked, equals it
     model = catalog_get(key).model
-    r = PointFrame(model, np.stack(sample_points(model, 5, seed=3))).riemann31
-    assert np.max(np.abs(r + r.swapaxes(-1, -2))) <= 1e-13 * max(1.0, np.max(np.abs(r)))
+    fr = PointFrame(model, np.stack(sample_points(model, 5, seed=3)))
+    gamma, dgamma = fr.gamma, fr.dgamma
+    r = (np.einsum("pljki->plkij", dgamma) - np.einsum("plikj->plkij", dgamma)
+         + np.einsum("plim,pmjk->plkij", gamma, gamma) - np.einsum("pljm,pmik->plkij", gamma, gamma))
+    scale = max(1.0, np.max(np.abs(r)))
+    assert np.max(np.abs(r + r.swapaxes(-1, -2))) <= 1e-13 * scale
+    assert np.max(np.abs(fr.riemann31 - r)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("served", [False, True])
@@ -498,10 +506,12 @@ def test_a_defect_on_one_pair_fails_every_identity_in_R(served):
         assert max(residuals().values()) < FIT_TOL
     # at the second point, R(e_1, e_3)e_z1 gains 1e-4 in one component and R(e_3, e_1)e_z1 loses it:
     # the nullity condition reads R(X, Y) xi, and xi_alpha lies along e_z
-    r = frame.riemann31.copy()
-    r[1, 0, 4, 1, 3] += 1e-4
-    r[1, 0, 4, 3, 1] -= 1e-4
-    frame.riemann31 = r
+    defect = np.zeros((model.dim,) * 4)
+    defect[0, 4, 1, 3] += 1e-4
+    defect[0, 4, 3, 1] -= 1e-4
+    r = frame.riemann_pairs.copy()
+    r[1] += on_pairs(defect)
+    frame.riemann_pairs = r
     for name, residual in residuals().items():
         assert residual > 1e-5, name
 
@@ -511,7 +521,7 @@ def test_a_defect_on_one_pair_fails_every_identity_in_R(served):
 
 def _sectional_arrays(frame, at=slice(None)):
     """The arrays ``_f_sectional_rows`` reads, at the points ``at`` of a stacked frame."""
-    return frame.riemann31[at], frame.f[at], frame.eta[at], frame.g[at]
+    return frame.riemann_pairs[at], frame.f[at], frame.eta[at], frame.g[at]
 
 
 @pytest.mark.parametrize("key", ["s-space-form:3,3", "flat-contact-r3:deformed:0.5"])
@@ -536,18 +546,19 @@ def _sample_H_per_point(model, points, sections, rng):
     from fcontact.jets import _outer
 
     fr, rng, dim2 = PointFrame(model, np.stack(points)), np.random.default_rng(rng), model.dim**2
-    fr.riemann31, fr.proj_L  # over the batch, as the sampler reads them
+    fr.riemann_pairs, fr.proj_L  # over the batch, as the sampler reads them
     rows = nl._BLOCK_ENTRIES // dim2
+    a, b = nl._pairs(model.dim).T
     values = []
     for i in range(len(points)):
         one = fr[i]
         X = nl._unit_sections(rng, one.proj_L, one.g, sections)
-        r = one.riemann31.reshape(dim2, dim2)
+        r = one.riemann_pairs.reshape(len(a), dim2)
         for start in range(0, len(X), rows):
             x = X[start:start + rows]
             fx = x @ one.f.T
-            u, w = _outer(x @ one.g, fx).reshape(-1, dim2), _outer(x, fx).reshape(-1, dim2)
-            values.append(np.einsum("nk,nk->n", u @ r, w))
+            u, w = _outer(x @ one.g, fx).reshape(-1, dim2), x[:, a] * fx[:, b] - x[:, b] * fx[:, a]
+            values.append(np.einsum("nk,nk->n", w @ r, u))
     arr = np.concatenate(values)
     return float(arr.mean()), float(arr.max() - arr.min())
 
@@ -608,12 +619,12 @@ def test_section_counts_take_numpy_integers(count, deformed, flat_points):
 
 
 def test_the_H_sample_holds_less_than_one_lowered_curvature_tensor():
-    # the sampler reads riemann31 in blocks of sections; it builds no riemann40 (P dim^4 doubles)
+    # the sampler reads riemann_pairs in blocks of sections; it builds no riemann40 (P dim^4 doubles)
     import tracemalloc
 
     model = catalog_get("s-space-form:3,3").model
     frame = PointFrame(model, np.stack(sample_points(model, 100, seed=0)))
-    for name in ("riemann31", "proj_L", "f", "eta", "g"):  # a warm frame, as a run hands it over
+    for name in ("riemann_pairs", "proj_L", "f", "eta", "g"):  # a warm frame, as a run hands it over
         getattr(frame, name)
     for sections in (1, 100):  # one group of all points, and groups of four
         tracemalloc.start()
@@ -623,7 +634,7 @@ def test_the_H_sample_holds_less_than_one_lowered_curvature_tensor():
         finally:
             tracemalloc.stop()
         assert peak_bytes < 100 * model.dim**4 * 8, sections
-    assert "riemann40" not in vars(frame)
+    assert "riemann40" not in vars(frame) and "riemann31" not in vars(frame)
 
 
 def test_checks_over_blocks_of_points_match_one_block(
@@ -669,12 +680,6 @@ def _antisym(t):
     return t - t.swapaxes(-1, -2)
 
 
-def _on_pairs(t):
-    """A tensor laid out like ``riemann31`` ([l, k, i, j]) at the pairs i < j, pair-major: [q, l, k]."""
-    iu, ju = np.triu_indices(t.shape[-1], 1)
-    return np.moveaxis(t[..., iu, ju], -1, 0)
-
-
 @pytest.mark.parametrize("key", ["s-space-form:2,2", "flat-contact-r3:deformed:0.75"])
 def test_summed_curvature_sides_match_the_term_by_term_expansion(key):
     # arbitrary constants, so that every term of both expansions counts
@@ -699,8 +704,8 @@ def test_summed_curvature_sides_match_the_term_by_term_expansion(key):
             + np.einsum("k,i,lj->lkij", eb, eb, c)
         )
         lhs, rhs = _rf_sides(fr, kappa, mu)
-        assert np.max(np.abs(lhs - _on_pairs(np.einsum("lmij,mk->lkij", fr.riemann31, f)))) <= 1e-13
-        want = _on_pairs(np.einsum("lm,mkij->lkij", f, fr.riemann31) + _antisym(half))
+        assert np.max(np.abs(lhs - on_pairs(np.einsum("lmij,mk->lkij", fr.riemann31, f)))) <= 1e-13
+        want = on_pairs(np.einsum("lm,mkij->lkij", f, fr.riemann31) + _antisym(half))
         assert np.max(np.abs(rhs - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
         half = (
             -(H + 3 * s) * _gz_term(fr, f2, f2)
@@ -835,8 +840,8 @@ def test_fits_equal_lstsq_on_the_full_stacked_design(several_blocks, noise, monk
     frames = {key: PointFrame(m, np.stack(sample_points(m, 6, seed=3))) for key, m in cases.items()}
     draws = np.random.default_rng(1)
     for fr in frames.values():
-        wrong = noise * draws.standard_normal(fr.riemann31.shape)
-        fr.riemann31 = fr.riemann31 + wrong - wrong.swapaxes(-1, -2)
+        wrong = noise * draws.standard_normal((len(fr.point),) + (fr.model.dim,) * 4)
+        fr.riemann_pairs = fr.riemann_pairs + on_pairs(wrong - wrong.swapaxes(-1, -2))
         fr.nabla_f = fr.nabla_f + noise * draws.standard_normal(fr.nabla_f.shape)
     if several_blocks:  # a block per point
         monkeypatch.setattr(nl, "_BLOCK_ENTRIES", 1)
@@ -871,7 +876,7 @@ def test_residual_from_kept_systems_equals_the_rebuilt_one_bit_for_bit(fit, bloc
 
     frame = PointFrame(s22, np.stack(sample_points(s22, 6, seed=5)))
     noise = np.random.default_rng(0)  # so that the residuals are not roundoff
-    frame.riemann31 = frame.riemann31 + 1e-3 * noise.standard_normal(frame.riemann31.shape)
+    frame.riemann_pairs = frame.riemann_pairs + 1e-3 * noise.standard_normal(frame.riemann_pairs.shape)
     frame.nabla_f = frame.nabla_f + 1e-3 * noise.standard_normal(frame.nabla_f.shape)
     monkeypatch.setattr(nl, "_BLOCK_ENTRIES", 1)  # a block per point
     calls, build = [], getattr(nl, block)

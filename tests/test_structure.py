@@ -16,6 +16,7 @@ from fcontact import (
 )
 
 from .conftest import twice_d_eta_residual, with_field
+from .oracles import fd_normality
 
 IDT = 1e-8
 
@@ -75,6 +76,17 @@ def test_normality_s_structure(s22, s22_points):
 
 def test_normality_flat_fails(flat, flat_points):
     assert check_normality(flat, flat_points) > 0.1
+
+
+@pytest.mark.parametrize("key", ["flat-contact-r3", "flat-contact-r3:deformed:0.5"])
+def test_normality_tensor_matches_finite_differences(key):
+    # both models are not normal, so every term of the tensor counts
+    model = catalog_get(key).model
+    for p in sample_points(model, 3, seed=8):
+        want = fd_normality(model, p)
+        got = structure_at(model, p).normality
+        assert np.max(np.abs(want)) > 0.1
+        assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
 
 
 def test_normality_preserved_by_deformation(s22, s22_points):
