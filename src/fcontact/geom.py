@@ -409,11 +409,6 @@ class PointFrame:
         """``normality[..., k, i, j]``: component k of ``[f, f] + 2 sum xi_a (x) d eta_a`` on (e_i, e_j)."""
         return self.nijenhuis + 2.0 * self.xi_d_eta
 
-    @_kept
-    def proj_L(self):
-        """Projector onto L: ``-f^2 = I - sum xi_alpha (x) eta_alpha``."""
-        return -self.f2
-
 
 def _check_model(frame: PointFrame, model: ManifoldModel) -> None:
     if frame.model is not model:

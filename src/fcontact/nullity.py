@@ -51,12 +51,14 @@ the stacked R factors; the systems are kept for its residual within one
 budget (``_KEPT_ENTRIES``), else built again (:func:`_systems`).  Only H(X),
 which is not multilinear, is sampled over random unit sections of L, by
 :func:`sample_H_constancy`, also from ``riemann_pairs`` and in blocks of
-sections under the same budget, and one sample decides everything about H: its
-mean, its spread relative to its size, and, for kappa < 1, its residual
-against the splitting formula ``H(X) = -s(kappa + mu) - s(mu - kappa - 1)
-t(X)`` on the same sections.  That formula is the paper's theorem in closed
-form: for n > 1, H is constant exactly when ``mu = kappa + 1``.  Every
-residual is :func:`~fcontact.tolerances.relative_residual`.
+sections under the same budget: each block's sections are Gaussians drawn in
+one call, projected by ``-f^2`` and normalized in g (:func:`_block_sections`),
+and one sample decides everything about H: its mean, its spread relative to
+its size, and, for kappa < 1, its residual against the splitting formula
+``H(X) = -s(kappa + mu) - s(mu - kappa - 1) t(X)`` on the same sections.
+That formula is the paper's theorem in closed form: for n > 1, H is constant
+exactly when ``mu = kappa + 1``.  Every residual is
+:func:`~fcontact.tolerances.relative_residual`.
 
 Whether kappa is below 1 is decided once, by :func:`fit_nullity`: ``fit.lam``
 is ``sqrt(1 - kappa)`` then and ``None`` otherwise, and every branch on
@@ -77,7 +79,6 @@ from .tolerances import (
     COLUMN_CUTOFF,
     FIT_TOL,
     IDENTITY_TOL,
-    SECTION_CUTOFF,
     SECTION_TOL,
     peak,
     relative_residual,
@@ -441,50 +442,16 @@ def check_ricci_model(model: ManifoldModel, fit: NullityFit, points) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Rounds of draws in a row that keep no section before ``_unit_sections`` gives up.
-_DRAW_ROUNDS = 8
-
-
-def _unit_sections(rng, proj_l: np.ndarray, g: np.ndarray, count: int) -> np.ndarray:
-    """``count`` random g-unit vectors in L at one point, as rows: Gaussians
-    projected by ``proj_l`` and normalized in the metric ``g``.
-
-    A draw is skipped when its projection keeps less than ``SECTION_CUTOFF``
-    of its Euclidean norm, so the rows are those that ``count`` draws made
-    one after another would give.  ``_DRAW_ROUNDS`` rounds in a row that
-    keep no draw mean that L has no directions to draw.
-    """
-    rows, need, misses = [], count, 0
-    while need:
-        z = rng.standard_normal((need, len(g)))
-        v = z @ proj_l.T
-        keep = np.einsum("ni,ni->n", v, v) >= SECTION_CUTOFF**2 * np.einsum("ni,ni->n", z, z)
-        misses = 0 if keep.any() else misses + 1
-        if misses == _DRAW_ROUNDS:
-            raise InsufficientSampleError("could not draw a unit vector in L")
-        norm = np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", v, g, v), 0.0))
-        rows.append(v[keep] / norm[keep, None])
-        need -= int(keep.sum())
-    return rows[0] if len(rows) == 1 else np.concatenate(rows)
-
-
-def _block_sections(rng, proj_l: np.ndarray, g: np.ndarray, count: int) -> np.ndarray:
-    """``count`` random g-unit vectors in L at each point of a block, ``(P, count, dim)``,
-    from the stacked ``proj_L`` and ``g`` of its P points.
-
-    The same rows as ``_unit_sections`` point after point, bit for bit: the
-    block's draws are taken in one call, which gives the numbers of the
-    per-point draws in their order, and projected, tested and normalized as
-    there.  When any of them is skipped, the stream is put back and the
-    points draw one by one.
-    """
-    state = rng.bit_generator.state
-    z = rng.standard_normal((len(g), count, g.shape[-1]))
-    v = z @ proj_l.swapaxes(-1, -2)
-    if (np.einsum("pni,pni->pn", v, v) >= SECTION_CUTOFF**2 * np.einsum("pni,pni->pn", z, z)).all():
-        return v / np.sqrt(np.maximum(np.einsum("pni,pij,pnj->pn", v, g, v), 0.0))[..., None]
-    rng.bit_generator.state = state
-    return np.stack([_unit_sections(rng, p, m, count) for p, m in zip(proj_l, g)])
+def _block_sections(rng, f2: np.ndarray, g: np.ndarray, count: int) -> np.ndarray:
+    """``count`` random g-unit vectors in L at each of the P points of a block,
+    ``(P, count, dim)``: Gaussians drawn in one call, projected onto L by ``-f^2``
+    up to a sign that H and ``t(X)`` do not see (both are even in X) and divided
+    by their g-norms.  A point where a draw has no g-norm raises."""
+    v = rng.standard_normal((len(g), count, g.shape[-1])) @ f2.swapaxes(-1, -2)
+    norm2 = np.einsum("pni,pij,pnj->pn", v, g, v)
+    if not (norm2 > 0).all():  # a NaN fails too
+        raise InsufficientSampleError("could not draw a unit vector in L")
+    return v / np.sqrt(norm2)[..., None]
 
 
 def _f_sectional_rows(pairs: np.ndarray, f: np.ndarray, eta: np.ndarray, g: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -563,11 +530,12 @@ def sample_H_constancy(
     ``fit`` whose kappa is below 1 the residual of the splitting formula.
 
     H(X) is not multilinear in X, so it is sampled.  The points draw their
-    sections in order, each all of its own before the next, from the one
-    stream ``rng``: the blocking below does not change which sections a seed
-    gives.  A section is a row of ``dim^2`` entries, and the sections are
-    drawn and evaluated ``_BLOCK_ENTRIES // dim^2`` at a time at most: over
-    the ``_blocks`` of the frame for ``chunk`` sections per point, where
+    sections (:func:`_block_sections`) in order, each all of its own before
+    the next, from the one stream ``rng``, a block in one call: the blocking
+    below does not change which sections a seed gives.  A section is a row of
+    ``dim^2`` entries, and the sections are drawn and evaluated
+    ``_BLOCK_ENTRIES // dim^2`` at a time at most: over the ``_blocks`` of
+    the frame for ``chunk`` sections per point, where
     ``chunk`` is ``sections_per_point`` or, when one point alone has more
     sections than that, the most that fit (one point per block, in chunks).
     The splitting formula (``_splitting_rows``) is evaluated on the same rows.
@@ -583,7 +551,7 @@ def sample_H_constancy(
     for b in _blocks(fr, chunk * model.dim**2):
         for first in range(0, sections_per_point, chunk):  # once, unless the block is one point
             n = min(chunk, sections_per_point - first)
-            X = _block_sections(rng, b.proj_L, b.g, n)
+            X = _block_sections(rng, b.f2, b.g, n)
             values.append(_f_sectional_rows(b.riemann_pairs, b.f, b.eta, b.g, X))
             if lam is not None:
                 pairs.append((values[-1], _splitting_rows(b, X, fit)))

@@ -30,8 +30,6 @@ The cutoffs, each relative to the scale named:
   ``max |eta_bar| max |f^2|``, and the mu column when its largest entry is
   below this times the kappa column's: both tests are free of scale, so a
   strongly deformed model, whose ``eta`` is small, is fitted as any other.
-* ``SECTION_CUTOFF`` -- a Gaussian draw gives a section of L when its
-  projection onto L keeps at least this fraction of its Euclidean norm.
 * ``SECTION_TOL`` -- a vector handed to ``H(X)`` must be a g-unit vector in
   L to within this: ``|eta_alpha(X)|`` and ``|g(X, X) - 1|`` for ``X`` and
   ``fX``, relative to the unit length.
@@ -45,7 +43,6 @@ RESIDUAL_FLOOR = 1.0
 METRIC_CONDITION_MAX = 1e10
 RANK_THRESHOLD = 1e-6
 COLUMN_CUTOFF = 1e-8
-SECTION_CUTOFF = 1e-3
 SECTION_TOL = 1e-6
 
 

@@ -104,7 +104,7 @@ def rng_points(model, count, seed):
 def unit_section(model, p, seed=0):
     """A random g-unit vector in L at p."""
     fr = PointFrame(model, p)
-    return nl._unit_sections(np.random.default_rng(seed), fr.proj_L, fr.g, 1)[0]
+    return nl._block_sections(np.random.default_rng(seed), fr.f2[None], fr.g[None], 1)[0, 0]
 
 
 def on_pairs(t):
@@ -158,3 +158,29 @@ def pullback(model, A, b):
         return A.T @ g @ A, A_inv @ f @ A, xi @ A_inv.T, eta @ A
 
     return dataclasses.replace(model, fields=fields, label=f"{model.label}:pulled")
+
+
+def shear_pullback(model, eps):
+    """``model`` in the chart ``y`` with ``x_i = y_i + eps y_{i+1}^2`` for
+    ``i < dim - 1``, sampled over the same box of ``y``.  Its Jacobian
+    ``J = dx/dy = I + N`` is unit upper-bidiagonal, ``N`` holding
+    ``2 eps y_{i+1}`` above the diagonal, so ``J^{-1} = sum_k (-N)^k`` is a
+    finite sum, exact in jets: ``g' = J^T g J``, ``f' = J^{-1} f J``,
+    ``xi' = xi J^{-T}`` and ``eta' = eta J``.  Unlike ``pullback`` it moves
+    the inhomogeneous term of Gamma and the partials of f and xi."""
+    base, dim, eps = model.fields, model.dim, float(eps)
+    eye = np.eye(dim).astype(object)
+
+    def fields(y):
+        x, n = np.array(y, dtype=object), np.zeros((dim, dim), dtype=object)
+        for i in range(dim - 1):
+            x[i] = y[i] + eps * y[i + 1] * y[i + 1]
+            n[i, i + 1] = 2.0 * eps * y[i + 1]
+        J, J_inv, term = eye + n, eye, eye
+        for _ in range(dim - 1):
+            term = -(term @ n)
+            J_inv = J_inv + term
+        g, f, xi, eta = (np.asarray(t) for t in base(x))
+        return J.T @ g @ J, J_inv @ f @ J, xi @ J_inv.T, eta @ J
+
+    return dataclasses.replace(model, fields=fields, label=f"{model.label}:sheared")

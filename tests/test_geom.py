@@ -265,7 +265,7 @@ def test_degenerate_metric_error():
 FIELDS = ("g", "dg", "d2g", "f", "df", "xi", "dxi", "eta", "deta")
 DERIVED = (
     "ginv", "gamma", "dgamma", "riemann_pairs", "riemann31", "riemann40", "ricci", "ricci_op", "nabla_f",
-    "F", "f2", "xi_bar", "eta_bar", "d_eta", "h_all", "h", "nijenhuis", "xi_d_eta", "normality", "proj_L",
+    "F", "f2", "xi_bar", "eta_bar", "d_eta", "h_all", "h", "nijenhuis", "xi_d_eta", "normality",
 )
 
 

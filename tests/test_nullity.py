@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_r_xi_identity_detects_wrong_kappa(deformed, deformed_fits, flat_points)
 def plus_projector(model, fit, p):
     """``P+ = 1/2 (P_L + h / lam)``, the projector onto ``L_+`` at ``p``."""
     fr = PointFrame(model, p)
-    return 0.5 * (fr.proj_L + fr.h / fit.lam)
+    return 0.5 * (fr.h / fit.lam - fr.f2)
 
 
 def test_spectrum_flat(flat, flat_fit, flat_points):
@@ -531,7 +532,8 @@ def test_f_sectional_contraction_matches_the_five_operand_formula(key):
 
     model = catalog_get(key).model
     frame = PointFrame(model, np.stack(sample_points(model, 3, seed=4)))
-    X = np.stack([nl._unit_sections(np.random.default_rng(5 + i), frame.proj_L[i], frame.g[i], 50) for i in range(3)])
+    X = np.concatenate([nl._block_sections(np.random.default_rng(5 + i), frame.f2[i:i + 1], frame.g[i:i + 1], 50)
+                        for i in range(3)])
     fX = X @ frame.f.swapaxes(-1, -2)
     want = np.einsum("pijkl,pni,pnj,pnk,pnl->pn", frame.riemann40, X, fX, fX, X)
     got = nl._f_sectional_rows(*_sectional_arrays(frame), X)
@@ -546,13 +548,13 @@ def _sample_H_per_point(model, points, sections, rng):
     from fcontact.jets import _outer
 
     fr, rng, dim2 = PointFrame(model, np.stack(points)), np.random.default_rng(rng), model.dim**2
-    fr.riemann_pairs, fr.proj_L  # over the batch, as the sampler reads them
+    fr.riemann_pairs, fr.f2  # over the batch, as the sampler reads them
     rows = nl._BLOCK_ENTRIES // dim2
     a, b = nl._pairs(model.dim).T
     values = []
     for i in range(len(points)):
         one = fr[i]
-        X = nl._unit_sections(rng, one.proj_L, one.g, sections)
+        X = nl._block_sections(rng, one.f2[None], one.g[None], sections)[0]
         r = one.riemann_pairs.reshape(len(a), dim2)
         for start in range(0, len(X), rows):
             x = X[start:start + rows]
@@ -583,7 +585,7 @@ def test_a_bad_row_in_a_group_of_points_raises(deformed, flat_points):
     model = deformed[0.5]
     frame = PointFrame(model, np.stack(flat_points[:3]))
     rng = np.random.default_rng(0)
-    X = np.stack([nl._unit_sections(rng, frame.proj_L[i], frame.g[i], 5) for i in range(3)])
+    X = nl._block_sections(rng, frame.f2, frame.g, 5)
     assert np.all(np.isfinite(nl._f_sectional_rows(*_sectional_arrays(frame), X)))
     nan = np.full(3, np.nan)
     for bad in (frame.xi[1, 0] / np.sqrt(frame.g[1] @ frame.xi[1, 0] @ frame.xi[1, 0]), 2.0 * X[1, 2], nan):
@@ -624,7 +626,7 @@ def test_the_H_sample_holds_less_than_one_lowered_curvature_tensor():
 
     model = catalog_get("s-space-form:3,3").model
     frame = PointFrame(model, np.stack(sample_points(model, 100, seed=0)))
-    for name in ("riemann_pairs", "proj_L", "f", "eta", "g"):  # a warm frame, as a run hands it over
+    for name in ("riemann_pairs", "f2", "f", "eta", "g"):  # a warm frame, as a run hands it over
         getattr(frame, name)
     for sections in (1, 100):  # one group of all points, and groups of four
         tracemalloc.start()
@@ -722,56 +724,18 @@ def test_summed_curvature_sides_match_the_term_by_term_expansion(key):
     assert check_curvature_model(model, fit, H, points) == pytest.approx(want, rel=1e-12)
 
 
-class _Draws:
-    """A stand-in random stream that hands out the given rows in order, whole
-    rows per call, with a ``bit_generator.state`` (its position) that can be put back."""
-
-    def __init__(self, rows):
-        self.rows, self.state, self.bit_generator = np.asarray(rows, dtype=float), 0, self
-
-    def standard_normal(self, shape):
-        count = int(np.prod(shape[:-1]))
-        self.state += count
-        return self.rows[self.state - count:self.state].reshape(shape)
-
-
-def test_unit_sections_redraw_until_filled_and_give_up_only_without_directions():
+def test_block_sections_give_up_only_where_L_has_no_directions():
     from fcontact import nullity as nl
 
-    proj, g = np.diag([1.0, 1.0, 0.0]), np.diag([1e-5, 4e-5, 1.0])
-    # the draws along e3 project to 0 and are skipped, even when a whole re-draw keeps none
-    rows = nl._unit_sections(_Draws([[0, 0, 1], [1, 0, 0], [0, 0, 1], [0, 0, 1], [0, 3, 0]]), proj, g, 2)
-    assert np.allclose(rows, [[1 / np.sqrt(1e-5), 0, 0], [0, 1 / np.sqrt(4e-5), 0]])
-    with pytest.raises(InsufficientSampleError, match="could not draw"):
-        nl._unit_sections(np.random.default_rng(0), np.zeros((3, 3)), g, 4)
-
-
-@pytest.mark.parametrize("skip", [False, True])
-def test_block_sections_equal_the_per_point_draws_bit_for_bit(skip):
-    from fcontact import nullity as nl
-
-    proj, g = np.diag([1.0, 1.0, 0.0]), np.diag([1e-5, 4e-5, 1.0])
-    proj_l, gs = np.stack([proj] * 3), np.stack([g, 2.0 * g, 3.0 * g])
-    rows = np.random.default_rng(3).standard_normal((8, 3))
-    if skip:
-        rows[2] = [0.0, 0.0, 1.0]  # the first draw of the second point projects to 0 and is skipped
-    block, loop = _Draws(rows), _Draws(rows)
-    got = nl._block_sections(block, proj_l, gs, 2)
-    want = np.stack([nl._unit_sections(loop, p, m, 2) for p, m in zip(proj_l, gs)])
-    assert got.shape == (3, 2, 3) and got.tobytes() == want.tobytes()
-    assert block.state == loop.state == 6 + skip  # and the stream goes on where the per-point draws leave it
-
-
-def test_block_sections_equal_the_per_point_draws_on_a_frame():
-    from fcontact import nullity as nl
-
-    model = catalog_get("s-space-form:3,3").model
-    frame = PointFrame(model, np.stack(sample_points(model, 5, seed=1)))
-    block, loop = np.random.default_rng(4), np.random.default_rng(4)
-    got = nl._block_sections(block, frame.proj_L, frame.g, 7)
-    want = np.stack([nl._unit_sections(loop, p, m, 7) for p, m in zip(frame.proj_L, frame.g)])
-    assert got.tobytes() == want.tobytes()
-    assert block.standard_normal() == loop.standard_normal()
+    f2, g = -np.stack([np.diag([1.0, 1.0, 0.0])] * 3), np.stack([np.diag([1e-5, 4e-5, 1.0])] * 3)
+    rows = nl._block_sections(np.random.default_rng(0), f2, g, 4)
+    assert rows.shape == (3, 4, 3) and np.allclose(np.einsum("pni,pij,pnj->pn", rows, g, rows), 1.0)
+    for bad in (0.0, np.nan):  # no directions to draw at the second point of the block, then no numbers
+        f2[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientSampleError, match="could not draw"):
+                nl._block_sections(np.random.default_rng(0), f2, g, 4)
 
 
 def _nullity_oracle(fr):
