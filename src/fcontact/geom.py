@@ -123,15 +123,16 @@ def _pairs(dim: int) -> np.ndarray:
 
 
 @cache
-def _ricci_signs(dim: int) -> np.ndarray:
-    """``(dim, q dim)``: ``+1`` at ``[j, (q, i)]`` and ``-1`` at ``[i, (q, j)]`` for each
-    pair ``q = (i, j)``, as ``R(e_i, e_j) = R_q`` and ``R(e_j, e_i) = -R_q``, so that
-    its product with the pairs ``[(q, l), k]`` is ``sum_m R^m_k(m, a)`` at ``[a, k]``."""
+def _pair_signs(dim: int) -> np.ndarray:
+    """The pair map ``(dim, dim, q)``: ``+1`` at ``[i, j, q]`` and ``-1`` at ``[j, i, q]``
+    for each pair ``q = (i, j)`` of ``_pairs(dim)``, as ``R(e_i, e_j) = R_q`` and
+    ``R(e_j, e_i) = -R_q``.  Its product with ``riemann_pairs`` over ``q`` is the
+    curvature on every ``(i, j)``; made once per dimension, on first use, and read-only."""
     ij, q = _pairs(dim), np.arange(dim * (dim - 1) // 2)
-    signs = np.zeros((dim, len(q), dim))
-    signs[ij[:, 1], q, ij[:, 0]] = 1.0
-    signs[ij[:, 0], q, ij[:, 1]] = -1.0
-    return _read_only(signs.reshape(dim, -1))
+    signs = np.zeros((dim, dim, len(q)))
+    signs[ij[:, 0], ij[:, 1], q] = 1.0
+    signs[ij[:, 1], ij[:, 0], q] = -1.0
+    return _read_only(signs)
 
 
 class _kept(cached_property):
@@ -308,16 +309,13 @@ class PointFrame:
     @_kept
     def riemann31(self):
         """``riemann31[..., l, k, i, j]`` = component ``l`` of ``R(e_i, e_j)e_k``:
-        ``riemann_pairs`` unpacked, with ``R(e_j, e_i) = -R(e_i, e_j)`` and
-        ``R(e_i, e_i) = 0``.  No check reads it; ``riemann40``, ``geom.riemann``
-        and the stage replay of ``perfbench/tracing.py`` do."""
-        d, ij = self.model.dim, _pairs(self.model.dim)
-        out = np.zeros(self._shape(d, d, d, d))
-        by_pair = out.swapaxes(-1, -3).swapaxes(-2, -4)  # a view, [..., i, j, l, k]
-        pairs = self.riemann_pairs
-        by_pair[..., ij[:, 0], ij[:, 1], :, :] = pairs
-        by_pair[..., ij[:, 1], ij[:, 0], :, :] = -pairs
-        return out
+        ``riemann_pairs`` unpacked by one product with ``_pair_signs``, ``[(l, k), q]``
+        times ``[q, (i, j)]``, so ``R(e_j, e_i) = -R(e_i, e_j)`` and ``R(e_i, e_i) = 0``.
+        No check reads it; ``riemann40``, ``geom.riemann`` and the stage replay of
+        ``perfbench/tracing.py`` do."""
+        d = self.model.dim
+        pairs = self.riemann_pairs.reshape(self._shape(-1, d * d))
+        return (pairs.swapaxes(-1, -2) @ _pair_signs(d).reshape(d * d, -1).T).reshape(self._shape(d, d, d, d))
 
     @_kept
     def riemann40(self):
@@ -329,10 +327,10 @@ class PointFrame:
 
     @_kept
     def ricci(self):
-        """``ricci[..., a, b] = trace(Z -> R(Z, e_a)e_b) = sum_m R^m_bma``: a signed
-        gather of ``riemann_pairs``, as one product with ``_ricci_signs``."""
+        """``ricci[..., a, b] = trace(Z -> R(Z, e_a)e_b) = sum_m R^m_bma``: one product of
+        ``_pair_signs`` as ``[a, (q, m)]`` with ``riemann_pairs`` as ``[(q, m), b]``."""
         d = self.model.dim
-        return _ricci_signs(d) @ self.riemann_pairs.reshape(self._shape(-1, d))
+        return _pair_signs(d).transpose(1, 2, 0).reshape(d, -1) @ self.riemann_pairs.reshape(self._shape(-1, d))
 
     @_kept
     def ricci_op(self):

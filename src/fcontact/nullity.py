@@ -42,16 +42,16 @@ itself is read in place, ``R f``, ``f R`` and ``R xi`` are batched matrix
 products, and the ``g(MX, Z) NY`` terms are antisymmetrized on the pairs
 (:func:`_xz_y`).  The identities in ``R(xi_alpha, X)Y`` and ``nabla f`` have
 no such symmetry and are built on every pair: ``R(xi_alpha, e_j)`` is one
-batched product of the pairs with a matrix of the components of ``xi_alpha``
-(:func:`_r_xi`), and the other sides are broadcast products where nothing is
-summed.  No check here reads ``riemann31``, ``riemann40`` or ``dgamma``.  A
-fit builds each point's augmented system ``[design | y]`` once, block by
-block, reduces it to the R factor of one QR, forming no ``Q``, and solves on
-the stacked R factors; the systems are kept for its residual within one
-budget (``_KEPT_ENTRIES``), else built again (:func:`_systems`).  Only H(X),
-which is not multilinear, is sampled over random unit sections of L, by
-:func:`sample_H_constancy`, also from ``riemann_pairs`` and in blocks of
-sections under the same budget: each block's sections are Gaussians drawn in
+batched product of the pairs with ``xi_alpha`` times the pair map
+``geom._pair_signs`` (:func:`_r_xi`), and the other sides are broadcast
+products where nothing is summed.  No check here reads ``riemann31``,
+``riemann40`` or ``dgamma``.  A fit builds each point's augmented system
+``[design | y]`` once, block by block, reduces it to the R factor of one QR,
+forming no ``Q``, and solves on the stacked R factors; a fit of one block
+keeps its systems for its residual, and a fit of more builds them again
+(:func:`_systems`).  Only H(X), which is not multilinear, is sampled over
+random unit sections of L, by :func:`sample_H_constancy`, also from
+``riemann_pairs`` and in blocks of sections under the same budget: each block's sections are Gaussians drawn in
 one call, projected by ``-f^2`` and normalized in g (:func:`_block_sections`),
 and one sample decides everything about H: its mean, its spread relative to
 its size, and, for kappa < 1, its residual against the splitting formula
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSampleError, InvalidSectionError, NotApplicableError
-from .geom import ManifoldModel, Point, PointFrame, _pairs, as_frame, as_frames
+from .geom import ManifoldModel, Point, PointFrame, _pair_signs, _pairs, as_frame, as_frames
 from .jets import _outer
 from .structure import structure_at  # noqa: F401  (re-exported)
 from .tolerances import (
@@ -141,9 +141,9 @@ def _lstsq_reduced(r: np.ndarray, c: np.ndarray, columns=slice(None)) -> tuple[n
     return sol, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
 
-def _xz_y(ij: np.ndarray, *terms) -> np.ndarray:
+def _xz_y(*terms) -> np.ndarray:
     """``sum b(X, Z) N Y - b(Y, Z) N X`` over ``terms`` of ``(b, N)`` with
-    ``b[..., k, i] = b(e_i, e_k)``, on the pairs ``(X, Y) = (e_i, e_j)`` of ``ij``:
+    ``b[..., k, i] = b(e_i, e_k)``, on the pairs ``(X, Y) = (e_i, e_j)`` of ``_pairs``:
     ``[..., q, l, k]``, pair-major.
 
     Both halves of the antisymmetric sum are one batched matrix product per
@@ -154,6 +154,7 @@ def _xz_y(ij: np.ndarray, *terms) -> np.ndarray:
     # [..., i, term, k] and [..., j, term, l]
     b, n = (np.concatenate([t[side][..., None, :, :] for t in terms], axis=-3).swapaxes(-1, -3).swapaxes(-1, -2)
             for side in (0, 1))
+    ij = _pairs(b.shape[-3])
     v = b.take(ij, axis=-3)  # [..., q, 2, term, k]: b(e_i, .), then b(e_j, .)
     v[..., 1, :, :] *= -1.0
     u = n.take(ij[:, ::-1], axis=-3)  # N e_j, then N e_i
@@ -171,22 +172,13 @@ def _xz_y(ij: np.ndarray, *terms) -> np.ndarray:
 # ``gX (x) fX``), so it takes ``chunk dim^2`` per point for ``chunk``
 # sections at each point and draws and evaluates at most
 # ``_BLOCK_ENTRIES // dim^2`` sections at a time.  A block's temporaries
-# peak at a few such arrays: at most 1.5 MB at dim 9, where 20 points take two
-# blocks, and 0.8 MB for gssf at dims 6 and 8.  A larger budget makes the
-# 20-point runs of the dim-9 keys one block, but no faster (2-vCPU Xeon,
-# numpy 2.4).  A fit's systems outlive their block within a second budget,
-# ``_KEPT_ENTRIES``.
-_BLOCK_ENTRIES = 2**15
-
-# A fit keeps the designs and right-hand sides of its blocks for its residual
-# while together they hold at most this many entries; past that, each block is
-# built again after the solve, so memory does not grow with the number of
-# points.  It holds every 20-point system of the catalog: the largest, trans-s
-# on s-space-form:3,3, has about 102k entries.  Keeping every system of a
-# 1000-point run instead raised the peak RSS of ``fcontact check --manifold
-# s-space-form:3,2 --points 1000`` from 180 to 268 MB (numpy 2.4, one BLAS
-# thread, ``NUMPY_MADVISE_HUGEPAGE=0``).
-_KEPT_ENTRIES = 2**17
+# peak at a few such arrays: each identity peaks at 1.6 to 5.8 MB on 200
+# points of the dim-6 to dim-9 keys (tracemalloc), and at 20 points every fit
+# on s-space-form:2,2 and 3,3 is one block, which keeps its systems for its
+# residual (``_systems``).  ``fcontact check --points 1000`` peaks at 159.5 MB
+# RSS on s-space-form:3,3 (numpy 2.4, one BLAS thread,
+# ``NUMPY_MADVISE_HUGEPAGE=0``), no more than under a budget of 2^15.
+_BLOCK_ENTRIES = 2**17
 
 
 def _blocks(fr: PointFrame, per_point: int, shared: str = "riemann_pairs"):
@@ -219,13 +211,12 @@ def _systems(fr: PointFrame, block, per_point: int, shared: str = "riemann_pairs
     ``(P, cols, cols)`` and ``c`` ``(P, cols)``), the largest ``|entry|`` of
     each design column when ``peaks`` is set (else ``None``), and
     ``residual(sol, columns)``, the relative residual of a solution on every
-    row.  The systems are kept for the residual while together they hold at
-    most ``_KEPT_ENTRIES`` entries; past that, each block is built again for
-    the residual, one at a time, so that memory does not grow with the number
-    of points.
+    row.  A fit of one block keeps its systems for the residual; a fit of
+    more builds each block again for it, one at a time, so that memory does
+    not grow with the number of points.
     """
     blocks = list(_blocks(fr, per_point, shared))
-    rs, cs, norms, kept, size = [], [], [], [], 0
+    rs, cs, norms, kept = [], [], [], []
     for b in blocks:
         system = block(b)
         r, c = _reduce(system)
@@ -233,16 +224,13 @@ def _systems(fr: PointFrame, block, per_point: int, shared: str = "riemann_pairs
         cs.append(c)
         if peaks:  # column by column: a reduction that keeps the short column axis is slow
             norms.append([peak(system[..., j]) for j in range(system.shape[-1] - 1)])
-        size += system.size
-        if kept is not None and size <= _KEPT_ENTRIES:
+        if len(blocks) == 1:
             kept.append(system)
-        else:
-            kept = None  # before the next block is built
-        del system
+        del system  # before the next block is built
 
     def residual(sol, columns=slice(None)):
         def pairs():
-            for system in map(block, blocks) if kept is None else kept:
+            for system in kept or map(block, blocks):
                 yield system[..., -1], system[..., :-1][..., columns] @ sol
                 del system  # before the next block is built
 
@@ -261,12 +249,11 @@ def _nullity_block(fr: PointFrame) -> np.ndarray:
     nullity condition at each point of ``fr``, over basis pairs i < j, alpha
     and components: ``[A | B | y]``, ``(P, rows, 3)``."""
     count, dim, s = len(fr.point), fr.model.dim, fr.model.s
-    ij = _pairs(dim)
     # A = etab(X) f^2 Y - (X <-> Y) and B_alpha = -(etab(X) h_alpha Y - (X <-> Y)), as one
     # term whose N stacks f^2 and the -h_alpha along its rows: [p, q, 1 + s, l]
     n = np.concatenate([fr.f2[:, None], -fr.h_all], axis=1).reshape(count, -1, dim)
-    ab = _xz_y(ij, (fr.eta_bar[:, None], n)).reshape(count, len(ij), 1 + s, dim)
-    system = np.empty((count, 3, len(ij), s, dim))  # [p, column, q, alpha, l]
+    ab = _xz_y((fr.eta_bar[:, None], n)).reshape(count, -1, 1 + s, dim)
+    system = np.empty((count, 3, ab.shape[1], s, dim))  # [p, column, q, alpha, l]
     system[:, 0] = ab[:, :, :1]
     system[:, 1] = ab[:, :, 1:]
     np.matmul(fr.xi[:, None], fr.riemann_pairs.swapaxes(-1, -2), out=system[:, 2])
@@ -278,8 +265,9 @@ def fit_nullity(model: ManifoldModel, points, vector_samples: int = 200, rng=0) 
 
     Each point contributes ``R(e_i, e_j) xi_alpha = kappa * A + mu * B`` for
     every alpha, every basis pair ``i < j`` (both sides are antisymmetric in
-    i, j) and every component.  ``vector_samples`` and ``rng`` are accepted
-    for compatibility and unused.  Here, and only here, kappa counts as below
+    i, j) and every component.  ``vector_samples`` and ``rng`` are unused;
+    only the set-up of ``perfbench``'s point-queries workload passes them
+    (ROADMAP item 11 deletes them).  Here, and only here, kappa counts as below
     1 when ``1 - kappa > FIT_TOL``; ``lam`` records the outcome.
     """
     frame = as_frames(model, points)
@@ -305,19 +293,14 @@ def _r_xi(fr: PointFrame) -> np.ndarray:
     """``R(xi_alpha, e_j)`` as a matrix ``[l, k]`` for every alpha and j at each
     point of ``fr``: ``[p, alpha, j, l, k]``.  A new array, the caller's to keep.
 
-    ``R(xi_alpha, e_j) = sum_q C_alpha[j, q] R_q`` over the pairs ``q = (a, b)``
-    of ``riemann_pairs``, where ``C_alpha`` holds ``xi_alpha^a`` at ``(b, q)``
-    and ``-xi_alpha^b`` at ``(a, q)``, as ``R(e_b, e_a) = -R_q``: one batched
-    product.
+    ``R(xi_alpha, e_j) = sum_q C_alpha[j, q] R_q`` over the pairs of
+    ``riemann_pairs``, where ``C_alpha = xi_alpha . _pair_signs``, summed over
+    the first index of the map: one product with the map, then one batched
+    product with the pairs.
     """
     count, dim, s = len(fr.point), fr.model.dim, fr.model.s
-    ij = _pairs(dim)
-    q = np.arange(len(ij))
-    c = np.zeros((count, s, dim, len(ij)))
-    c[..., ij[:, 1], q] = fr.xi[..., ij[:, 0]]
-    c[..., ij[:, 0], q] = -fr.xi[..., ij[:, 1]]
-    r = c.reshape(count, s * dim, -1) @ fr.riemann_pairs.reshape(count, len(ij), -1)
-    return r.reshape(count, s, dim, dim, dim)
+    c = (fr.xi @ _pair_signs(dim).reshape(dim, -1)).reshape(count, s * dim, -1)
+    return (c @ fr.riemann_pairs.reshape(count, c.shape[-1], -1)).reshape(count, s, dim, dim, dim)
 
 
 def verify_r_xi(model: ManifoldModel, fit: NullityFit, points) -> float:
@@ -396,9 +379,7 @@ def _rf_sides(fr: PointFrame, kappa: float, mu: float) -> tuple[np.ndarray, np.n
     f, fh, g, s = fr.f, fr.f @ fr.h, fr.g, fr.model.s
     c = kappa * f + mu * fh
     p, q = fr.h - fr.f2, f + fh
-    ij = _pairs(fr.model.dim)
     rhs = _xz_y(
-        ij,
         (g @ c, _outer(fr.xi_bar, fr.eta_bar)),
         (g @ p, s * q),
         (g @ q, s * p),
@@ -454,11 +435,10 @@ def _block_sections(rng, f2: np.ndarray, g: np.ndarray, count: int) -> np.ndarra
     return v / np.sqrt(norm2)[..., None]
 
 
-def _f_sectional_rows(pairs: np.ndarray, f: np.ndarray, eta: np.ndarray, g: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _f_sectional_rows(fr: PointFrame, X: np.ndarray) -> np.ndarray:
     """``H(X) = g(R(X, fX)fX, X)`` for each row of ``X``, shaped ``(P, N, dim)``:
-    N unit vectors in L at each of P points, whose ``riemann_pairs``, ``f``,
-    ``eta`` and ``g`` are the other arguments, each over the same leading
-    point axis.  Returns ``(P, N)``.
+    N unit vectors in L at each of the P points of ``fr``, a stacked frame or,
+    with P = 1, a one-point frame.  Returns ``(P, N)``.
 
     H is ``u . R . w`` with ``u = gX (x) fX`` over ``(l, k)``, ``R`` the
     pairs ``[q, (l, k)]`` of one point and ``w`` the pair components of
@@ -466,24 +446,25 @@ def _f_sectional_rows(pairs: np.ndarray, f: np.ndarray, eta: np.ndarray, g: np.n
     that is not a g-unit vector in L, or holds a NaN, raises.
     """
     count, rows, dim = X.shape
-    fx = X @ f.swapaxes(-1, -2)
-    eta_res = peak(X @ eta.swapaxes(-1, -2))
+    fx = X @ fr.f.swapaxes(-1, -2)
+    eta_res = peak(X @ fr.eta.swapaxes(-1, -2))
     if not eta_res <= SECTION_TOL:  # a NaN fails too
         raise InvalidSectionError(f"X has eta components of size {eta_res}")
     for name, v in (("X", X), ("fX", fx)):
-        if not peak(np.einsum("pni,pni->pn", v @ g, v) - 1.0) <= SECTION_TOL:
+        if not peak(np.einsum("pni,pni->pn", v @ fr.g, v) - 1.0) <= SECTION_TOL:
             raise InvalidSectionError(f"{name} is not a g-unit vector")
     i, j = _pairs(dim).T
     w = X[..., i] * fx[..., j] - X[..., j] * fx[..., i]
-    u = _outer(X @ g, fx).reshape(count, rows, -1)
-    return np.einsum("pnk,pnk->pn", w @ pairs.reshape(count, len(i), dim * dim), u)
+    u = _outer(X @ fr.g, fx).reshape(count, rows, -1)
+    return np.einsum("pnk,pnk->pn", w @ fr.riemann_pairs.reshape(count, len(i), dim * dim), u)
 
 
 def f_sectional(model: ManifoldModel, p: Point | PointFrame, X) -> float:
-    """Sectional curvature of the plane {X, fX} for a unit X in L."""
-    fr = as_frame(model, p)
-    arrays = (a[None] for a in (fr.riemann_pairs, fr.f, fr.eta, fr.g))  # a batch of one point
-    return float(_f_sectional_rows(*arrays, np.asarray(X, dtype=float)[None, None])[0, 0])
+    """Sectional curvature of the plane {X, fX} for a unit X in L, shaped ``(dim,)``."""
+    fr, X = as_frame(model, p), np.asarray(X, dtype=float)
+    if X.shape != (model.dim,):
+        raise InvalidSectionError(f"X has shape {X.shape}, expected ({model.dim},)")
+    return float(_f_sectional_rows(fr, X[None, None])[0, 0])
 
 
 @dataclass
@@ -552,7 +533,7 @@ def sample_H_constancy(
         for first in range(0, sections_per_point, chunk):  # once, unless the block is one point
             n = min(chunk, sections_per_point - first)
             X = _block_sections(rng, b.f2, b.g, n)
-            values.append(_f_sectional_rows(b.riemann_pairs, b.f, b.eta, b.g, X))
+            values.append(_f_sectional_rows(b, X))
             if lam is not None:
                 pairs.append((values[-1], _splitting_rows(b, X, fit)))
             del X  # before the next rows are drawn: memory holds one block's sections
@@ -579,7 +560,6 @@ def check_curvature_model(model: ManifoldModel, fit: NullityFit, H: float, point
         k = kappa * f2 - mu * h
         ij = _pairs(model.dim)
         rhs = _xz_y(
-            ij,
             (g @ f2, 4 * s * h - (H + 3 * s) * f2),
             (g @ h, 4 * s * f2 - 2 * s * h),
             (g @ fh, 2 * s * fh),
@@ -647,7 +627,6 @@ def _gssf_block(fr: PointFrame) -> np.ndarray:
     system = np.empty((count, 8, len(ij), dim, dim))  # [p, column, q, l, k]
     xz = system[:, :6]
     xz[...] = _xz_y(
-        ij,
         (np.concatenate([g[:, None], fr.F.swapaxes(1, 2)[:, None], _outer(eta[:, b], eta[:, a])], axis=1),
          np.concatenate([-eye[:, :1], f[:, None], eye, eye], axis=1)),
         (np.concatenate([zero, gs], axis=1), np.concatenate([zero, _outer(xi[:, b], eta[:, a])], axis=1)),

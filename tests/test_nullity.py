@@ -237,6 +237,14 @@ def test_f_sectional_rejects_bad_sections(flat, flat_points):
         f_sectional(flat, p, [np.nan, np.nan, np.nan])  # fails every test of a section
 
 
+@pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
+def test_f_sectional_rejects_a_section_of_the_wrong_shape(shape, flat, flat_points):
+    # a typed error naming both shapes, not numpy's matmul or unpacking error
+    named = re.escape(f"X has shape {shape}, expected (3,)")
+    with pytest.raises(InvalidSectionError, match=named):
+        f_sectional(flat, flat_points[0], np.ones(shape))
+
+
 def test_H_constancy_deformed(deformed, flat_points):
     rep = sample_H_constancy(deformed[3.0], flat_points[:4], 30, rng=0)
     assert rep.h_spread < FIT_TOL
@@ -520,11 +528,6 @@ def test_a_defect_on_one_pair_fails_every_identity_in_R(served):
 # -- batched evaluation ----------------------------------------------------------
 
 
-def _sectional_arrays(frame, at=slice(None)):
-    """The arrays ``_f_sectional_rows`` reads, at the points ``at`` of a stacked frame."""
-    return frame.riemann_pairs[at], frame.f[at], frame.eta[at], frame.g[at]
-
-
 @pytest.mark.parametrize("key", ["s-space-form:3,3", "flat-contact-r3:deformed:0.5"])
 def test_f_sectional_contraction_matches_the_five_operand_formula(key):
     from fcontact import catalog_get, sample_points
@@ -536,7 +539,7 @@ def test_f_sectional_contraction_matches_the_five_operand_formula(key):
                         for i in range(3)])
     fX = X @ frame.f.swapaxes(-1, -2)
     want = np.einsum("pijkl,pni,pnj,pnk,pnl->pn", frame.riemann40, X, fX, fX, X)
-    got = nl._f_sectional_rows(*_sectional_arrays(frame), X)
+    got = nl._f_sectional_rows(frame, X)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -586,13 +589,13 @@ def test_a_bad_row_in_a_group_of_points_raises(deformed, flat_points):
     frame = PointFrame(model, np.stack(flat_points[:3]))
     rng = np.random.default_rng(0)
     X = nl._block_sections(rng, frame.f2, frame.g, 5)
-    assert np.all(np.isfinite(nl._f_sectional_rows(*_sectional_arrays(frame), X)))
+    assert np.all(np.isfinite(nl._f_sectional_rows(frame, X)))
     nan = np.full(3, np.nan)
     for bad in (frame.xi[1, 0] / np.sqrt(frame.g[1] @ frame.xi[1, 0] @ frame.xi[1, 0]), 2.0 * X[1, 2], nan):
         rows = X.copy()
         rows[1, 2] = bad  # not in L, not a unit vector, then NaN, at the second point only
         with pytest.raises(InvalidSectionError):
-            nl._f_sectional_rows(*_sectional_arrays(frame), rows)
+            nl._f_sectional_rows(frame, rows)
 
 
 @pytest.mark.parametrize("count", [0, -1])
@@ -833,21 +836,51 @@ def test_fits_equal_lstsq_on_the_full_stacked_design(several_blocks, noise, monk
             _close(gssf.condition, cond)
 
 
-@pytest.mark.parametrize("fit, block", [(fit_nullity, "_nullity_block"), (fit_gssf, "_gssf_block"),
-                                        (fit_trans_s, "_trans_s_block")])
+FIT_BLOCKS = [(fit_nullity, "_nullity_block"), (fit_gssf, "_gssf_block"), (fit_trans_s, "_trans_s_block")]
+
+
+def _block_builds(monkeypatch, block):
+    """The number of points of each call to ``nullity.<block>`` from now on."""
+    from fcontact import nullity as nl
+
+    calls, build = [], getattr(nl, block)
+    monkeypatch.setattr(nl, block, lambda fr: calls.append(len(fr.point)) or build(fr))
+    return calls
+
+
+@pytest.mark.parametrize("fit, block", FIT_BLOCKS)
 def test_residual_from_kept_systems_equals_the_rebuilt_one_bit_for_bit(fit, block, monkeypatch, s22):
+    # a one-block fit keeps its systems for the residual; a fit of a block per point builds each again
     from fcontact import nullity as nl
 
     frame = PointFrame(s22, np.stack(sample_points(s22, 6, seed=5)))
     noise = np.random.default_rng(0)  # so that the residuals are not roundoff
     frame.riemann_pairs = frame.riemann_pairs + 1e-3 * noise.standard_normal(frame.riemann_pairs.shape)
     frame.nabla_f = frame.nabla_f + 1e-3 * noise.standard_normal(frame.nabla_f.shape)
-    monkeypatch.setattr(nl, "_BLOCK_ENTRIES", 1)  # a block per point
-    calls, build = [], getattr(nl, block)
-    monkeypatch.setattr(nl, block, lambda fr: calls.append(len(fr.point)) or build(fr))
+    calls = _block_builds(monkeypatch, block)
     kept = fit(s22, frame)
-    built = len(calls)
-    monkeypatch.setattr(nl, "_KEPT_ENTRIES", 0)
+    assert calls == [6]  # one block, built once
+    monkeypatch.setattr(nl, "_BLOCK_ENTRIES", 1)  # a block per point
     rebuilt = fit(s22, frame)
-    assert built == 6 and len(calls) == 3 * built  # each block built once, then twice
-    assert rebuilt.residual == kept.residual and kept.residual > 1e-4
+    assert calls[1:] == [1] * 12  # each block built once, then again
+    for field in dataclasses.fields(kept):
+        assert np.array_equal(getattr(rebuilt, field.name), getattr(kept, field.name)), field.name
+    assert kept.residual > 1e-4
+
+
+@pytest.mark.parametrize("key, count, builds", [
+    ("s-space-form:2,2", 20, {"fit_nullity": [20], "fit_gssf": [20], "fit_trans_s": [20]}),
+    ("s-space-form:3,3", 20, {"fit_nullity": [20], "fit_trans_s": [20]}),
+    ("s-space-form:3,3", 200, {"fit_nullity": [44, 44, 44, 44, 24] * 2}),
+])
+def test_which_fits_are_one_block_and_keep_their_systems(key, count, builds, monkeypatch):
+    # at the default 20 points a fit builds its one system once; a fit of several blocks builds each twice
+    from fcontact import nullity as nl
+
+    model = catalog_get(key).model
+    frame = PointFrame(model, np.stack(sample_points(model, count, seed=0)))
+    for fit, block in FIT_BLOCKS:
+        if fit.__name__ in builds:
+            calls = _block_builds(monkeypatch, block)
+            fit(model, frame)
+            assert calls == builds[fit.__name__], fit.__name__

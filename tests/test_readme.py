@@ -1,6 +1,7 @@
 """The README against the program: every ``fcontact`` command in its ``sh``
 blocks parses and names a catalog key, every ``python`` block runs, its
-check table is ``cli.CHECKS``, and its paragraph on the flags of ``check``
+check table is ``cli.CHECKS``, every block budget it states is
+``nullity._BLOCK_ENTRIES``, and its paragraph on the flags of ``check``
 names exactly the parser's flags."""
 
 import argparse
@@ -12,6 +13,7 @@ import pytest
 
 from fcontact import catalog_get
 from fcontact.cli import CHECKS, _parser
+from fcontact.nullity import _BLOCK_ENTRIES
 from fcontact.tolerances import FIT_TOL
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -52,6 +54,11 @@ def test_readme_check_table_is_the_check_table():
         [f"`{row.name}`", "yes" if row.gating else "no (diagnostic)", "fit" if row.tolerance == FIT_TOL else "identity"]
         for row in CHECKS
     ]
+
+
+def test_readme_block_budget_is_the_codes():
+    stated = [2 ** int(n) for n in re.findall(r"\b2\^(\d+)", README.read_text())]
+    assert stated and all(n == _BLOCK_ENTRIES for n in stated), stated
 
 
 def test_readme_flag_list_is_the_parsers():
